@@ -10,10 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from . import expression, generators, graphs, oracle
+from .dp_answersets import accepts as asp_accepts
 from .dp_answersets import dp_asp, has_answer_set_dp
+from .dp_classical import accepts as model_accepts
 from .dp_classical import dp_classical, has_model_dp
 from .errors import AspcwError
 from .program import parse_program, serialize_program
@@ -48,6 +51,10 @@ def _triple_json(t):
     return [sorted(ts), sorted(fs), sorted(us)]
 
 
+def _pair_json(p):
+    return {"q": _triple_json(p.q), "gamma": [_triple_json(s) for s in p.gamma]}
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -66,32 +73,30 @@ def _cmd_solve(args) -> int:
                "mismatches": mismatches})
         return EXIT_INVALID
 
-    sizes = {"node_count": 0, "max_table": 0}
-
-    def on_node(index, op, size):
-        sizes["node_count"] = index
-        sizes["max_table"] = max(sizes["max_table"], size)
-
-    if args.trace:
-        trace = []
-        if args.mode == "classical":
-            dp_classical(expr, trace=trace)
-            nodes = [{"index": n.index, "op": n.op,
-                      "triples": [_triple_json(t) for t in n.triples]}
-                     for n in trace]
-        else:
-            dp_asp(expr, trace=trace)
-            nodes = [{"index": n.index, "op": n.op,
-                      "pairs": [{"q": _triple_json(p.q),
-                                 "gamma": [_triple_json(s) for s in p.gamma]}
-                                for p in n.pairs]}
-                     for n in trace]
-        Path(args.trace).write_text(json.dumps({"nodes": nodes}, sort_keys=True))
-
     if args.mode == "classical":
-        decision = has_model_dp(expr, on_node=on_node)
+        run, decide, accepts = dp_classical, has_model_dp, model_accepts
+        field, entry_json = "triples", _triple_json
     else:
-        decision = has_answer_set_dp(expr, on_node=on_node)
+        run, decide, accepts = dp_asp, has_answer_set_dp, asp_accepts
+        field, entry_json = "pairs", _pair_json
+    if args.trace:
+        # One traced run gives the decision, the sizes and the trace file.
+        trace = []
+        decision = accepts(run(expr, trace=trace), attrgetter("u"))
+        tables = [getattr(n, field) for n in trace]
+        nodes = [{"index": n.index, "op": n.op,
+                  field: [entry_json(e) for e in table]}
+                 for n, table in zip(trace, tables)]
+        Path(args.trace).write_text(json.dumps({"nodes": nodes}, sort_keys=True))
+        sizes = {"node_count": len(trace), "max_table": max(map(len, tables))}
+    else:
+        sizes = {"node_count": 0, "max_table": 0}
+
+        def on_node(index, op, size):
+            sizes["node_count"] = index
+            sizes["max_table"] = max(sizes["max_table"], size)
+
+        decision = decide(expr, on_node=on_node)
     _emit({"decision": decision, "width": expression.width(expr),
            "table_sizes": sizes})
     return EXIT_OK if decision else EXIT_NEGATIVE

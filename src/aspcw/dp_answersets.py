@@ -10,19 +10,16 @@ nonempty U component (no proper subset survives as a model of the reduct).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
-from ._packed import field_width, op_label, relabel_fn, unpack
-from .errors import ExpressionError
-from .expression import DisjointUnion, EdgeInsert, Expr, Introduce, Relabel
+from ._packed import OnNode, TableOps, fold_tables, unpack
+from .expression import Expr
 from .tables import KPair, KTriple
 
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is a declared dependency
     _np = None
-
-OnNode = Callable[[int, str, int], None]
 
 PackedPair = tuple[int, frozenset[int]]
 
@@ -90,106 +87,63 @@ def _apply_edges_bulk(table: set[PackedPair], ops: list[tuple[str, int, int]],
     return out
 
 
-def _fold(expr: Expr, trace: list[TraceNode] | None = None,
-          on_node: OnNode | None = None) -> tuple[set[PackedPair], int]:
-    k, w = field_width(expr)
-    q_limit = 1 << (3 * k)
-    # The full pair bound 2^(3k) * 2^(2^(3k)) is astronomically large except
-    # for tiny k; assert it only when it is a representable check.
-    pair_limit = q_limit * (1 << (1 << (3 * k))) if 3 * k <= 12 else None
-    counter = [0]
-    # A per-node trace needs every intermediate table, but the plain decision
-    # can batch runs of edge insertions through the vectorized path (which
-    # needs each field to fit a machine word).
-    bulk_ok = trace is None and on_node is None and _np is not None and w <= 62
+def _union(left: set[PackedPair], right: set[PackedPair]) -> set[PackedPair]:
+    table = set()
+    for q1, g1 in left:
+        for q2, g2 in right:
+            gamma = {s1 | s2 for s1 in g1 for s2 in g2}
+            gamma.update(q1 | s for s in g2)
+            gamma.update(s | q2 for s in g1)
+            table.add((q1 | q2, frozenset(gamma)))
+    return table
 
-    def fold(node: Expr) -> set[PackedPair]:
-        if bulk_ok and isinstance(node, EdgeInsert) \
-                and node.sign in ("h", "p", "n"):
-            ops = []
-            while isinstance(node, EdgeInsert) and node.sign in ("h", "p", "n"):
-                ops.append((node.sign, node.i, node.j))
-                node = node.child
-            ops.reverse()
-            table = _apply_edges_bulk(fold(node), ops, w)
-            counter[0] += len(ops)
-            if pair_limit is not None:
-                assert len(table) <= pair_limit, "pair table exceeds its bound"
-            assert len({q for q, _ in table}) <= q_limit, \
-                "pair projection exceeds 2^(3k) bound"
-            return table
-        if isinstance(node, Introduce):
-            bit = 1 << (node.label - 1)
-            if node.kind == "atom":
-                table = {(bit, frozenset({bit << w})),
-                         (bit << w, frozenset())}
-            else:
-                table = {(bit << 2 * w, frozenset())}
-        elif isinstance(node, DisjointUnion):
-            left = fold(node.left)
-            right = fold(node.right)
-            table = set()
-            for q1, g1 in left:
-                for q2, g2 in right:
-                    gamma = {s1 | s2 for s1 in g1 for s2 in g2}
-                    gamma.update(q1 | s for s in g2)
-                    gamma.update(s | q2 for s in g1)
-                    table.add((q1 | q2, frozenset(gamma)))
-        elif isinstance(node, Relabel):
-            move = relabel_fn(node.old, node.new, w)
-            table = {(move(q), frozenset(move(s) for s in g))
-                     for q, g in fold(node.child)}
-        else:
-            if node.sign not in ("h", "p", "n"):
-                raise ExpressionError(
-                    f"solver requires signed edges, got {node.sign!r}")
-            gate = 1 << (node.i - 1)
-            if node.sign == "p":
-                gate <<= w
-            clear = ~(1 << (node.j - 1 + 2 * w))
-            child = fold(node.child)
-            table = set()
-            if node.sign == "n":
-                # The outer Q's T component gates every member of Gamma: once
-                # I hits the negative body, the rule vanishes from the reduct
-                # for all subsets J, whether or not J itself touches label i.
-                for q, g in child:
-                    if q & gate:
-                        table.add((q & clear,
-                                   frozenset(s & clear for s in g)))
-                    else:
-                        table.add((q, g))
-            else:
-                for q, g in child:
-                    table.add((
-                        q & clear if q & gate else q,
-                        frozenset(s & clear if s & gate else s for s in g)))
-        if pair_limit is not None:
-            assert len(table) <= pair_limit, "pair table exceeds its bound"
-        assert len({q for q, _ in table}) <= q_limit, \
-            "pair projection exceeds 2^(3k) bound"
-        counter[0] += 1
-        if on_node is not None:
-            on_node(counter[0], op_label(node), len(table))
-        if trace is not None:
-            trace.append(TraceNode(counter[0], op_label(node), tuple(sorted(
-                TracePair(unpack(q, w), tuple(sorted(unpack(s, w) for s in g)))
-                for q, g in table))))
-        return table
 
-    return fold(expr), w
+def _edge(table: set[PackedPair], sign: str, gate: int,
+          clear: int) -> set[PackedPair]:
+    if sign == "n":
+        # The outer Q's T component gates every member of Gamma: once I hits
+        # the negative body, the rule vanishes from the reduct for all
+        # subsets J, whether or not J itself touches label i.
+        return {(q & clear, frozenset(s & clear for s in g)) if q & gate
+                else (q, g) for q, g in table}
+    return {(q & clear if q & gate else q,
+             frozenset(s & clear if s & gate else s for s in g))
+            for q, g in table}
+
+
+def _snapshot(index: int, op: str, table: set[PackedPair], w: int) -> TraceNode:
+    return TraceNode(index, op, tuple(sorted(
+        TracePair(unpack(q, w), tuple(sorted(unpack(s, w) for s in g)))
+        for q, g in table)))
+
+
+_TABLES = TableOps(
+    introduce=lambda bit, kind, w:
+        {(bit, frozenset({bit << w})), (bit << w, frozenset())}
+        if kind == "atom" else {(bit << 2 * w, frozenset())},
+    union=_union,
+    relabel=lambda table, move:
+        {(move(q), frozenset(move(s) for s in g)) for q, g in table},
+    edge=_edge,
+    candidates=lambda table: {q for q, _ in table},
+    snapshot=_snapshot,
+    edge_chain=_apply_edges_bulk if _np is not None else None)
+
+
+def accepts(table: Iterable, u_of: Callable) -> bool:
+    """The root check: some pair has Q_U empty and no Gamma member with an
+    empty U.  `u_of` reads an entry's U component, so one check serves packed
+    and KPair tables."""
+    return any(not u_of(q) and all(u_of(s) for s in g) for q, g in table)
 
 
 def dp_asp(expr: Expr, trace: list[TraceNode] | None = None) -> set[KPair]:
-    table, w = _fold(expr, trace=trace)
+    table, w = fold_tables(expr, _TABLES, trace=trace)
     return {KPair(unpack(q, w), frozenset(unpack(s, w) for s in g))
             for q, g in table}
 
 
 def has_answer_set_dp(expr: Expr, on_node: OnNode | None = None) -> bool:
     """True iff some root pair has Q_U empty and no Gamma member with empty U."""
-    table, w = _fold(expr, on_node=on_node)
-    u_field = ((1 << w) - 1) << 2 * w
-    return any(
-        not q & u_field and all(s & u_field for s in g)
-        for q, g in table)
+    table, w = fold_tables(expr, _TABLES, on_node=on_node)
+    return accepts(table, lambda key: key >> 2 * w)

@@ -9,14 +9,11 @@ root triple has an empty U component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
-from ._packed import field_width, op_label, relabel_fn, unpack
-from .errors import ExpressionError
-from .expression import DisjointUnion, EdgeInsert, Expr, Introduce, Relabel
+from ._packed import OnNode, TableOps, fold_tables, unpack
+from .expression import Expr
 from .tables import KTriple
-
-OnNode = Callable[[int, str, int], None]
 
 
 @dataclass(frozen=True)
@@ -26,57 +23,30 @@ class TraceNode:
     triples: tuple[KTriple, ...]
 
 
-def _fold(expr: Expr, trace: list[TraceNode] | None = None,
-          on_node: OnNode | None = None) -> tuple[set[int], int]:
-    """Returns (packed root table, field width)."""
-    k, w = field_width(expr)
-    limit = 1 << (3 * k)
-    counter = [0]
+_TABLES = TableOps(
+    introduce=lambda bit, kind, w:
+        {bit, bit << w} if kind == "atom" else {bit << 2 * w},
+    union=lambda left, right: {a | b for a in left for b in right},
+    relabel=lambda table, move: {move(key) for key in table},
+    edge=lambda table, sign, gate, clear:
+        {key & clear if key & gate else key for key in table},
+    candidates=lambda table: table,
+    snapshot=lambda index, op, table, w: TraceNode(
+        index, op, tuple(sorted(unpack(key, w) for key in table))))
 
-    def fold(node: Expr) -> set[int]:
-        if isinstance(node, Introduce):
-            bit = 1 << (node.label - 1)
-            if node.kind == "atom":
-                table = {bit, bit << w}
-            else:
-                table = {bit << 2 * w}
-        elif isinstance(node, DisjointUnion):
-            left = fold(node.left)
-            right = fold(node.right)
-            table = {a | b for a in left for b in right}
-        elif isinstance(node, Relabel):
-            move = relabel_fn(node.old, node.new, w)
-            table = {move(key) for key in fold(node.child)}
-        else:
-            if node.sign not in ("h", "p", "n"):
-                raise ExpressionError(
-                    f"solver requires signed edges, got {node.sign!r}")
-            gate = 1 << (node.i - 1)
-            if node.sign == "p":
-                gate <<= w
-            clear = ~(1 << (node.j - 1 + 2 * w))
-            table = {key & clear if key & gate else key
-                     for key in fold(node.child)}
-        assert len(table) <= limit, "triple table exceeds 2^(3k) bound"
-        counter[0] += 1
-        if on_node is not None:
-            on_node(counter[0], op_label(node), len(table))
-        if trace is not None:
-            trace.append(TraceNode(
-                counter[0], op_label(node),
-                tuple(sorted(unpack(key, w) for key in table))))
-        return table
 
-    return fold(expr), w
+def accepts(table: Iterable, u_of: Callable) -> bool:
+    """The root check: some triple has U = empty.  `u_of` reads an entry's U
+    component, so one check serves packed and KTriple tables."""
+    return any(not u_of(t) for t in table)
 
 
 def dp_classical(expr: Expr, trace: list[TraceNode] | None = None) -> set[KTriple]:
-    table, w = _fold(expr, trace=trace)
+    table, w = fold_tables(expr, _TABLES, trace=trace)
     return {unpack(key, w) for key in table}
 
 
 def has_model_dp(expr: Expr, on_node: OnNode | None = None) -> bool:
     """True iff some root triple has U = empty."""
-    table, w = _fold(expr, on_node=on_node)
-    u_field = ((1 << w) - 1) << 2 * w
-    return any(not key & u_field for key in table)
+    table, w = fold_tables(expr, _TABLES, on_node=on_node)
+    return accepts(table, lambda key: key >> 2 * w)

@@ -17,10 +17,10 @@ with sign in {h, p, n, alpha}.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
+from typing import Callable, TypeVar, Union
 
 from .errors import ExpressionError, ParseError, SignConflictError
 from .graphs import (ALPHA, SIGNS, LabeledSignedGraph, SignedGraph, edge_key,
@@ -79,21 +79,45 @@ class EdgeInsert:
 Expr = Union[Introduce, DisjointUnion, Relabel, EdgeInsert]
 
 
-def labels_used(expr: Expr) -> frozenset[int]:
-    out: set[int] = set()
-    stack = [expr]
+T = TypeVar("T")
+
+
+def fold(expr: Expr, visit: Callable[..., T]) -> T:
+    """The one tree traversal: a post-order fold with an explicit stack, so
+    any depth that fits in memory works.  `visit(node, *results)` gets the
+    results of node's children, left before right, and returns node's."""
+    results: list = []
+    stack: list = [expr]
     while stack:
         node = stack.pop()
+        if type(node) is tuple:  # (node,): its operands are folded
+            node = node[0]
+            if isinstance(node, DisjointUnion):
+                right = results.pop()
+                results[-1] = visit(node, results[-1], right)
+            else:
+                results[-1] = visit(node, results[-1])
+        elif isinstance(node, Introduce):
+            results.append(visit(node))
+        elif isinstance(node, DisjointUnion):
+            stack += ((node,), node.right, node.left)
+        else:
+            stack += ((node,), node.child)
+    return results[0]
+
+
+def labels_used(expr: Expr) -> frozenset[int]:
+    out: set[int] = set()
+
+    def visit(node: Expr, *_) -> None:
         if isinstance(node, Introduce):
             out.add(node.label)
-        elif isinstance(node, DisjointUnion):
-            stack += [node.left, node.right]
         elif isinstance(node, Relabel):
             out.update((node.old, node.new))
-            stack.append(node.child)
-        else:
+        elif isinstance(node, EdgeInsert):
             out.update((node.i, node.j))
-            stack.append(node.child)
+
+    fold(expr, visit)
     return frozenset(out)
 
 
@@ -102,16 +126,7 @@ def width(expr: Expr) -> int:
 
 
 def node_count(expr: Expr) -> int:
-    count = 0
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if isinstance(node, DisjointUnion):
-            stack += [node.left, node.right]
-        elif isinstance(node, (Relabel, EdgeInsert)):
-            stack.append(node.child)
-    return count
+    return fold(expr, lambda node, *counts: 1 + sum(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -119,46 +134,53 @@ def node_count(expr: Expr) -> int:
 # ---------------------------------------------------------------------------
 
 def evaluate(expr: Expr) -> LabeledSignedGraph:
-    """Bottom-up semantics.  Repeated identical edge inserts are idempotent;
+    """Bottom-up semantics.  A relabel or edge insert acts on the vertices of
+    its own subexpression.  Repeated identical edge inserts are idempotent;
     an insert that would re-sign an existing pair raises SignConflictError."""
     kinds: dict[str, str] = {}
-    labels: dict[str, int] = {}
+    position: dict[str, int] = {}
     edges: dict[tuple[str, str], str] = {}
-    order: list[str] = []
 
-    def walk(node: Expr) -> None:
+    # Each node's result maps a label to the vertices of its subexpression
+    # that carry it, first introduced first; edge inserts walk these lists,
+    # so SignConflictError names the same pair on every run.
+    def visit(node: Expr, *parts: dict[int, list[str]]) -> dict[int, list[str]]:
         if isinstance(node, Introduce):
             if node.vertex in kinds:
                 raise ExpressionError(
                     f"vertex {node.vertex!r} introduced more than once")
             kinds[node.vertex] = node.kind
-            labels[node.vertex] = node.label
-            order.append(node.vertex)
-        elif isinstance(node, DisjointUnion):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Relabel):
-            walk(node.child)
-            for v, l in labels.items():
-                if l == node.old:
-                    labels[v] = node.new
-        else:
-            walk(node.child)
-            left = [v for v in order if labels[v] == node.i]
-            right = [v for v in order if labels[v] == node.j]
-            for u in left:
-                for v in right:
-                    key = edge_key(u, v)
-                    existing = edges.get(key)
-                    if existing is None:
-                        edges[key] = node.sign
-                    elif existing != node.sign:
-                        raise SignConflictError(
-                            f"edge {key} already has sign {existing!r}, "
-                            f"insert of {node.sign!r} conflicts")
+            position[node.vertex] = len(position)
+            return {node.label: [node.vertex]}
+        if isinstance(node, DisjointUnion):
+            left, right = parts
+            small, big = sorted(parts, key=len)
+            for label, vs in small.items():
+                big[label] = left[label] + right[label] if label in big else vs
+            return big
+        (members,) = parts
+        if isinstance(node, Relabel):
+            if node.old != node.new and node.old in members:
+                target = members.setdefault(node.new, [])
+                target += members.pop(node.old)
+                target.sort(key=position.__getitem__)
+            return members
+        for u in members.get(node.i, ()):
+            for v in members.get(node.j, ()):
+                key = edge_key(u, v)
+                existing = edges.get(key)
+                if existing is None:
+                    edges[key] = node.sign
+                elif existing != node.sign:
+                    raise SignConflictError(
+                        f"edge {key} already has sign {existing!r}, "
+                        f"insert of {node.sign!r} conflicts")
+        return members
 
-    walk(expr)
-    return LabeledSignedGraph(tuple(order), kinds, edges, labels)
+    root = fold(expr, visit)
+    label_of = {v: label for label, vs in root.items() for v in vs}
+    labels = {v: label_of[v] for v in position}
+    return LabeledSignedGraph(tuple(position), kinds, edges, labels)
 
 
 def validate_against(expr: Expr, program: Program,
@@ -200,17 +222,17 @@ def join_labels(expr: Expr, joined: frozenset[str] | set[str]) -> Expr:
     if bad:
         raise ValueError(f"cannot join non-signs {sorted(bad)}")
 
-    def walk(node: Expr) -> Expr:
+    def rebuild(node: Expr, *kids: Expr) -> Expr:
         if isinstance(node, Introduce):
             return node
         if isinstance(node, DisjointUnion):
-            return DisjointUnion(walk(node.left), walk(node.right))
+            return DisjointUnion(*kids)
         if isinstance(node, Relabel):
-            return Relabel(node.old, node.new, walk(node.child))
+            return Relabel(node.old, node.new, *kids)
         sign = ALPHA if node.sign in joined else node.sign
-        return EdgeInsert(sign, node.i, node.j, walk(node.child))
+        return EdgeInsert(sign, node.i, node.j, *kids)
 
-    return walk(expr)
+    return fold(expr, rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +301,7 @@ def heuristic_expression(program: Program) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Text and JSON forms
+# Text form
 # ---------------------------------------------------------------------------
 
 _EXPR_TOKEN = re.compile(r"\s*([a-zA-Z_][a-zA-Z0-9_]*|\d+|[(),])")
@@ -316,32 +338,35 @@ def parse_expression(text: str) -> Expr:
             raise ParseError(f"expected positive label, found {tok!r}")
         return int(tok)
 
-    def parse() -> Expr:
-        head = take()
-        expect("(")
-        try:
+    # Operators whose operands are still being read, innermost last:
+    # (constructor, number of operands, operands read so far).
+    pending: list[tuple[Callable[..., Expr], int, list[Expr]]] = []
+    seen: set[str] = set()
+    duplicate = None
+    try:
+        while True:
+            head = take()
+            expect("(")
             if head in ("a", "r"):
                 label = number()
                 expect(",")
                 vertex = take()
                 expect(")")
-                kind = "atom" if head == "a" else "rule"
-                return Introduce(label, vertex, kind)
-            if head == "oplus":
-                left = parse()
-                expect(",")
-                right = parse()
-                expect(")")
-                return DisjointUnion(left, right)
-            if head == "rho":
+                node = Introduce(label, vertex, "atom" if head == "a" else "rule")
+                if vertex in seen and duplicate is None:
+                    duplicate = vertex
+                seen.add(vertex)
+            elif head == "oplus":
+                pending.append((DisjointUnion, 2, []))
+                continue
+            elif head == "rho":
                 old = number()
                 expect(",")
                 new = number()
                 expect(",")
-                child = parse()
-                expect(")")
-                return Relabel(old, new, child)
-            if head == "eta":
+                pending.append((partial(Relabel, old, new), 1, []))
+                continue
+            elif head == "eta":
                 sign = take()
                 if sign not in EDGE_SIGNS:
                     raise ParseError(f"bad edge sign {sign!r}")
@@ -350,74 +375,64 @@ def parse_expression(text: str) -> Expr:
                 expect(",")
                 j = number()
                 expect(",")
-                child = parse()
+                pending.append((partial(EdgeInsert, sign, i, j), 1, []))
+                continue
+            else:
+                raise ParseError(f"unknown expression operator {head!r}")
+            # A complete subexpression: hand it to the operators waiting.
+            while pending:
+                make, arity, operands = pending[-1]
+                operands.append(node)
+                if len(operands) < arity:
+                    expect(",")
+                    break
                 expect(")")
-                return EdgeInsert(sign, i, j, child)
-        except ExpressionError as exc:
-            raise ParseError(str(exc)) from exc
-        raise ParseError(f"unknown expression operator {head!r}")
+                pending.pop()
+                node = make(*operands)
+            else:
+                break
+    except ExpressionError as exc:
+        raise ParseError(str(exc)) from exc
 
-    expr = parse()
     leftover = next(it, None)
     if leftover is not None:
         raise ParseError(f"trailing input {leftover!r} after expression")
-    _check_unique_introductions(expr)
-    return expr
+    if duplicate is not None:
+        raise ParseError(f"vertex {duplicate!r} introduced more than once")
+    return node
 
 
-def _check_unique_introductions(expr: Expr) -> None:
-    seen: set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Introduce):
-            if node.vertex in seen:
-                raise ParseError(f"vertex {node.vertex!r} introduced more than once")
-            seen.add(node.vertex)
-        elif isinstance(node, DisjointUnion):
-            stack += [node.left, node.right]
-        else:
-            stack.append(node.child)
+def op_label(node: Expr) -> str:
+    """A node's operator as written in the text form, without its operands:
+    a(1,x), oplus, rho(1,2) or eta(h,1,2)."""
+    if isinstance(node, Introduce):
+        tag = "a" if node.kind == "atom" else "r"
+        return f"{tag}({node.label},{node.vertex})"
+    if isinstance(node, DisjointUnion):
+        return "oplus"
+    if isinstance(node, Relabel):
+        return f"rho({node.old},{node.new})"
+    return f"eta({node.sign},{node.i},{node.j})"
+
+
+def _text(node: Expr, *kids: str | tuple) -> str | tuple:
+    """The node's text as a string or a tuple of parts, joined once at the
+    end so a deep expression is not copied once per level."""
+    if not kids:
+        return op_label(node)
+    if isinstance(node, DisjointUnion):
+        return ("oplus(", kids[0], ",", kids[1], ")")
+    # rho(1,2) and eta(h,1,2) take their operand as a last argument.
+    return (op_label(node)[:-1] + ",", kids[0], ")")
 
 
 def serialize_expression(expr: Expr) -> str:
-    if isinstance(expr, Introduce):
-        tag = "a" if expr.kind == "atom" else "r"
-        return f"{tag}({expr.label},{expr.vertex})"
-    if isinstance(expr, DisjointUnion):
-        return f"oplus({serialize_expression(expr.left)},{serialize_expression(expr.right)})"
-    if isinstance(expr, Relabel):
-        return f"rho({expr.old},{expr.new},{serialize_expression(expr.child)})"
-    return f"eta({expr.sign},{expr.i},{expr.j},{serialize_expression(expr.child)})"
-
-
-def expression_to_json(expr: Expr) -> str:
-    def walk(node: Expr):
-        if isinstance(node, Introduce):
-            return {"op": "introduce", "label": node.label,
-                    "vertex": node.vertex, "kind": node.kind}
-        if isinstance(node, DisjointUnion):
-            return {"op": "union", "left": walk(node.left), "right": walk(node.right)}
-        if isinstance(node, Relabel):
-            return {"op": "relabel", "old": node.old, "new": node.new,
-                    "child": walk(node.child)}
-        return {"op": "edge", "sign": node.sign, "i": node.i, "j": node.j,
-                "child": walk(node.child)}
-
-    return json.dumps(walk(expr), indent=2)
-
-
-def expression_from_json(text: str) -> Expr:
-    def walk(data) -> Expr:
-        op = data["op"]
-        if op == "introduce":
-            return Introduce(data["label"], data["vertex"], data["kind"])
-        if op == "union":
-            return DisjointUnion(walk(data["left"]), walk(data["right"]))
-        if op == "relabel":
-            return Relabel(data["old"], data["new"], walk(data["child"]))
-        if op == "edge":
-            return EdgeInsert(data["sign"], data["i"], data["j"], walk(data["child"]))
-        raise ParseError(f"unknown expression operator {op!r}")
-
-    return walk(json.loads(text))
+    out: list[str] = []
+    stack = [fold(expr, _text)]
+    while stack:
+        part = stack.pop()
+        if type(part) is str:
+            out.append(part)
+        else:
+            stack += reversed(part)
+    return "".join(out)

@@ -55,26 +55,3 @@ class KPair(NamedTuple):
     q: KTriple
     gamma: frozenset[KTriple]
 
-
-def triple_union(a: KTriple, b: KTriple) -> KTriple:
-    return KTriple(a.t | b.t, a.f | b.f, a.u | b.u)
-
-
-def triple_relabel(q: KTriple, old: int, new: int) -> KTriple:
-    if old == new:
-        raise ValueError("relabel needs two distinct labels")
-    ob, nb = 1 << (old - 1), 1 << (new - 1)
-
-    def move(mask):
-        return (mask & ~ob) | nb if mask & ob else mask
-
-    return KTriple(move(q.t), move(q.f), move(q.u))
-
-
-def triple_edge_update(q: KTriple, gate: int, i: int, j: int) -> KTriple:
-    """(T, F, U \\ {j}) if i is in the gate mask, else q unchanged."""
-    if i == j:
-        raise ValueError("edge update needs two distinct labels")
-    if gate & (1 << (i - 1)):
-        return KTriple(q.t, q.f, q.u & ~(1 << (j - 1)))
-    return q

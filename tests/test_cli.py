@@ -74,6 +74,23 @@ class TestSolve:
         assert len(nodes) == 11
         assert nodes[-1]["op"] == "eta(n,3,2)"
 
+    @pytest.mark.parametrize("mode,program_text,expr_text", [
+        ("classical", EXAMPLE1_TEXT, FIG2_TEXT),
+        ("asp", EXAMPLE1_TEXT, FIG2_TEXT),
+        ("asp", "a :- not b.\nb :- not a.\n:- b.\n", None),
+    ])
+    def test_trace_keeps_payload(self, capsys, tmp_path, mode, program_text,
+                                 expr_text):
+        argv = ["solve", "--mode", mode,
+                "--program", write(tmp_path, "p.lp", program_text)]
+        if expr_text is None:
+            argv += ["--auto-expr", "trivial"]
+        else:
+            argv += ["--expr", write(tmp_path, "p.expr", expr_text)]
+        plain = run(capsys, *argv)
+        traced = run(capsys, *argv, "--trace", str(tmp_path / "t.json"))
+        assert traced == plain
+
 
 class TestOracle:
     def test_models(self, capsys, example1_file):

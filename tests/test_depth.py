@@ -1,0 +1,98 @@
+"""Expressions far deeper than the interpreter's recursion limit.
+
+The trivial expression of a program with many rules is a left-deep chain of
+unions under a long run of edge inserts, so every tree transform and both
+solvers must work without recursion."""
+
+import json
+import sys
+
+import pytest
+
+from aspcw.cli import main
+from aspcw.dp_answersets import has_answer_set_dp
+from aspcw.dp_classical import has_model_dp
+from aspcw.expression import (evaluate, fold, heuristic_expression,
+                              join_labels, node_count, parse_expression,
+                              serialize_expression, trivial_expression,
+                              validate_against)
+from aspcw.generators import gen_random_program
+from aspcw.oracle import enumerate_answer_sets, enumerate_models
+from aspcw.program import parse_program, serialize_program
+
+
+def depth(expr):
+    return fold(expr, lambda node, *below: 1 + max(below, default=0))
+
+
+@pytest.fixture(scope="module", params=["random", "constraints"])
+def deep(request):
+    # The random program has no model; 2000 copies of one constraint keep
+    # the empty set as a model and an answer set.
+    if request.param == "random":
+        program = gen_random_program(4, 2000, (0.2, 0.2, 0.2), 0)
+    else:
+        program = parse_program(":- a1, a2, a3, a4.\n" * 2000)
+    expr = trivial_expression(program)
+    assert depth(expr) > 5000 > sys.getrecursionlimit()
+    return program, expr
+
+
+def test_text_round_trip(deep):
+    _, expr = deep
+    text = serialize_expression(expr)
+    assert serialize_expression(parse_expression(text)) == text
+
+
+def test_evaluate_and_validate(deep):
+    program, expr = deep
+    assert len(evaluate(expr).vertices) == 4 + 2000
+    assert validate_against(expr, program) == []
+
+
+def test_join_and_count(deep):
+    program, expr = deep
+    joined = join_labels(expr, {"h", "p", "n"})
+    assert node_count(joined) == node_count(expr) > 5000
+    assert validate_against(joined, program, joined={"h", "p", "n"}) == []
+
+
+def test_decisions_match_oracle(deep):
+    program, expr = deep
+    assert has_model_dp(expr) == bool(enumerate_models(program))
+    answer_set = bool(enumerate_answer_sets(program))
+    assert has_answer_set_dp(expr) == answer_set
+    nodes = []
+    assert has_answer_set_dp(
+        expr, on_node=lambda index, op, size: nodes.append(index)) == answer_set
+    assert nodes == list(range(1, node_count(expr) + 1))
+    # A narrow expression over the same program takes the batched path.
+    assert has_answer_set_dp(heuristic_expression(program)) == answer_set
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_expr_trivial_on_cycle(capsys, tmp_path):
+    n = 400
+    program = tmp_path / "cycle.lp"
+    program.write_text("".join(f"a{i % n + 1} :- a{i}.\n"
+                               for i in range(1, n + 1)))
+    out = tmp_path / "cycle.expr"
+    code, _, err = run(capsys, "expr", "trivial", "--program", str(program),
+                       "--out", str(out))
+    assert code == 0, err
+    assert depth(parse_expression(out.read_text())) > sys.getrecursionlimit()
+
+
+def test_cli_solve_deep(capsys, tmp_path):
+    program = tmp_path / "deep.lp"
+    program.write_text(serialize_program(
+        gen_random_program(4, 400, (0.2, 0.2, 0.2), 0)))
+    code, out, err = run(capsys, "solve", "--mode", "asp", "--program",
+                         str(program), "--auto-expr", "trivial")
+    assert code in (0, 1), err
+    assert json.loads(out)["decision"] is (code == 0)

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from aspcw.dp_answersets import dp_asp, has_answer_set_dp
 from aspcw.dp_classical import dp_classical
 from aspcw.errors import ExpressionError
-from aspcw.expression import parse_expression, trivial_expression
+from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
+                              parse_expression, trivial_expression)
 from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_answer_sets
 from aspcw.program import parse_program
@@ -107,6 +110,31 @@ class TestBatchedEdgePath:
             decision = any(
                 not q.u and all(s.u for s in g) for q, g in traced)
             assert has_answer_set_dp(expr) == decision
+
+    def test_chains_inside_the_tree(self):
+        # Runs of edge inserts under unions and relabels, not only at the
+        # root as in trivial expressions.
+        def random_expr(rng, leaves, labels, names):
+            if leaves == 1:
+                names.append(f"v{len(names)}")
+                return Introduce(rng.randint(1, labels), names[-1],
+                                 rng.choice(["atom", "rule"]))
+            cut = rng.randint(1, leaves - 1)
+            expr = DisjointUnion(random_expr(rng, cut, labels, names),
+                                 random_expr(rng, leaves - cut, labels, names))
+            for _ in range(rng.randint(0, 4)):
+                if rng.random() < 0.25:
+                    expr = Relabel(rng.randint(1, labels),
+                                   rng.randint(1, labels), expr)
+                else:
+                    i, j = rng.sample(range(1, labels + 1), 2)
+                    expr = EdgeInsert(rng.choice("hpn"), i, j, expr)
+            return expr
+
+        for seed in range(100):
+            rng = random.Random(seed)
+            expr = random_expr(rng, rng.randint(2, 7), rng.randint(2, 5), [])
+            assert dp_asp(expr) == dp_asp(expr, trace=[])
 
 
 class TestTrace:

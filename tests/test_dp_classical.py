@@ -1,42 +1,61 @@
-from aspcw.dp_classical import dp_classical, has_model_dp
+from aspcw._packed import edge_masks, pack, relabel_fn, unpack
+from aspcw.dp_classical import _TABLES, dp_classical, has_model_dp
 from aspcw.errors import ExpressionError
 from aspcw.expression import parse_expression, trivial_expression
 from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_models
 from aspcw.program import parse_program
-from aspcw.tables import triple_edge_update, triple_relabel, triple_union
 from conftest import triple
 
 import pytest
 
 
 class TestTripleOps:
+    """The packed table operators the classical solver runs, on one-entry
+    tables read back through pack/unpack."""
+
+    W = 4
+
+    def one(self, table):
+        (key,) = table
+        return unpack(key, self.W)
+
+    def union(self, a, b):
+        return self.one(_TABLES.union({pack(a, self.W)}, {pack(b, self.W)}))
+
+    def relabel(self, q, old, new):
+        return self.one(_TABLES.relabel({pack(q, self.W)},
+                                        relabel_fn(old, new, self.W)))
+
+    def edge(self, q, sign, i, j):
+        gate, clear = edge_masks(sign, i, j, self.W)
+        return self.one(_TABLES.edge({pack(q, self.W)}, sign, gate, clear))
+
     def test_union(self):
-        assert triple_union(triple({1}, (), ()), triple((), (), {2})) == \
+        assert self.union(triple({1}, (), ()), triple((), (), {2})) == \
             triple({1}, (), {2})
-        assert triple_union(triple((), {1}, ()), triple((), (), {2})) == \
+        assert self.union(triple((), {1}, ()), triple((), (), {2})) == \
             triple((), {1}, {2})
         q = triple({1}, {2}, {3})
-        assert triple_union(q, triple((), (), ())) == q
+        assert self.union(q, triple((), (), ())) == q
 
     def test_relabel(self):
-        assert triple_relabel(triple({1}, (), {3}), 3, 2) == \
-            triple({1}, (), {2})
-        assert triple_relabel(triple((), {1}, {2, 3}), 3, 2) == \
+        assert self.relabel(triple({1}, (), {3}), 3, 2) == triple({1}, (), {2})
+        assert self.relabel(triple((), {1}, {2, 3}), 3, 2) == \
             triple((), {1}, {2})
+        assert self.relabel(triple({2}, {1}, {3}), 2, 4) == \
+            triple({4}, {1}, {3})
         q = triple({1}, (), ())
-        assert triple_relabel(q, 4, 2) == q
-        with pytest.raises(ValueError):
-            triple_relabel(q, 2, 2)
+        assert self.relabel(q, 4, 2) == q
 
     def test_edge_update(self):
         q = triple({1}, (), {2})
-        assert triple_edge_update(q, q.t, 1, 2) == triple({1}, (), ())
-        assert triple_edge_update(q, q.f, 1, 2) == q
+        assert self.edge(q, "h", 1, 2) == triple({1}, (), ())
+        assert self.edge(q, "n", 1, 2) == triple({1}, (), ())
+        assert self.edge(q, "p", 1, 2) == q
         q2 = triple((), {1}, {2, 3})
-        assert triple_edge_update(q2, q2.f, 1, 3) == triple((), {1}, {2})
-        with pytest.raises(ValueError):
-            triple_edge_update(q, q.t, 2, 2)
+        assert self.edge(q2, "p", 1, 3) == triple((), {1}, {2})
+        assert self.edge(q2, "h", 1, 3) == q2
 
 
 class TestTables:

@@ -2,9 +2,8 @@ import pytest
 
 from aspcw.errors import ExpressionError, ParseError, SignConflictError
 from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
-                              evaluate, expression_from_json,
-                              expression_to_json, heuristic_expression,
-                              join_labels, node_count, parse_expression,
+                              evaluate, heuristic_expression, join_labels,
+                              node_count, parse_expression,
                               serialize_expression, trivial_expression,
                               validate_against, width)
 from aspcw.generators import gen_random_program
@@ -52,9 +51,6 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_expression("eta(q,1,2,a(1,x))")
 
-    def test_json_round_trip(self, fig2):
-        assert expression_from_json(expression_to_json(fig2)) == fig2
-
 
 class TestEvaluate:
     def test_fig2_gives_running_example_graph(self, example1, fig2):
@@ -96,6 +92,14 @@ class TestEvaluate:
 
     def test_identity_relabel(self, fig2):
         assert evaluate(Relabel(1, 1, fig2)).edges == evaluate(fig2).edges
+
+    def test_operators_act_on_their_own_operand(self):
+        # x carries label 1 in the left operand; the relabel and the edge
+        # insert inside the right operand must not reach it.
+        g = evaluate(parse_expression(
+            "oplus(a(1,x), eta(h,1,2, oplus(rho(3,1,a(3,y)), r(2,r))))"))
+        assert set(g.edges) == {edge_key("r", "y")}
+        assert g.labels == {"x": 1, "y": 1, "r": 2}
 
 
 class TestValidate:

@@ -45,13 +45,38 @@ def relabel_fn(old: int, new: int, w: int):
     return move
 
 
-def edge_masks(sign: str, i: int, j: int, w: int) -> tuple[int, int]:
-    """(gate, clear) for edges i x j: where the gate bit (label i true for h
-    and n, false for p) is set, `key & clear` drops rule label j from U."""
-    gate = 1 << (i - 1)
-    if sign == "p":
-        gate <<= w
-    return gate, ~(1 << (j - 1 + 2 * w))
+class _RunClear(dict):
+    """Gate projection -> the U bits the run's edges clear there, filled in
+    on first use."""
+
+    def __init__(self, edges: list[tuple[int, int]]):
+        self.edges = edges
+
+    def __missing__(self, hit: int) -> int:
+        bits = 0
+        for gate, bit in self.edges:
+            if hit & gate:
+                bits |= bit
+        self[hit] = bits
+        return bits
+
+
+def run_clear(run: list[tuple[str, int, int]], w: int,
+              signs: str = "hpn") -> tuple[int, dict[int, int]]:
+    """The edges of a run of edge inserts [(sign, i, j), ...] whose sign is
+    in `signs`, as (gates, clear): entry `key` loses the U bits
+    `clear[key & gates]`.
+
+    Edges i x j clear rule label j where the entry has label i true (h, n)
+    or false (p).  No edge insert changes a T or F bit, so a run commutes
+    and what it clears in an entry depends only on the entry's gate bits.
+    """
+    edges = [(1 << (i - 1) << (w if sign == "p" else 0), 1 << (j - 1 + 2 * w))
+             for sign, i, j in run if sign in signs]
+    gates = 0
+    for gate, _ in edges:
+        gates |= gate
+    return gates, _RunClear(edges)
 
 
 class TableOps(NamedTuple):
@@ -59,65 +84,60 @@ class TableOps(NamedTuple):
     introduce: Callable[[int, str, int], set]   # (label bit, kind, w)
     union: Callable[[set, set], set]
     relabel: Callable[[set, Callable[[int], int]], set]  # (table, relabel_fn)
-    edge: Callable[[set, str, int, int], set]   # (table, sign, gate, clear)
+    edge: Callable[[set, list, int], set]       # (table, run, w)
     candidates: Callable[[set], set]            # the Q triples of a table
     snapshot: Callable[[int, str, set, int], object]  # (index, op, table, w)
-    # Applies a run of edge inserts [(sign, i, j), ...] at once, with the
-    # node-by-node result; None where the solver has no such operator.
-    edge_chain: Callable[[set, list, int], set] | None = None
 
 
 def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
                 on_node: OnNode | None = None) -> tuple[set, int]:
     """Runs a solver bottom-up over `expr`; returns (packed root table, w).
 
-    Every node is counted, and `on_node(index, op, size)` and `trace` see
-    each node's table.  Without either, runs of consecutive edge inserts go
-    to `ops.edge_chain` when the solver has one and each packed field fits
-    a machine word (w <= 62).
+    A run of consecutive edge inserts is applied at once by `ops.edge`,
+    when the next operator or the root needs its table; with a trace, each
+    edge insert is its own run, so the trace holds every node's table.
+    `on_node(index, op, size)` and `trace` see each table the solver
+    builds, in the order it builds them; a run's table carries the index
+    and op of its last edge insert, and the root's index is the node count.
     """
     labels = labels_used(expr)
     k, w = len(labels), max(labels)
     q_limit = 1 << (3 * k)
-    chain_op = ops.edge_chain \
-        if trace is None and on_node is None and w <= 62 else None
     count = 0
 
-    # A node's result is (table, edge inserts deferred onto it).  Only the
-    # batched path defers; the next operator or the root applies the run.
-    def settle(result: tuple[set, list]) -> set:
-        table, chain = result
-        if chain:
-            table = chain_op(table, chain, w)
+    def built(index: int, node: Expr, table: set) -> set:
         assert len(ops.candidates(table)) <= q_limit, \
             "candidate triples exceed 2^(3k) bound"
+        if on_node is not None:
+            on_node(index, op_label(node), len(table))
+        if trace is not None:
+            trace.append(ops.snapshot(index, op_label(node), table, w))
         return table
 
-    def visit(node: Expr, *kids: tuple[set, list]) -> tuple[set, list]:
+    # A node's result is (table, edge inserts deferred onto it, (index,
+    # node) of the last of them).
+    def settle(result: tuple[set, list, tuple | None]) -> set:
+        table, run, last = result
+        return built(*last, ops.edge(table, run, w)) if run else table
+
+    def visit(node: Expr, *kids: tuple) -> tuple[set, list, tuple | None]:
         nonlocal count
         count += 1
         if isinstance(node, EdgeInsert):
             if node.sign not in SIGNS:
                 raise ExpressionError(
                     f"solver requires signed edges, got {node.sign!r}")
-            if chain_op is not None:
-                table, chain = kids[0]
-                chain.append((node.sign, node.i, node.j))
-                return table, chain
+            table, run, _ = kids[0]
+            run.append((node.sign, node.i, node.j))
+            result = table, run, (count, node)
+            return result if trace is None else (settle(result), [], None)
         tables = [settle(kid) for kid in kids]
         if isinstance(node, Introduce):
             table = ops.introduce(1 << (node.label - 1), node.kind, w)
         elif isinstance(node, DisjointUnion):
             table = ops.union(*tables)
-        elif isinstance(node, Relabel):
-            table = ops.relabel(tables[0], relabel_fn(node.old, node.new, w))
         else:
-            gate, clear = edge_masks(node.sign, node.i, node.j, w)
-            table = ops.edge(tables[0], node.sign, gate, clear)
-        if on_node is not None:
-            on_node(count, op_label(node), len(table))
-        if trace is not None:
-            trace.append(ops.snapshot(count, op_label(node), table, w))
-        return table, []
+            table = ops.relabel(tables[0], relabel_fn(node.old, node.new, w))
+        return built(count, node, table), [], None
 
     return settle(fold(expr, visit)), w

@@ -2,7 +2,8 @@
 
 All results go to standard output as JSON with fixed key order; diagnostics
 go to standard error.  Exit status: 0 decided/ok, 1 negative decision,
-2 usage error, 3 validation or input error.
+2 usage error, 3 validation or input error, or a run out of memory or
+stack depth.
 """
 
 from __future__ import annotations
@@ -294,6 +295,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (AspcwError, ValueError, OSError) as exc:
         print(f"aspcw: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except (MemoryError, RecursionError) as exc:
+        # Their message is often empty, so the type names the cause.
+        print(f"aspcw: out of resources ({type(exc).__name__})", file=sys.stderr)
         return EXIT_INVALID
 
 

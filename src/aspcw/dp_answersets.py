@@ -12,14 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from ._packed import OnNode, TableOps, fold_tables, unpack
+from ._packed import OnNode, TableOps, fold_tables, run_clear, unpack
 from .expression import Expr
 from .tables import KPair, KTriple
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 PackedPair = tuple[int, frozenset[int]]
 
@@ -37,56 +32,6 @@ class TraceNode:
     pairs: tuple[TracePair, ...]
 
 
-def _apply_edges_bulk(table: set[PackedPair], ops: list[tuple[str, int, int]],
-                      w: int) -> set[PackedPair]:
-    """Applies a chain of edge insertions to every pair at once.
-
-    Edge insertion acts independently on each pair and only ever clears U
-    bits, so a run of consecutive insertions can be applied elementwise to
-    flat arrays and the tables deduplicated once at the end; the result is
-    the same set a node-by-node fold would produce.
-    """
-    pairs = list(table)
-    mask = (1 << w) - 1
-    counts = [len(g) for _, g in pairs]
-    flat = [s for _, g in pairs for s in g]
-    qt = _np.fromiter(((q & mask) for q, _ in pairs), _np.int64, len(pairs))
-    qf = _np.fromiter((((q >> w) & mask) for q, _ in pairs),
-                      _np.int64, len(pairs))
-    qu = _np.fromiter(((q >> 2 * w) for q, _ in pairs), _np.int64, len(pairs))
-    gt = _np.fromiter(((s & mask) for s in flat), _np.int64, len(flat))
-    gf = _np.fromiter((((s >> w) & mask) for s in flat), _np.int64, len(flat))
-    gu = _np.fromiter(((s >> 2 * w) for s in flat), _np.int64, len(flat))
-    counts_arr = _np.asarray(counts, dtype=_np.int64)
-    for sign, i, j in ops:
-        ibit = _np.int64(1 << (i - 1))
-        keep = _np.int64(~(1 << (j - 1)))
-        if sign == "h":
-            q_hit = (qt & ibit) != 0
-            g_hit = (gt & ibit) != 0
-        elif sign == "p":
-            q_hit = (qf & ibit) != 0
-            g_hit = (gf & ibit) != 0
-        else:
-            q_hit = (qt & ibit) != 0
-            g_hit = _np.repeat(q_hit, counts_arr)
-        qu = _np.where(q_hit, qu & keep, qu)
-        gu = _np.where(g_hit, gu & keep, gu)
-    qul = qu.tolist()
-    gul = gu.tolist()
-    out: set[PackedPair] = set()
-    pos = 0
-    shift = 2 * w
-    for idx, (q, _) in enumerate(pairs):
-        c = counts[idx]
-        gamma = frozenset(
-            (flat[p] & ~(mask << shift)) | (gul[p] << shift)
-            for p in range(pos, pos + c))
-        out.add(((q & ~(mask << shift)) | (qul[idx] << shift), gamma))
-        pos += c
-    return out
-
-
 def _union(left: set[PackedPair], right: set[PackedPair]) -> set[PackedPair]:
     table = set()
     for q1, g1 in left:
@@ -98,16 +43,17 @@ def _union(left: set[PackedPair], right: set[PackedPair]) -> set[PackedPair]:
     return table
 
 
-def _edge(table: set[PackedPair], sign: str, gate: int,
-          clear: int) -> set[PackedPair]:
-    if sign == "n":
-        # The outer Q's T component gates every member of Gamma: once I hits
-        # the negative body, the rule vanishes from the reduct for all
-        # subsets J, whether or not J itself touches label i.
-        return {(q & clear, frozenset(s & clear for s in g)) if q & gate
-                else (q, g) for q, g in table}
-    return {(q & clear if q & gate else q,
-             frozenset(s & clear if s & gate else s for s in g))
+def _edge(table: set[PackedPair], run: list, w: int) -> set[PackedPair]:
+    # Q is gated by its own T and F bits.  A member of Gamma is gated by its
+    # own bits for h and p edges, but by the outer Q's T bits for n edges:
+    # once I hits the negative body, the rule vanishes from the reduct for
+    # all subsets J, whether or not J itself touches label i.  Without h or
+    # p edges, a pair whose Q opens no n gate keeps its Gamma.
+    (own_gates, own), (gates, member), (n_gates, outer) = (
+        run_clear(run, w, signs) for signs in ("hpn", "hp", "n"))
+    return {(q & ~own[q & own_gates],
+             frozenset([s & ~(member[s & gates] | n) for s in g])
+             if (n := outer[q & n_gates]) or gates else g)
             for q, g in table}
 
 
@@ -126,8 +72,7 @@ _TABLES = TableOps(
         {(move(q), frozenset(move(s) for s in g)) for q, g in table},
     edge=_edge,
     candidates=lambda table: {q for q, _ in table},
-    snapshot=_snapshot,
-    edge_chain=_apply_edges_bulk if _np is not None else None)
+    snapshot=_snapshot)
 
 
 def accepts(table: Iterable, u_of: Callable) -> bool:

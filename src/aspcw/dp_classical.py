@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from ._packed import OnNode, TableOps, fold_tables, unpack
+from ._packed import OnNode, TableOps, fold_tables, run_clear, unpack
 from .expression import Expr
 from .tables import KTriple
 
@@ -23,13 +23,17 @@ class TraceNode:
     triples: tuple[KTriple, ...]
 
 
+def _edge(table: set[int], run: list, w: int) -> set[int]:
+    gates, clear = run_clear(run, w)
+    return {key & ~clear[key & gates] for key in table}
+
+
 _TABLES = TableOps(
     introduce=lambda bit, kind, w:
         {bit, bit << w} if kind == "atom" else {bit << 2 * w},
     union=lambda left, right: {a | b for a in left for b in right},
     relabel=lambda table, move: {move(key) for key in table},
-    edge=lambda table, sign, gate, clear:
-        {key & clear if key & gate else key for key in table},
+    edge=_edge,
     candidates=lambda table: table,
     snapshot=lambda index, op, table, w: TraceNode(
         index, op, tuple(sorted(unpack(key, w) for key in table))))

@@ -43,14 +43,31 @@ class Introduce:
             raise ExpressionError(f"bad vertex kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class DisjointUnion:
+class _Compound:
+    """Equality, hashing and repr for the nodes with operands.  The ones a
+    dataclass generates recurse, which fails on deep expressions; these run
+    on `fold`.  The post-order sequence of operators fixes the tree."""
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Introduce, _Compound)):
+            return NotImplemented
+        return _postorder(self) == _postorder(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_postorder(self)))
+
+    def __repr__(self) -> str:
+        return f"parse_expression({serialize_expression(self)!r})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class DisjointUnion(_Compound):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Relabel:
+@dataclass(frozen=True, eq=False, repr=False)
+class Relabel(_Compound):
     old: int
     new: int
     child: "Expr"
@@ -60,8 +77,8 @@ class Relabel:
             raise ExpressionError("labels are positive integers")
 
 
-@dataclass(frozen=True)
-class EdgeInsert:
+@dataclass(frozen=True, eq=False, repr=False)
+class EdgeInsert(_Compound):
     sign: str
     i: int
     j: int
@@ -104,6 +121,12 @@ def fold(expr: Expr, visit: Callable[..., T]) -> T:
         else:
             stack += ((node,), node.child)
     return results[0]
+
+
+def _postorder(expr: Expr) -> list[str]:
+    out: list[str] = []
+    fold(expr, lambda node, *_: out.append(op_label(node)))
+    return out
 
 
 def labels_used(expr: Expr) -> frozenset[int]:

@@ -229,3 +229,15 @@ class TestErrors:
         code, _, err = run(capsys, "oracle", "--mode", "models",
                            "--program", bad)
         assert code == 3 and "aspcw:" in err
+
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_resource_error(self, capsys, monkeypatch, example1_file,
+                            fig2_file, error):
+        def decide(expr, on_node=None):
+            raise error()
+
+        monkeypatch.setattr("aspcw.cli.has_model_dp", decide)
+        code, out, err = run(capsys, "solve", "--mode", "classical",
+                             "--program", example1_file, "--expr", fig2_file)
+        assert code == 3 and out == ""
+        assert err == f"aspcw: out of resources ({error.__name__})\n"

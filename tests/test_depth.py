@@ -12,8 +12,9 @@ import pytest
 from aspcw.cli import main
 from aspcw.dp_answersets import has_answer_set_dp
 from aspcw.dp_classical import has_model_dp
-from aspcw.expression import (evaluate, fold, heuristic_expression,
-                              join_labels, node_count, parse_expression,
+from aspcw.expression import (EdgeInsert, evaluate, fold,
+                              heuristic_expression, join_labels, node_count,
+                              op_label, parse_expression,
                               serialize_expression, trivial_expression,
                               validate_against)
 from aspcw.generators import gen_random_program
@@ -44,6 +45,15 @@ def test_text_round_trip(deep):
     assert serialize_expression(parse_expression(text)) == text
 
 
+def test_equality_hash_repr(deep):
+    _, expr = deep
+    again = parse_expression(serialize_expression(expr))
+    assert again == expr and again is not expr
+    assert hash(again) == hash(expr)
+    assert repr(again) == repr(expr)
+    assert join_labels(expr, {"h", "p", "n"}) != expr
+
+
 def test_evaluate_and_validate(deep):
     program, expr = deep
     assert len(evaluate(expr).vertices) == 4 + 2000
@@ -62,11 +72,20 @@ def test_decisions_match_oracle(deep):
     assert has_model_dp(expr) == bool(enumerate_models(program))
     answer_set = bool(enumerate_answer_sets(program))
     assert has_answer_set_dp(expr) == answer_set
-    nodes = []
+    events = []
     assert has_answer_set_dp(
-        expr, on_node=lambda index, op, size: nodes.append(index)) == answer_set
-    assert nodes == list(range(1, node_count(expr) + 1))
-    # A narrow expression over the same program takes the batched path.
+        expr, on_node=lambda index, op, size: events.append((index, op))
+    ) == answer_set
+    # One event per table built: a run of edge inserts reports only its
+    # last node, every other node reports its own.
+    indices = [index for index, _ in events]
+    assert indices == sorted(set(indices))
+    assert indices[-1] == node_count(expr)
+    postorder = []
+    fold(expr, lambda node, *_: postorder.append(node))
+    assert [e for e in events if not e[1].startswith("eta")] == [
+        (index, op_label(node)) for index, node in enumerate(postorder, 1)
+        if not isinstance(node, EdgeInsert)]
     assert has_answer_set_dp(heuristic_expression(program)) == answer_set
 
 

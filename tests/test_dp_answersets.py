@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from aspcw.dp_answersets import dp_asp, has_answer_set_dp
+from aspcw._packed import pack, unpack
+from aspcw.dp_answersets import _TABLES, accepts, dp_asp, has_answer_set_dp
 from aspcw.dp_classical import dp_classical
 from aspcw.errors import ExpressionError
 from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
-                              parse_expression, trivial_expression)
+                              heuristic_expression, parse_expression,
+                              trivial_expression)
 from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_answer_sets
 from aspcw.program import parse_program
@@ -16,6 +18,25 @@ from conftest import triple
 
 def pair(q, gamma=()):
     return KPair(q, frozenset(gamma))
+
+
+def random_expr(rng, leaves, labels, names):
+    """A random expression over `labels` with runs of up to four relabels
+    and edge inserts above each union."""
+    if leaves == 1:
+        names.append(f"v{len(names)}")
+        return Introduce(rng.choice(labels), names[-1],
+                         rng.choice(["atom", "rule"]))
+    cut = rng.randint(1, leaves - 1)
+    expr = DisjointUnion(random_expr(rng, cut, labels, names),
+                         random_expr(rng, leaves - cut, labels, names))
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.25:
+            expr = Relabel(rng.choice(labels), rng.choice(labels), expr)
+        else:
+            i, j = rng.sample(labels, 2)
+            expr = EdgeInsert(rng.choice("hpn"), i, j, expr)
+    return expr
 
 
 class TestTables:
@@ -67,6 +88,31 @@ class TestNegativeEdgeGating:
         assert has_answer_set_dp(
             parse_expression("eta(n,1,2,oplus(a(1,x),r(2,r)))")) is False
 
+    def test_edge_run_equals_single_edges(self):
+        # Atoms x1, x3 (labels 1, 3) and rules on labels 2, 4.  The n edge
+        # is gated by the outer candidate's T bit 1, so it clears label 2 in
+        # the subset triples that have x1 false as well.
+        w = 4
+        both = pair(triple({1, 3}, (), {2, 4}),
+                    {triple((), {1, 3}, {2, 4}), triple({1}, {3}, {2, 4}),
+                     triple({3}, {1}, {2, 4})})
+        only3 = pair(triple({3}, {1}, {2, 4}), {triple((), {1, 3}, {2, 4})})
+        table = {(pack(p.q, w), frozenset(pack(s, w) for s in p.gamma))
+                 for p in (both, only3)}
+        run = [("n", 1, 2), ("h", 3, 4), ("p", 1, 4)]
+        one_at_a_time = table
+        for edge in run:
+            one_at_a_time = _TABLES.edge(one_at_a_time, [edge], w)
+        at_once = _TABLES.edge(table, run, w)
+        assert at_once == one_at_a_time
+        assert {pair(unpack(q, w), {unpack(s, w) for s in g})
+                for q, g in at_once} == {
+            pair(triple({1, 3}, (), ()),
+                 {triple((), {1, 3}, ()), triple({1}, {3}, {4}),
+                  triple({3}, {1}, ())}),
+            pair(triple({3}, {1}, {2}), {triple((), {1, 3}, {2})}),
+        }
+
     def test_oracle_confirms(self):
         p = parse_program(":- not x.")
         assert enumerate_answer_sets(p) == []
@@ -114,27 +160,36 @@ class TestBatchedEdgePath:
     def test_chains_inside_the_tree(self):
         # Runs of edge inserts under unions and relabels, not only at the
         # root as in trivial expressions.
-        def random_expr(rng, leaves, labels, names):
-            if leaves == 1:
-                names.append(f"v{len(names)}")
-                return Introduce(rng.randint(1, labels), names[-1],
-                                 rng.choice(["atom", "rule"]))
-            cut = rng.randint(1, leaves - 1)
-            expr = DisjointUnion(random_expr(rng, cut, labels, names),
-                                 random_expr(rng, leaves - cut, labels, names))
-            for _ in range(rng.randint(0, 4)):
-                if rng.random() < 0.25:
-                    expr = Relabel(rng.randint(1, labels),
-                                   rng.randint(1, labels), expr)
-                else:
-                    i, j = rng.sample(range(1, labels + 1), 2)
-                    expr = EdgeInsert(rng.choice("hpn"), i, j, expr)
-            return expr
-
         for seed in range(100):
             rng = random.Random(seed)
-            expr = random_expr(rng, rng.randint(2, 7), rng.randint(2, 5), [])
+            leaves = rng.randint(2, 7)
+            labels = range(1, rng.randint(2, 5) + 1)
+            expr = random_expr(rng, leaves, labels, [])
             assert dp_asp(expr) == dp_asp(expr, trace=[])
+
+    def test_sparse_labels(self):
+        # Packed fields as wide as the largest label, past one machine word.
+        for seed in range(40):
+            rng = random.Random(seed)
+            expr = random_expr(rng, rng.randint(2, 7), [1, 70, 200], [])
+            trace = []
+            deferred = dp_asp(expr)
+            assert deferred == dp_asp(expr, trace=trace)
+            assert deferred == {pair(tp.q, tp.gamma) for tp in trace[-1].pairs}
+
+    def test_node_hook_matches_trace(self):
+        # on_node sees one table per run of edge inserts, the trace one per
+        # node; the decision and the largest table are the same.
+        for seed in range(15):
+            p = gen_random_program(4, 4, (0.25, 0.25, 0.25), seed)
+            for expr in (trivial_expression(p), heuristic_expression(p)):
+                sizes = []
+                decision = has_answer_set_dp(
+                    expr, on_node=lambda index, op, size: sizes.append(size))
+                trace = []
+                root = dp_asp(expr, trace=trace)
+                assert decision == accepts(root, lambda t: t.u)
+                assert max(sizes) == max(len(node.pairs) for node in trace)
 
 
 class TestTrace:

@@ -1,4 +1,4 @@
-from aspcw._packed import edge_masks, pack, relabel_fn, unpack
+from aspcw._packed import pack, relabel_fn, unpack
 from aspcw.dp_classical import _TABLES, dp_classical, has_model_dp
 from aspcw.errors import ExpressionError
 from aspcw.expression import parse_expression, trivial_expression
@@ -27,9 +27,8 @@ class TestTripleOps:
         return self.one(_TABLES.relabel({pack(q, self.W)},
                                         relabel_fn(old, new, self.W)))
 
-    def edge(self, q, sign, i, j):
-        gate, clear = edge_masks(sign, i, j, self.W)
-        return self.one(_TABLES.edge({pack(q, self.W)}, sign, gate, clear))
+    def edge(self, q, *run):
+        return self.one(_TABLES.edge({pack(q, self.W)}, list(run), self.W))
 
     def test_union(self):
         assert self.union(triple({1}, (), ()), triple((), (), {2})) == \
@@ -50,12 +49,28 @@ class TestTripleOps:
 
     def test_edge_update(self):
         q = triple({1}, (), {2})
-        assert self.edge(q, "h", 1, 2) == triple({1}, (), ())
-        assert self.edge(q, "n", 1, 2) == triple({1}, (), ())
-        assert self.edge(q, "p", 1, 2) == q
+        assert self.edge(q, ("h", 1, 2)) == triple({1}, (), ())
+        assert self.edge(q, ("n", 1, 2)) == triple({1}, (), ())
+        assert self.edge(q, ("p", 1, 2)) == q
         q2 = triple((), {1}, {2, 3})
-        assert self.edge(q2, "p", 1, 3) == triple((), {1}, {2})
-        assert self.edge(q2, "h", 1, 3) == q2
+        assert self.edge(q2, ("p", 1, 3)) == triple((), {1}, {2})
+        assert self.edge(q2, ("h", 1, 3)) == q2
+        assert self.edge(q2, ("h", 1, 2), ("p", 1, 3)) == triple((), {1}, {2})
+        assert self.edge(q2, ("p", 1, 2), ("p", 1, 3)) == triple((), {1}, ())
+
+    def test_edge_run_equals_single_edges(self):
+        # Every triple with disjoint T and F over labels 1-2, and any U over
+        # labels 3-4; entries merge as their U bits clear.
+        table = {pack(triple(t, f, u), self.W)
+                 for t, f in [((), ()), ({1}, ()), ((), {1}), ({2}, {1}),
+                              ({1, 2}, ()), ((), {1, 2}), ({1}, {2})]
+                 for u in [(), {3}, {4}, {3, 4}]}
+        run = [("h", 1, 3), ("p", 2, 4), ("n", 2, 3), ("p", 1, 4)]
+        one_at_a_time = table
+        for edge in run:
+            one_at_a_time = _TABLES.edge(one_at_a_time, [edge], self.W)
+        assert _TABLES.edge(table, run, self.W) == one_at_a_time
+        assert len(one_at_a_time) < len(table)
 
 
 class TestTables:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .errors import ExpressionError
-from .expression import (DisjointUnion, EdgeInsert, Expr, Introduce, Relabel,
-                         fold, labels_used, op_label)
+from .expression import (DisjointUnion, EdgeInsert, Expr, Introduce, fold,
+                         labels_used, op_label)
 from .graphs import SIGNS
 from .tables import KTriple
 
@@ -94,10 +94,9 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
     """Runs a solver bottom-up over `expr`; returns (packed root table, w).
 
     A run of consecutive edge inserts is applied at once by `ops.edge`,
-    when the next operator or the root needs its table; with a trace, each
-    edge insert is its own run, so the trace holds every node's table.
-    `on_node(index, op, size)` and `trace` see each table the solver
-    builds, in the order it builds them; a run's table carries the index
+    when the next operator or the root needs its table.  `on_node(index,
+    op, size)` and `trace` see the same events: each table the solver
+    builds, in the order it builds them.  A run's table carries the index
     and op of its last edge insert, and the root's index is the node count.
     """
     labels = labels_used(expr)
@@ -129,8 +128,7 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
                     f"solver requires signed edges, got {node.sign!r}")
             table, run, _ = kids[0]
             run.append((node.sign, node.i, node.j))
-            result = table, run, (count, node)
-            return result if trace is None else (settle(result), [], None)
+            return table, run, (count, node)
         tables = [settle(kid) for kid in kids]
         if isinstance(node, Introduce):
             table = ops.introduce(1 << (node.label - 1), node.kind, w)

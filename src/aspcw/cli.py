@@ -53,7 +53,8 @@ def _triple_json(t):
 
 
 def _pair_json(p):
-    return {"q": _triple_json(p.q), "gamma": [_triple_json(s) for s in p.gamma]}
+    return {"q": _triple_json(p.q),
+            "gamma": [_triple_json(s) for s in sorted(p.gamma)]}
 
 
 # ---------------------------------------------------------------------------
@@ -76,20 +77,23 @@ def _cmd_solve(args) -> int:
 
     if args.mode == "classical":
         run, decide, accepts = dp_classical, has_model_dp, model_accepts
-        field, entry_json = "triples", _triple_json
+        field, entry_json, order = "triples", _triple_json, None
     else:
         run, decide, accepts = dp_asp, has_answer_set_dp, asp_accepts
         field, entry_json = "pairs", _pair_json
+        order = lambda p: (p.q, sorted(p.gamma))
     if args.trace:
         # One traced run gives the decision, the sizes and the trace file.
         trace = []
         decision = accepts(run(expr, trace=trace), attrgetter("u"))
         tables = [getattr(n, field) for n in trace]
+        # Tables are sets; the file lists their entries in sorted order.
         nodes = [{"index": n.index, "op": n.op,
-                  field: [entry_json(e) for e in table]}
+                  field: [entry_json(e) for e in sorted(table, key=order)]}
                  for n, table in zip(trace, tables)]
         Path(args.trace).write_text(json.dumps({"nodes": nodes}, sort_keys=True))
-        sizes = {"node_count": len(trace), "max_table": max(map(len, tables))}
+        sizes = {"node_count": trace[-1].index,
+                 "max_table": max(map(len, tables))}
     else:
         sizes = {"node_count": 0, "max_table": 0}
 

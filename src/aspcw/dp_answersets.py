@@ -14,22 +14,16 @@ from typing import Callable, Iterable
 
 from ._packed import OnNode, TableOps, fold_tables, run_clear, unpack
 from .expression import Expr
-from .tables import KPair, KTriple
+from .tables import KPair
 
 PackedPair = tuple[int, frozenset[int]]
-
-
-@dataclass(frozen=True, order=True)
-class TracePair:
-    q: KTriple
-    gamma: tuple[KTriple, ...]
 
 
 @dataclass(frozen=True)
 class TraceNode:
     index: int
     op: str
-    pairs: tuple[TracePair, ...]
+    pairs: frozenset[KPair]
 
 
 def _union(left: set[PackedPair], right: set[PackedPair]) -> set[PackedPair]:
@@ -57,10 +51,9 @@ def _edge(table: set[PackedPair], run: list, w: int) -> set[PackedPair]:
             for q, g in table}
 
 
-def _snapshot(index: int, op: str, table: set[PackedPair], w: int) -> TraceNode:
-    return TraceNode(index, op, tuple(sorted(
-        TracePair(unpack(q, w), tuple(sorted(unpack(s, w) for s in g)))
-        for q, g in table)))
+def _public(table: set[PackedPair], w: int) -> frozenset[KPair]:
+    return frozenset(KPair(unpack(q, w), frozenset([unpack(s, w) for s in g]))
+                     for q, g in table)
 
 
 _TABLES = TableOps(
@@ -72,7 +65,8 @@ _TABLES = TableOps(
         {(move(q), frozenset(move(s) for s in g)) for q, g in table},
     edge=_edge,
     candidates=lambda table: {q for q, _ in table},
-    snapshot=_snapshot)
+    snapshot=lambda index, op, table, w:
+        TraceNode(index, op, _public(table, w)))
 
 
 def accepts(table: Iterable, u_of: Callable) -> bool:
@@ -82,10 +76,8 @@ def accepts(table: Iterable, u_of: Callable) -> bool:
     return any(not u_of(q) and all(u_of(s) for s in g) for q, g in table)
 
 
-def dp_asp(expr: Expr, trace: list[TraceNode] | None = None) -> set[KPair]:
-    table, w = fold_tables(expr, _TABLES, trace=trace)
-    return {KPair(unpack(q, w), frozenset(unpack(s, w) for s in g))
-            for q, g in table}
+def dp_asp(expr: Expr, trace: list[TraceNode] | None = None) -> frozenset[KPair]:
+    return _public(*fold_tables(expr, _TABLES, trace=trace))
 
 
 def has_answer_set_dp(expr: Expr, on_node: OnNode | None = None) -> bool:

@@ -20,7 +20,11 @@ from .tables import KTriple
 class TraceNode:
     index: int
     op: str
-    triples: tuple[KTriple, ...]
+    triples: frozenset[KTriple]
+
+
+def _public(table: set[int], w: int) -> frozenset[KTriple]:
+    return frozenset([unpack(key, w) for key in table])
 
 
 def _edge(table: set[int], run: list, w: int) -> set[int]:
@@ -35,8 +39,8 @@ _TABLES = TableOps(
     relabel=lambda table, move: {move(key) for key in table},
     edge=_edge,
     candidates=lambda table: table,
-    snapshot=lambda index, op, table, w: TraceNode(
-        index, op, tuple(sorted(unpack(key, w) for key in table))))
+    snapshot=lambda index, op, table, w:
+        TraceNode(index, op, _public(table, w)))
 
 
 def accepts(table: Iterable, u_of: Callable) -> bool:
@@ -45,9 +49,9 @@ def accepts(table: Iterable, u_of: Callable) -> bool:
     return any(not u_of(t) for t in table)
 
 
-def dp_classical(expr: Expr, trace: list[TraceNode] | None = None) -> set[KTriple]:
-    table, w = fold_tables(expr, _TABLES, trace=trace)
-    return {unpack(key, w) for key in table}
+def dp_classical(expr: Expr,
+                 trace: list[TraceNode] | None = None) -> frozenset[KTriple]:
+    return _public(*fold_tables(expr, _TABLES, trace=trace))
 
 
 def has_model_dp(expr: Expr, on_node: OnNode | None = None) -> bool:

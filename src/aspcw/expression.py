@@ -23,7 +23,7 @@ from functools import partial
 from typing import Callable, TypeVar, Union
 
 from .errors import ExpressionError, ParseError, SignConflictError
-from .graphs import (ALPHA, SIGNS, LabeledSignedGraph, SignedGraph, edge_key,
+from .graphs import (ALPHA, SIGNS, LabeledSignedGraph, edge_key,
                      build_signed_incidence_graph, join_graph_signs)
 from .program import Program
 

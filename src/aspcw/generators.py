@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BoundExceededError, ParseError
-from .expression import (DisjointUnion, EdgeInsert, Expr, Introduce,
-                         _union_all)
+from .expression import EdgeInsert, Expr, Introduce, _union_all
 from .program import Program, Rule, make_rule
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import BoundExceededError
 from .program import Program
@@ -137,70 +137,48 @@ def underlying_undirected(d: Digraph) -> UGraph:
     return UGraph(d.vertices, frozenset(frozenset((u, v)) for u, v in d.arcs))
 
 
-def _adjacency_masks(d: Digraph) -> list[int]:
+def _adjacency_masks(d: Digraph) -> tuple[list[int], list[int]]:
+    """Successor and predecessor bitmasks of each vertex."""
     index = {v: i for i, v in enumerate(d.vertices)}
-    adj = [0] * len(d.vertices)
+    succ = [0] * len(d.vertices)
+    pred = [0] * len(d.vertices)
     for u, v in d.arcs:
-        adj[index[u]] |= 1 << index[v]
-    return adj
+        succ[index[u]] |= 1 << index[v]
+        pred[index[v]] |= 1 << index[u]
+    return succ, pred
 
 
 def _bits(mask: int) -> Iterator[int]:
-    i = 0
+    """The set bits of mask, lowest first."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _scc_masks(adj: list[int], mask: int) -> list[int]:
+def _reach(adj: list[int], start: int, mask: int) -> int:
+    """The vertices of mask reachable from the vertex bitmask start."""
+    seen = frontier = start
+    while frontier:
+        step = 0
+        for v in _bits(frontier):
+            step |= adj[v]
+        frontier = step & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def _scc_masks(adj: tuple[list[int], list[int]], mask: int) -> list[int]:
     """Strongly connected components of the sub-digraph induced by mask,
-    as vertex bitmasks (iterative Tarjan)."""
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack: list[int] = []
-    sccs: list[int] = []
-    counter = 0
-
-    for root in _bits(mask):
-        if root in index:
-            continue
-        work = [(root, iter(_bits(adj[root] & mask)))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(_bits(adj[w] & mask))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = 0
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp |= 1 << w
-                    if w == v:
-                        break
-                sccs.append(comp)
+    as vertex bitmasks, by lowest vertex: the component of a vertex is what
+    it reaches that also reaches it."""
+    succ, pred = adj
+    sccs = []
+    while mask:
+        low = mask & -mask
+        comp = _reach(pred, low, _reach(succ, low, mask))
+        sccs.append(comp)
+        mask &= ~comp
     return sccs
 
 
@@ -343,11 +321,6 @@ def digraph_from_json(text: str) -> Digraph:
     data = json.loads(text)
     return Digraph(tuple(data["vertices"]),
                    frozenset((u, v) for u, v in data["arcs"]))
-
-
-def ugraph_to_json(g: UGraph) -> str:
-    return json.dumps({"vertices": list(g.vertices),
-                       "edges": sorted(sorted(e) for e in g.edges)}, indent=2)
 
 
 def signed_graph_to_json(g: SignedGraph) -> str:

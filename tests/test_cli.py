@@ -3,6 +3,9 @@ import json
 import pytest
 
 from aspcw.cli import main
+from aspcw.dp_answersets import has_answer_set_dp
+from aspcw.expression import trivial_expression
+from aspcw.program import parse_program
 from conftest import EXAMPLE1_TEXT, FIG2_TEXT
 
 
@@ -90,6 +93,25 @@ class TestSolve:
         plain = run(capsys, *argv)
         traced = run(capsys, *argv, "--trace", str(tmp_path / "t.json"))
         assert traced == plain
+
+
+    def test_trace_reports_node_events(self, capsys, tmp_path):
+        # The trivial expression ends in a run of five edge inserts; the
+        # trace file lists one table per on_node event.
+        text = "a :- not b.\nb :- not a.\n:- b.\n"
+        events = []
+        has_answer_set_dp(trivial_expression(parse_program(text)),
+                          on_node=lambda *event: events.append(event))
+        trace = tmp_path / "t.json"
+        code, out, _ = run(capsys, "solve", "--mode", "asp", "--program",
+                           write(tmp_path, "p.lp", text),
+                           "--auto-expr", "trivial", "--trace", str(trace))
+        assert code == 0
+        nodes = json.loads(trace.read_text())["nodes"]
+        assert [(n["index"], n["op"], len(n["pairs"])) for n in nodes] == events
+        sizes = json.loads(out)["table_sizes"]
+        assert sizes["max_table"] == max(len(n["pairs"]) for n in nodes)
+        assert sizes["node_count"] == nodes[-1]["index"]
 
 
 class TestOracle:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from aspcw._packed import pack, unpack
+from aspcw._packed import fold_tables, pack, unpack
 from aspcw.dp_answersets import _TABLES, accepts, dp_asp, has_answer_set_dp
 from aspcw.dp_classical import dp_classical
 from aspcw.errors import ExpressionError
@@ -140,22 +140,29 @@ class TestDecision:
             assert {q for q, _ in dp_asp(expr)} == dp_classical(expr)
 
 
+def one_edge_at_a_time(table, run, w):
+    for edge in run:
+        table = _TABLES.edge(table, [edge], w)
+    return table
+
+
+# The reference fold: the same skeleton, with each run of edge inserts
+# applied one edge at a time.
+_REFERENCE = _TABLES._replace(edge=one_edge_at_a_time)
+
+
 class TestBatchedEdgePath:
-    """The decision entry point batches runs of edge insertions; the traced
-    fold applies them node by node.  Both must produce the same root table."""
+    """The fold applies a run of edge inserts with one operator call; it
+    must build the root table of the reference fold."""
 
     def test_paths_agree(self):
         for seed in range(15):
             p = gen_random_program(4, 4, (0.25, 0.25, 0.25), seed)
-            expr = trivial_expression(p)
-            trace = []
-            traced = dp_asp(expr, trace=trace)
-            from_trace = {(q, g) for q, g in
-                          ((tp.q, frozenset(tp.gamma)) for tp in trace[-1].pairs)}
-            assert from_trace == {(q, g) for q, g in traced}
-            decision = any(
-                not q.u and all(s.u for s in g) for q, g in traced)
-            assert has_answer_set_dp(expr) == decision
+            for expr in (trivial_expression(p), heuristic_expression(p)):
+                table, w = fold_tables(expr, _REFERENCE)
+                assert fold_tables(expr, _TABLES) == (table, w)
+                assert has_answer_set_dp(expr) == accepts(
+                    table, lambda key: key >> 2 * w)
 
     def test_chains_inside_the_tree(self):
         # Runs of edge inserts under unions and relabels, not only at the
@@ -165,31 +172,29 @@ class TestBatchedEdgePath:
             leaves = rng.randint(2, 7)
             labels = range(1, rng.randint(2, 5) + 1)
             expr = random_expr(rng, leaves, labels, [])
-            assert dp_asp(expr) == dp_asp(expr, trace=[])
+            assert fold_tables(expr, _TABLES) == fold_tables(expr, _REFERENCE)
 
     def test_sparse_labels(self):
         # Packed fields as wide as the largest label, past one machine word.
         for seed in range(40):
             rng = random.Random(seed)
             expr = random_expr(rng, rng.randint(2, 7), [1, 70, 200], [])
-            trace = []
-            deferred = dp_asp(expr)
-            assert deferred == dp_asp(expr, trace=trace)
-            assert deferred == {pair(tp.q, tp.gamma) for tp in trace[-1].pairs}
+            assert fold_tables(expr, _TABLES) == fold_tables(expr, _REFERENCE)
 
     def test_node_hook_matches_trace(self):
-        # on_node sees one table per run of edge inserts, the trace one per
-        # node; the decision and the largest table are the same.
+        # A trace does not change the path: it sees the events on_node sees,
+        # and its last table is the root table.
         for seed in range(15):
             p = gen_random_program(4, 4, (0.25, 0.25, 0.25), seed)
             for expr in (trivial_expression(p), heuristic_expression(p)):
-                sizes = []
+                events = []
                 decision = has_answer_set_dp(
-                    expr, on_node=lambda index, op, size: sizes.append(size))
+                    expr, on_node=lambda *event: events.append(event))
                 trace = []
                 root = dp_asp(expr, trace=trace)
+                assert [(n.index, n.op, len(n.pairs)) for n in trace] == events
+                assert trace[-1].pairs == root
                 assert decision == accepts(root, lambda t: t.u)
-                assert max(sizes) == max(len(node.pairs) for node in trace)
 
 
 class TestTrace:

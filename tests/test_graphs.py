@@ -5,8 +5,8 @@ import random
 import pytest
 
 from aspcw.errors import BoundExceededError
-from aspcw.graphs import (Digraph, UGraph, build_dependency_graph,
-                          build_incidence_graph,
+from aspcw.graphs import (Digraph, UGraph, _adjacency_masks, _scc_masks,
+                          build_dependency_graph, build_incidence_graph,
                           build_signed_incidence_graph, cycle_rank,
                           digraph_from_json, digraph_to_json, edge_key,
                           homogeneous_orientations, is_cycle_rank_at_most,
@@ -147,6 +147,37 @@ class TestCycleRank:
                 sub = Digraph(kept, frozenset(
                     (u, v) for u, v in d.arcs if drop not in (u, v)))
                 assert cycle_rank(sub) <= full
+
+
+class TestStrongComponents:
+    def test_matches_brute_force_reachability(self):
+        # Reference: u and v share a component iff each reaches the other
+        # inside the induced sub-digraph (reachability by fixpoint).
+        rng = random.Random(3)
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            d = random_digraph(rng, n, rng.choice([0.1, 0.25, 0.4]))
+            index = {v: i for i, v in enumerate(d.vertices)}
+            arcs = {(index[u], index[v]) for u, v in d.arcs}
+            adj = _adjacency_masks(d)
+            for _ in range(20):
+                mask = rng.getrandbits(n)
+                kept = [i for i in range(n) if mask >> i & 1]
+                reach = {(i, i) for i in kept}
+                reach |= {(u, v) for u, v in arcs
+                          if mask >> u & 1 and mask >> v & 1}
+                while True:
+                    more = {(u, y) for u, v in reach for x, y in reach
+                            if v == x} - reach
+                    if not more:
+                        break
+                    reach |= more
+                expected = {sum(1 << v for v in kept
+                                if (u, v) in reach and (v, u) in reach)
+                            for u in kept}
+                sccs = _scc_masks(adj, mask)
+                assert len(sccs) == len(expected)
+                assert set(sccs) == expected
 
 
 class TestHomogeneousOrientations:

@@ -23,7 +23,7 @@ from functools import partial
 from typing import Callable, TypeVar, Union
 
 from .errors import ExpressionError, ParseError, SignConflictError
-from .graphs import (ALPHA, SIGNS, LabeledSignedGraph, edge_key,
+from .graphs import (ALPHA, SIGNS, LabeledSignedGraph, SignedGraph, edge_key,
                      build_signed_incidence_graph, join_graph_signs)
 from .program import Program
 
@@ -269,16 +269,27 @@ def _union_all(parts: list[Expr]) -> Expr:
     return expr
 
 
+def _introduce_all(sinc: SignedGraph, label: dict[str, int]) -> Expr:
+    # A union costs the product of its operands' tables, and a subexpression
+    # of rules without edges has one table entry.  Rules unioned after the
+    # atoms would each copy the atoms' whole table to set one U bit.
+    order = sorted(sinc.vertices, key=lambda v: sinc.kinds[v] != "rule")
+    return _union_all([Introduce(label[v], v, sinc.kinds[v]) for v in order])
+
+
 def trivial_expression(program: Program) -> Expr:
     """One distinct label per vertex, then one edge insert per incidence edge.
 
-    Width is |atoms| + |rules|; always validates against the program.
+    A vertex's label is its position in the signed incidence graph's vertex
+    order, plus one.  The introduces are unioned left-deep, every rule before
+    every atom, so the solvers pay one table entry per rule union.  Width is
+    |atoms| + |rules|; always validates against the program.
     """
     sinc = build_signed_incidence_graph(program)
     if not sinc.vertices:
         raise ValueError("an empty program has no expression")
     label = {v: i + 1 for i, v in enumerate(sinc.vertices)}
-    expr = _union_all([Introduce(label[v], v, sinc.kinds[v]) for v in sinc.vertices])
+    expr = _introduce_all(sinc, label)
     for r in program.rules:
         for sign, part in zip(SIGNS, (r.head, r.pos_body, r.neg_body)):
             for a in sorted(part, key=label.__getitem__):
@@ -290,6 +301,8 @@ def heuristic_expression(program: Program) -> Expr:
     """Best-effort low-width expression via twin merging: vertices with
     identical signed neighborhoods share one label.
 
+    Classes are numbered in order of first appearance among the vertices,
+    and the introduces are unioned rules first, as in `trivial_expression`.
     Twin classes are pairwise fully adjacent with a single sign or fully
     non-adjacent, so a single edge insert per adjacent class pair rebuilds
     the graph exactly.
@@ -313,7 +326,7 @@ def heuristic_expression(program: Program) -> Expr:
             classes[sig] = len(classes) + 1
         label[v] = classes[sig]
 
-    expr = _union_all([Introduce(label[v], v, sinc.kinds[v]) for v in sinc.vertices])
+    expr = _introduce_all(sinc, label)
     quotient: dict[tuple[int, int], str] = {}
     for (u, v), s in sinc.edges.items():
         cu, cv = label[u], label[v]

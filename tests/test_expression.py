@@ -1,15 +1,17 @@
 import pytest
 
+from aspcw.dp_answersets import dp_asp, has_answer_set_dp
+from aspcw.dp_classical import dp_classical
 from aspcw.errors import ExpressionError, ParseError, SignConflictError
 from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
-                              evaluate, heuristic_expression, join_labels,
-                              node_count, parse_expression,
-                              serialize_expression, trivial_expression,
-                              validate_against, width)
+                              evaluate, fold, heuristic_expression,
+                              join_labels, node_count, op_label,
+                              parse_expression, serialize_expression,
+                              trivial_expression, validate_against, width)
 from aspcw.generators import gen_random_program
-from aspcw.graphs import edge_key
+from aspcw.graphs import build_signed_incidence_graph, edge_key
 from aspcw.program import Program, parse_program
-from conftest import EXAMPLE1_LABELING, FIG2_TEXT
+from conftest import EXAMPLE1_LABELING, EXAMPLE1_TEXT, FIG2_TEXT
 
 
 def knn_expression(n, sign="p"):
@@ -192,3 +194,91 @@ class TestBuilders:
             assert validate_against(trivial, p) == []
             assert validate_against(heuristic, p) == []
             assert width(heuristic) <= width(trivial)
+
+
+def introduces(expr):
+    """The introduce leaves of `expr`, in post-order."""
+    out = []
+    fold(expr, lambda node, *_: out.append(node)
+         if isinstance(node, Introduce) else None)
+    return out
+
+
+def op_labels(expr):
+    out = []
+    fold(expr, lambda node, *_: out.append(op_label(node)))
+    return out
+
+
+def in_vertex_order(expr, vertices):
+    """`expr` with its introduces unioned left-deep in `vertices` order,
+    under the same chain of edge inserts."""
+    edges = []
+    while isinstance(expr, EdgeInsert):
+        edges.append(expr)
+        expr = expr.child
+    leaf = {node.vertex: node for node in introduces(expr)}
+    out = leaf[vertices[0]]
+    for v in vertices[1:]:
+        out = DisjointUnion(out, leaf[v])
+    for e in reversed(edges):
+        out = EdgeInsert(e.sign, e.i, e.j, out)
+    return out
+
+
+BUILDER_PROGRAMS = [parse_program(EXAMPLE1_TEXT)] + [
+    gen_random_program(5, 4, (0.25, 0.25, 0.25), seed) for seed in range(12)]
+
+
+@pytest.mark.parametrize("build", [trivial_expression, heuristic_expression])
+class TestBuilderOrder:
+    def test_rules_introduced_before_atoms(self, build):
+        for p in BUILDER_PROGRAMS:
+            sinc = build_signed_incidence_graph(p)
+            order = [node.vertex for node in introduces(build(p))]
+            rules = [v for v in sinc.vertices if sinc.kinds[v] == "rule"]
+            atoms = [v for v in sinc.vertices if sinc.kinds[v] == "atom"]
+            assert order == rules + atoms
+
+    def test_order_changes_no_size_or_table(self, build):
+        # The expression with its introduces in vertex order has the same
+        # width, nodes and root tables.
+        for p in BUILDER_PROGRAMS:
+            expr = build(p)
+            ref = in_vertex_order(expr, build_signed_incidence_graph(p).vertices)
+            assert validate_against(expr, p) == validate_against(ref, p) == []
+            assert width(expr) == width(ref)
+            assert node_count(expr) == node_count(ref)
+            assert sorted(op_labels(expr)) == sorted(op_labels(ref))
+            assert dp_classical(expr) == dp_classical(ref)
+            assert dp_asp(expr) == dp_asp(ref)
+
+
+class TestBuilderLabels:
+    def test_trivial_label_is_vertex_position(self):
+        for p in BUILDER_PROGRAMS:
+            vertices = build_signed_incidence_graph(p).vertices
+            expr = trivial_expression(p)
+            assert {node.vertex: node.label for node in introduces(expr)} == \
+                {v: i + 1 for i, v in enumerate(vertices)}
+            assert width(expr) == len(vertices)
+
+    def test_heuristic_classes_numbered_by_first_appearance(self):
+        for p in BUILDER_PROGRAMS:
+            vertices = build_signed_incidence_graph(p).vertices
+            expr = heuristic_expression(p)
+            label = {node.vertex: node.label for node in introduces(expr)}
+            first = list(dict.fromkeys(label[v] for v in vertices))
+            assert first == list(range(1, width(expr) + 1))
+
+
+def test_rule_unions_cost_one_pair():
+    # Rules unioned after the atoms would each copy the atoms' 2^atoms pairs
+    # (2044 here); unioned first, each costs one pair.
+    atoms, rules = 8, 6
+    p = gen_random_program(atoms, rules, (0.25, 0.25, 0.25), seed=3)
+    sizes = []
+    has_answer_set_dp(trivial_expression(p), on_node=lambda index, op, size:
+                      sizes.append(size) if op == "oplus" else None)
+    assert len(sizes) == atoms + rules - 1
+    assert sum(sizes) <= 2 ** (atoms + 1) + rules

@@ -1,0 +1,33 @@
+"""Property tests: on small random programs, both builders give expressions
+that define the program's signed incidence graph, and both solvers decide
+on them what the brute-force oracle decides."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aspcw.dp_answersets import has_answer_set_dp
+from aspcw.dp_classical import has_model_dp
+from aspcw.expression import (heuristic_expression, trivial_expression,
+                              validate_against)
+from aspcw.generators import gen_random_program
+from aspcw.oracle import enumerate_answer_sets, enumerate_models
+
+programs = st.builds(
+    gen_random_program,
+    num_atoms=st.integers(1, 5),
+    num_rules=st.integers(0, 5),
+    part_probabilities=st.sampled_from(
+        [(0.25, 0.25, 0.25), (0.4, 0.2, 0.2), (0.1, 0.3, 0.5), (0.1, 0.1, 0.1)]),
+    seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(programs)
+def test_builders_decide_like_the_oracle(program):
+    has_model = bool(enumerate_models(program))
+    has_answer_set = bool(enumerate_answer_sets(program))
+    for build in (trivial_expression, heuristic_expression):
+        expr = build(program)
+        assert validate_against(expr, program) == []
+        assert has_model_dp(expr) == has_model
+        assert has_answer_set_dp(expr) == has_answer_set

@@ -262,78 +262,59 @@ def join_labels(expr: Expr, joined: frozenset[str] | set[str]) -> Expr:
 # Builders
 # ---------------------------------------------------------------------------
 
-def _union_all(parts: list[Expr]) -> Expr:
-    expr = parts[0]
-    for part in parts[1:]:
-        expr = DisjointUnion(expr, part)
+def quotient_expression(graph: SignedGraph, label: dict[str, int]) -> Expr:
+    """Introduce every vertex of `graph` under its label, union them, then
+    insert one edge per pair of adjacent labels, in (min, max) label order,
+    with the graph's sign on that pair.
+
+    Precondition: every two labels are joined by all of their vertex pairs
+    or by none, always with one sign.  The introduces are unioned left-deep,
+    every rule before every atom, each group in `graph.vertices` order: a
+    union costs the product of its operands' tables, and a subexpression of
+    rules without edges has one table entry, so rules unioned after the
+    atoms would each copy the atoms' whole table to set one U bit.
+    """
+    if not graph.vertices:
+        raise ValueError("an empty graph has no expression")
+    first, *rest = sorted(graph.vertices, key=lambda v: graph.kinds[v] != "rule")
+    expr: Expr = Introduce(label[first], first, graph.kinds[first])
+    for v in rest:
+        expr = DisjointUnion(expr, Introduce(label[v], v, graph.kinds[v]))
+    quotient: dict[tuple[int, int], str] = {}
+    for (u, v), sign in graph.edges.items():
+        i, j = label[u], label[v]
+        quotient[(i, j) if i < j else (j, i)] = sign
+    for (i, j), sign in sorted(quotient.items()):
+        expr = EdgeInsert(sign, i, j, expr)
     return expr
-
-
-def _introduce_all(sinc: SignedGraph, label: dict[str, int]) -> Expr:
-    # A union costs the product of its operands' tables, and a subexpression
-    # of rules without edges has one table entry.  Rules unioned after the
-    # atoms would each copy the atoms' whole table to set one U bit.
-    order = sorted(sinc.vertices, key=lambda v: sinc.kinds[v] != "rule")
-    return _union_all([Introduce(label[v], v, sinc.kinds[v]) for v in order])
 
 
 def trivial_expression(program: Program) -> Expr:
-    """One distinct label per vertex, then one edge insert per incidence edge.
-
-    A vertex's label is its position in the signed incidence graph's vertex
-    order, plus one.  The introduces are unioned left-deep, every rule before
-    every atom, so the solvers pay one table entry per rule union.  Width is
-    |atoms| + |rules|; always validates against the program.
+    """One distinct label per vertex: its position in the signed incidence
+    graph's vertex order, plus one.  Width is |atoms| + |rules|; always
+    validates against the program.
     """
     sinc = build_signed_incidence_graph(program)
-    if not sinc.vertices:
-        raise ValueError("an empty program has no expression")
-    label = {v: i + 1 for i, v in enumerate(sinc.vertices)}
-    expr = _introduce_all(sinc, label)
-    for r in program.rules:
-        for sign, part in zip(SIGNS, (r.head, r.pos_body, r.neg_body)):
-            for a in sorted(part, key=label.__getitem__):
-                expr = EdgeInsert(sign, label[a], label[r.id], expr)
-    return expr
+    return quotient_expression(
+        sinc, {v: i + 1 for i, v in enumerate(sinc.vertices)})
 
 
 def heuristic_expression(program: Program) -> Expr:
     """Best-effort low-width expression via twin merging: vertices with
-    identical signed neighborhoods share one label.
-
-    Classes are numbered in order of first appearance among the vertices,
-    and the introduces are unioned rules first, as in `trivial_expression`.
-    Twin classes are pairwise fully adjacent with a single sign or fully
-    non-adjacent, so a single edge insert per adjacent class pair rebuilds
-    the graph exactly.
+    identical signed neighborhoods share one label, and classes are numbered
+    in order of first appearance among the vertices.  Twin classes are
+    pairwise fully adjacent with a single sign or fully non-adjacent, as
+    `quotient_expression` needs.
     """
     sinc = build_signed_incidence_graph(program)
-    if not sinc.vertices:
-        raise ValueError("an empty program has no expression")
-    neighborhoods: dict[str, frozenset[tuple[str, str]]] = {v: frozenset() for v in sinc.vertices}
     adj: dict[str, dict[str, str]] = {v: {} for v in sinc.vertices}
     for (u, v), s in sinc.edges.items():
         adj[u][v] = s
         adj[v][u] = s
-    for v in sinc.vertices:
-        neighborhoods[v] = frozenset(adj[v].items())
-
     classes: dict[frozenset, int] = {}
-    label = {}
-    for v in sinc.vertices:
-        sig = neighborhoods[v]
-        if sig not in classes:
-            classes[sig] = len(classes) + 1
-        label[v] = classes[sig]
-
-    expr = _introduce_all(sinc, label)
-    quotient: dict[tuple[int, int], str] = {}
-    for (u, v), s in sinc.edges.items():
-        cu, cv = label[u], label[v]
-        quotient[(min(cu, cv), max(cu, cv))] = s
-    for (cu, cv), s in sorted(quotient.items()):
-        expr = EdgeInsert(s, cu, cv, expr)
-    return expr
+    label = {v: classes.setdefault(frozenset(adj[v].items()), len(classes) + 1)
+             for v in sinc.vertices}
+    return quotient_expression(sinc, label)
 
 
 # ---------------------------------------------------------------------------

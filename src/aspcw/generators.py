@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BoundExceededError, ParseError
-from .expression import EdgeInsert, Expr, Introduce, _union_all
+from .expression import Expr, quotient_expression
+from .graphs import build_signed_incidence_graph, join_graph_signs
 from .program import Program, Rule, make_rule
 
 
@@ -232,50 +233,29 @@ def reduce_pclique_to_asp(g: KPartiteGraph) -> tuple[Program, Expr]:
     """
     k = len(g.parts)
     atoms = tuple(v for part in g.parts for v in part)
+    label = {v: j for j, part in enumerate(g.parts, 1) for v in part}
     rules: list[Rule] = []
     for j, part in enumerate(g.parts, 1):
         rules.append(make_rule(f"part{j}", head=part))
-    nonedges: list[tuple[int, int, str, str]] = []
-    for j1, j2 in itertools.combinations(range(len(g.parts)), 2):
-        for u in g.parts[j1]:
-            for v in g.parts[j2]:
+        label[f"part{j}"] = k + j
+    for j1, j2 in itertools.combinations(range(1, k + 1), 2):
+        part1, part2 = g.parts[j1 - 1], g.parts[j2 - 1]
+        for u in part1:
+            for v in part2:
                 if not g.has_edge(u, v):
-                    nonedges.append((j1 + 1, j2 + 1, u, v))
-    for j1, j2, u, v in nonedges:
-        others = ([a for a in g.parts[j1 - 1] if a != u]
-                  + [a for a in g.parts[j2 - 1] if a != v])
-        rules.append(make_rule(f"ne_{u}_{v}", pos_body=[u, v], neg_body=others))
+                    others = ([a for a in part1 if a != u]
+                              + [a for a in part2 if a != v])
+                    rules.append(make_rule(f"ne_{u}_{v}", pos_body=[u, v],
+                                           neg_body=others))
+                    label[f"ne_{u}_{v}"] = 2 * k + k * (j1 - 1) + j2
     program = Program(atoms, tuple(rules))
-
-    intro: list[Expr] = []
-    for j, part in enumerate(g.parts, 1):
-        intro += [Introduce(j, v, "atom") for v in part]
-    for j in range(1, k + 1):
-        intro.append(Introduce(k + j, f"part{j}", "rule"))
-    for j1, j2, u, v in nonedges:
-        intro.append(Introduce(2 * k + k * (j1 - 1) + j2, f"ne_{u}_{v}", "rule"))
-    expr = _union_all(intro) if intro else None
-    if expr is None:
-        raise ValueError("empty graph has no expression")
-    for j in range(1, k + 1):
-        expr = EdgeInsert("h", j, k + j, expr)
-    for j1, j2 in sorted({(j1, j2) for j1, j2, _, _ in nonedges}):
-        l = 2 * k + k * (j1 - 1) + j2
-        expr = EdgeInsert("alpha", j1, l, expr)
-        expr = EdgeInsert("alpha", j2, l, expr)
-    return program, expr
+    graph = join_graph_signs(build_signed_incidence_graph(program), {"p", "n"})
+    return program, quotient_expression(graph, label)
 
 
 def pclique_to_json(g: KPartiteGraph) -> str:
     return json.dumps({"parts": [list(p) for p in g.parts],
                        "edges": sorted(list(e) for e in g.edges)}, indent=2)
-
-
-def pclique_from_json(text: str) -> KPartiteGraph:
-    data = json.loads(text)
-    return KPartiteGraph(
-        tuple(tuple(p) for p in data["parts"]),
-        frozenset(tuple(sorted(e)) for e in data["edges"]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Provides the dependency graph, the (signed) incidence graph, exact cycle-rank
 and a bounded decision variant, homogeneous orientations of the incidence
-graph, and DOT/JSON export.
+graph, and a JSON reader for digraphs.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class SignedGraph:
     kinds: dict[str, str]
     edges: dict[tuple[str, str], str]
 
-    def ugraph(self) -> UGraph:
-        return UGraph(self.vertices, frozenset(frozenset(e) for e in self.edges))
-
 
 @dataclass
 class LabeledSignedGraph(SignedGraph):
@@ -115,7 +112,8 @@ def build_signed_incidence_graph(program: Program) -> SignedGraph:
 
 
 def build_incidence_graph(program: Program) -> UGraph:
-    return build_signed_incidence_graph(program).ugraph()
+    sinc = build_signed_incidence_graph(program)
+    return UGraph(sinc.vertices, frozenset(frozenset(e) for e in sinc.edges))
 
 
 def join_graph_signs(graph: SignedGraph, joined: frozenset[str] | set[str]) -> SignedGraph:
@@ -131,10 +129,6 @@ def symmetric_closure(d: Digraph) -> Digraph:
     arcs = set(d.arcs)
     arcs.update((v, u) for u, v in d.arcs)
     return Digraph(d.vertices, frozenset(arcs))
-
-
-def underlying_undirected(d: Digraph) -> UGraph:
-    return UGraph(d.vertices, frozenset(frozenset((u, v)) for u, v in d.arcs))
 
 
 def _adjacency_masks(d: Digraph) -> tuple[list[int], list[int]]:
@@ -285,47 +279,10 @@ def homogeneous_orientations(program: Program,
 
 
 # ---------------------------------------------------------------------------
-# Export
+# JSON input
 # ---------------------------------------------------------------------------
-
-def to_dot(graph: Digraph | UGraph | SignedGraph) -> str:
-    lines = []
-    if isinstance(graph, Digraph):
-        lines.append("digraph {")
-        for v in graph.vertices:
-            lines.append(f'  "{v}";')
-        for u, v in sorted(graph.arcs):
-            lines.append(f'  "{u}" -> "{v}";')
-    elif isinstance(graph, SignedGraph):
-        lines.append("graph {")
-        for v in graph.vertices:
-            lines.append(f'  "{v}" [kind={graph.kinds[v]}];')
-        for (u, v), s in sorted(graph.edges.items()):
-            lines.append(f'  "{u}" -- "{v}" [sign={s}];')
-    else:
-        lines.append("graph {")
-        for v in graph.vertices:
-            lines.append(f'  "{v}";')
-        for e in sorted(tuple(sorted(e)) for e in graph.edges):
-            lines.append(f'  "{e[0]}" -- "{e[1]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def digraph_to_json(d: Digraph) -> str:
-    return json.dumps({"vertices": list(d.vertices),
-                       "arcs": sorted(list(a) for a in d.arcs)}, indent=2)
-
 
 def digraph_from_json(text: str) -> Digraph:
     data = json.loads(text)
     return Digraph(tuple(data["vertices"]),
                    frozenset((u, v) for u, v in data["arcs"]))
-
-
-def signed_graph_to_json(g: SignedGraph) -> str:
-    return json.dumps({
-        "vertices": list(g.vertices),
-        "kinds": g.kinds,
-        "edges": sorted([u, v, s] for (u, v), s in g.edges.items()),
-    }, indent=2)

@@ -6,10 +6,13 @@ from aspcw.errors import ExpressionError, ParseError, SignConflictError
 from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
                               evaluate, fold, heuristic_expression,
                               join_labels, node_count, op_label,
-                              parse_expression, serialize_expression,
-                              trivial_expression, validate_against, width)
-from aspcw.generators import gen_random_program
-from aspcw.graphs import build_signed_incidence_graph, edge_key
+                              parse_expression, quotient_expression,
+                              serialize_expression, trivial_expression,
+                              validate_against, width)
+from aspcw.generators import (gen_pclique, gen_random_program,
+                              reduce_pclique_to_asp)
+from aspcw.graphs import (SignedGraph, build_signed_incidence_graph, edge_key,
+                          join_graph_signs)
 from aspcw.program import Program, parse_program
 from conftest import EXAMPLE1_LABELING, EXAMPLE1_TEXT, FIG2_TEXT
 
@@ -226,19 +229,26 @@ def in_vertex_order(expr, vertices):
     return out
 
 
+def rules_then_atoms(program):
+    sinc = build_signed_incidence_graph(program)
+    rules = [v for v in sinc.vertices if sinc.kinds[v] == "rule"]
+    atoms = [v for v in sinc.vertices if sinc.kinds[v] == "atom"]
+    return rules + atoms
+
+
 BUILDER_PROGRAMS = [parse_program(EXAMPLE1_TEXT)] + [
     gen_random_program(5, 4, (0.25, 0.25, 0.25), seed) for seed in range(12)]
+
+PCLIQUE_REDUCTIONS = [reduce_pclique_to_asp(gen_pclique(3, 2, 0.5, seed))
+                      for seed in range(6)]
 
 
 @pytest.mark.parametrize("build", [trivial_expression, heuristic_expression])
 class TestBuilderOrder:
     def test_rules_introduced_before_atoms(self, build):
         for p in BUILDER_PROGRAMS:
-            sinc = build_signed_incidence_graph(p)
             order = [node.vertex for node in introduces(build(p))]
-            rules = [v for v in sinc.vertices if sinc.kinds[v] == "rule"]
-            atoms = [v for v in sinc.vertices if sinc.kinds[v] == "atom"]
-            assert order == rules + atoms
+            assert order == rules_then_atoms(p)
 
     def test_order_changes_no_size_or_table(self, build):
         # The expression with its introduces in vertex order has the same
@@ -252,6 +262,72 @@ class TestBuilderOrder:
             assert sorted(op_labels(expr)) == sorted(op_labels(ref))
             assert dp_classical(expr) == dp_classical(ref)
             assert dp_asp(expr) == dp_asp(ref)
+
+
+def test_pclique_rules_introduced_before_atoms():
+    for program, expr in PCLIQUE_REDUCTIONS:
+        order = [node.vertex for node in introduces(expr)]
+        assert order == rules_then_atoms(program)
+
+
+def edge_run(expr):
+    """The edge inserts above the union, bottom first, as (i, j, sign)."""
+    out = []
+    while isinstance(expr, EdgeInsert):
+        out.append((expr.i, expr.j, expr.sign))
+        expr = expr.child
+    assert not any(op.startswith("eta") for op in op_labels(expr))
+    return out[::-1]
+
+
+def quotient_pairs(graph, label):
+    pairs = {(min(label[u], label[v]), max(label[u], label[v])): s
+             for (u, v), s in graph.edges.items()}
+    return [(i, j, s) for (i, j), s in sorted(pairs.items())]
+
+
+class TestQuotientExpression:
+    # Atoms a1, a2 are twins (head of r1, negative body of r2); so are
+    # atoms b1, b2 (positive body of r2).
+    GRAPH = SignedGraph(
+        ("a1", "a2", "b1", "b2", "r1", "r2"),
+        {"a1": "atom", "a2": "atom", "b1": "atom", "b2": "atom",
+         "r1": "rule", "r2": "rule"},
+        {edge_key("a1", "r1"): "h", edge_key("a2", "r1"): "h",
+         edge_key("a1", "r2"): "n", edge_key("a2", "r2"): "n",
+         edge_key("b1", "r2"): "p", edge_key("b2", "r2"): "p"})
+    LABEL = {"a1": 3, "a2": 3, "b1": 1, "b2": 1, "r1": 4, "r2": 2}
+
+    def test_twin_labels_rebuild_the_graph(self):
+        got = evaluate(quotient_expression(self.GRAPH, self.LABEL))
+        assert set(got.vertices) == set(self.GRAPH.vertices)
+        assert got.kinds == self.GRAPH.kinds
+        assert got.edges == self.GRAPH.edges
+        assert got.labels == self.LABEL
+
+    def test_one_edge_insert_per_quotient_pair(self):
+        expr = quotient_expression(self.GRAPH, self.LABEL)
+        assert edge_run(expr) == [(1, 2, "p"), (2, 3, "n"), (3, 4, "h")]
+        assert width(expr) == 4
+
+    @pytest.mark.parametrize("build", [trivial_expression, heuristic_expression])
+    def test_builders_insert_the_sorted_quotient_pairs(self, build):
+        for p in BUILDER_PROGRAMS:
+            expr = build(p)
+            label = {node.vertex: node.label for node in introduces(expr)}
+            sinc = build_signed_incidence_graph(p)
+            assert edge_run(expr) == quotient_pairs(sinc, label)
+
+    def test_pclique_inserts_the_sorted_quotient_pairs(self):
+        for program, expr in PCLIQUE_REDUCTIONS:
+            label = {node.vertex: node.label for node in introduces(expr)}
+            joined = join_graph_signs(
+                build_signed_incidence_graph(program), {"p", "n"})
+            assert edge_run(expr) == quotient_pairs(joined, label)
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError):
+            quotient_expression(SignedGraph((), {}, {}), {})
 
 
 class TestBuilderLabels:

@@ -282,7 +282,18 @@ def homogeneous_orientations(program: Program,
 # JSON input
 # ---------------------------------------------------------------------------
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def digraph_from_json(text: str) -> Digraph:
+    """Read {"vertices": [id, ...], "arcs": [[u, v], ...]} with string ids."""
     data = json.loads(text)
-    return Digraph(tuple(data["vertices"]),
-                   frozenset((u, v) for u, v in data["arcs"]))
+    fields = data if isinstance(data, dict) else {}
+    vertices, arcs = fields.get("vertices"), fields.get("arcs")
+    if not _strings(vertices):
+        raise ValueError("digraph JSON needs a 'vertices' list of strings")
+    if not (isinstance(arcs, list)
+            and all(_strings(a) and len(a) == 2 for a in arcs)):
+        raise ValueError("digraph JSON needs an 'arcs' list of [u, v] string pairs")
+    return Digraph(tuple(vertices), frozenset(map(tuple, arcs)))

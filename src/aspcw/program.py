@@ -18,8 +18,6 @@ from typing import Iterable
 
 from .errors import NormalizationError, ParseError
 
-ATOM_NAME = re.compile(r"^[a-z][A-Za-z0-9_]*$")
-
 AtomSet = frozenset[str]
 
 
@@ -76,7 +74,7 @@ def validate_program(program: Program) -> list[str]:
     problems = []
     seen_atoms = set()
     for a in program.atoms:
-        if not ATOM_NAME.match(a) or a == "not":
+        if not ATOM_NAME.fullmatch(a):
             problems.append(f"bad atom name {a!r}")
         if a in seen_atoms:
             problems.append(f"duplicate atom name {a!r}")
@@ -104,134 +102,73 @@ def validate_program(program: Program) -> list[str]:
 # ---------------------------------------------------------------------------
 # Parsing and serialization
 #
-# Grammar (line-oriented, UTF-8, '%' starts a comment):
+# Grammar (UTF-8, '%' starts a comment that runs to the end of its line,
+# whitespace may separate any two tokens, so a rule may span lines):
 #   rule    := ["@" id ":"] head? (":-" body)? "."
 #   head    := atom ("|" atom)*
 #   body    := literal ("," literal)*
 #   literal := atom | "not" atom
+#   id      := [a-z][A-Za-z0-9_]*
+#   atom    := an id other than "not"
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<arrow>:-)
-  | (?P<punct>[|,.@:])
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-""", re.VERBOSE)
+_ID = r"[a-z][A-Za-z0-9_]*"
+_ATOM = rf"(?!not\b){_ID}"
+_LITERAL = rf"(?:not\s+)?{_ATOM}"
+# One rule and the whitespace after it; the head is split on '|' and the
+# body on ',' once the rule has matched.  Each run of whitespace is matched
+# by the one \s* after the token before it, so a failed match backtracks in
+# linear time.
+_RULE = re.compile(rf"""(?:@\s*(?P<id>{_ID})\s*:(?!-)\s*)?
+    (?P<head>{_ATOM}\s*(?:\|\s*{_ATOM}\s*)*)?
+    (?::-\s*(?P<body>{_LITERAL}\s*(?:,\s*{_LITERAL}\s*)*))?\.\s*""",
+                   re.VERBOSE)
+_COMMENT = re.compile(r"%[^\n]*")
+
+ATOM_NAME = re.compile(_ATOM)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    return tokens
-
-
-class _RuleParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else (None, "", 1, 1)
-            raise ParseError("unexpected end of input", last[2], last[3])
-        self.pos += 1
-        return tok
-
-    def expect(self, value):
-        kind, val, line, col = self.take()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val!r}", line, col)
-
-    def atom(self) -> tuple[str, int, int]:
-        kind, val, line, col = self.take()
-        if kind != "ident" or not ATOM_NAME.match(val) or val == "not":
-            raise ParseError(f"expected atom name, found {val!r}", line, col)
-        return val, line, col
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def parse_program(text: str) -> Program:
     """Parse program text; atoms are kept in first-occurrence order.
 
-    Unnamed rules get ids r1, r2, ... by position in the file.
+    Unnamed rules get ids r1, r2, ... by position in the file.  A syntax
+    error names the line and column where the failing rule starts.
     """
-    tokens = _tokenize(text)
-    parser = _RuleParser(tokens)
+    # A comment runs to the end of its line, so dropping it keeps every
+    # other character on its line and column.
+    text = _COMMENT.sub("", text)
     atoms: dict[str, None] = {}
     rules: list[Rule] = []
     used_ids: set[str] = set()
-
-    def note(atom: str) -> str:
-        atoms.setdefault(atom, None)
-        return atom
-
-    while parser.peek() is not None:
-        index = len(rules) + 1
-        rule_id = f"r{index}"
-        kind, val, line, col = parser.peek()
-        if val == "@":
-            parser.take()
-            nkind, name, nline, ncol = parser.take()
-            if nkind != "ident" or not ATOM_NAME.match(name):
-                raise ParseError(f"bad rule id {name!r}", nline, ncol)
-            rule_id = name
-            parser.expect(":")
+    pos = re.match(r"\s*", text).end()
+    while pos < len(text):
+        m = _RULE.match(text, pos)
+        if m is None:
+            end = text.find(".", pos)
+            rule = text[pos:] if end < 0 else text[pos:end + 1]
+            raise ParseError(f"malformed rule {rule[:60]!r}", *_line_col(text, pos))
+        rule_id = m["id"] or f"r{len(rules) + 1}"
         if rule_id in used_ids:
-            raise ParseError(f"duplicate rule id {rule_id!r}", line, col)
-
-        head: list[str] = []
-        pos_body: list[str] = []
-        neg_body: list[str] = []
-        kind, val, line, col = parser.peek()
-        if val not in (".", ":-"):
-            head.append(note(parser.atom()[0]))
-            while parser.peek() and parser.peek()[1] == "|":
-                parser.take()
-                head.append(note(parser.atom()[0]))
-        if parser.peek() and parser.peek()[1] == ":-":
-            parser.take()
-            while True:
-                tok = parser.peek()
-                if tok and tok[1] == "not":
-                    parser.take()
-                    neg_body.append(note(parser.atom()[0]))
-                else:
-                    pos_body.append(note(parser.atom()[0]))
-                if parser.peek() and parser.peek()[1] == ",":
-                    parser.take()
-                else:
-                    break
-        parser.expect(".")
-
-        hs, ps, ns = frozenset(head), frozenset(pos_body), frozenset(neg_body)
+            raise ParseError(f"duplicate rule id {rule_id!r}", *_line_col(text, pos))
+        head = m["head"].replace("|", " ").split() if m["head"] else []
+        body = [lit.split() for lit in m["body"].split(",")] if m["body"] else []
+        atoms.update(dict.fromkeys(head))
+        atoms.update(dict.fromkeys(lit[-1] for lit in body))
+        hs = frozenset(head)
+        ps = frozenset(lit[0] for lit in body if len(lit) == 1)
+        ns = frozenset(lit[1] for lit in body if len(lit) == 2)
         overlap = (hs & ps) | (hs & ns) | (ps & ns)
         if overlap:
             raise NormalizationError(
-                f"rule {rule_id} (line {line}): atoms {sorted(overlap)} occur in "
-                f"more than one part")
+                f"rule {rule_id} (line {_line_col(text, pos)[0]}): atoms "
+                f"{sorted(overlap)} occur in more than one part")
         used_ids.add(rule_id)
         rules.append(Rule(rule_id, hs, ps, ns))
-
+        pos = m.end()
     return Program(tuple(atoms), tuple(rules))
 
 

@@ -252,6 +252,23 @@ class TestErrors:
                            "--program", bad)
         assert code == 3 and "aspcw:" in err
 
+    @pytest.mark.parametrize("argv,name,text", [
+        (["solve", "--mode", "asp", "--auto-expr", "trivial", "--program"],
+         "bad.lp", "x.\n@s:"),
+        (["oracle", "--mode", "models", "--program"], "bad.lp", "@s:"),
+        (["validate", "--program", "ok.lp", "--expr"], "bad.expr", "oplus(a(1,x)"),
+        (["measure", "cyclerank", "--graph"], "bad.json", "{}"),
+        (["gen", "qbf2asp", "--qbf"], "bad.qbf", "exists x\nbogus y\n"),
+        (["expr", "join", "--labels", "h", "--expr"], "bad.expr", "eta(h,1)"),
+    ])
+    def test_malformed_file_exits_cleanly(self, capsys, tmp_path, argv, name,
+                                          text):
+        write(tmp_path, "ok.lp", "x.\n")
+        code, out, err = run(capsys, *argv, write(tmp_path, name, text))
+        assert code == 3 and out == ""
+        assert err.startswith("aspcw: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("error", [MemoryError, RecursionError])
     def test_resource_error(self, capsys, monkeypatch, example1_file,
                             fig2_file, error):

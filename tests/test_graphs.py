@@ -206,3 +206,20 @@ class TestExport:
         d = digraph_from_json(json.dumps(
             {"vertices": ["a", "b"], "arcs": [["a", "b"]]}))
         assert d == digraph("ab", {("a", "b")})
+
+    @pytest.mark.parametrize("data,field", [
+        ({}, "vertices"),
+        ([], "vertices"),
+        ({"vertices": 5, "arcs": []}, "vertices"),
+        ({"vertices": [["a"]], "arcs": []}, "vertices"),
+        ({"vertices": ["a"]}, "arcs"),
+        ({"vertices": ["a", "b"], "arcs": [5]}, "arcs"),
+        ({"vertices": ["a", "b"], "arcs": [["a", "b", "a"]]}, "arcs"),
+    ])
+    def test_malformed_digraph_json_names_field(self, data, field):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            digraph_from_json(json.dumps(data))
+
+    def test_digraph_checks_kept(self):
+        with pytest.raises(ValueError, match="unknown vertex"):
+            digraph_from_json(json.dumps({"vertices": ["a"], "arcs": [["a", "b"]]}))

@@ -66,6 +66,64 @@ class TestParse:
         assert p.atoms == ("b", "a", "c")
 
 
+# The grammar, pinned by example: each accepted text with the rules it gives
+# as (id, head, pos_body, neg_body).
+ACCEPTED = [
+    ("nota.", [("r1", {"nota"}, set(), set())]),
+    ("not_x.", [("r1", {"not_x"}, set(), set())]),
+    ("a :- not\nb.", [("r1", {"a"}, set(), {"b"})]),
+    ("@s::- a.", [("s", set(), {"a"}, set())]),
+    (".", [("r1", set(), set(), set())]),
+    ("a|b.", [("r1", {"a", "b"}, set(), set())]),
+    ("a. % b. c, d\nb :- a, not c. % x, y.",
+     [("r1", {"a"}, set(), set()), ("r2", {"b"}, {"a"}, {"c"})]),
+]
+
+# Each rejected text with the line its error is on.
+REJECTED = [
+    ("ok.\nnot.", 2),
+    ("ok.\na :- not not x.", 2),
+    ("ok.\n:- .", 2),
+    ("ok.\na b.", 2),
+    ("ok.\nA.", 2),
+    ("ok.\n1.", 2),
+    ("ok.\na :- b,.", 2),
+    ("ok.\n@s:-a.", 2),
+    ("ok.\na", 2),
+    ("a.\n$", 2),
+    ("ok.\na :- not a.", 2),
+    # Long runs of whitespace around optional parts must fail in linear time.
+    ("ok.\n@s" + " " * 50000 + ":" + " " * 50000 + "$", 2),
+]
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("text,rules", ACCEPTED)
+    def test_accepted(self, text, rules):
+        assert parse_program(text).rules == tuple(
+            make_rule(*rule) for rule in rules)
+
+    @pytest.mark.parametrize("text,line", REJECTED)
+    def test_rejected(self, text, line):
+        with pytest.raises((ParseError, NormalizationError)) as err:
+            parse_program(text)
+        if isinstance(err.value, ParseError):
+            assert err.value.line == line
+        else:
+            assert f"(line {line})" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["@s:", "a. @s:", "@s: %c"])
+    def test_named_rule_cut_off_at_end(self, text):
+        with pytest.raises(ParseError):
+            parse_program(text)
+
+    def test_error_names_start_of_rule(self):
+        with pytest.raises(ParseError) as err:
+            parse_program("a.\n  b :- c,\n  not 1.")
+        assert (err.value.line, err.value.col) == (2, 3)
+        assert "'b :- c,\\n  not 1.'" in str(err.value)
+
+
 class TestSemantics:
     def test_constraint_rule_not_modeled(self):
         r = make_rule("s", pos_body=["x"], neg_body=["y"])
@@ -124,6 +182,11 @@ class TestValidate:
     def test_duplicate_atoms_flagged(self):
         p = Program(("x", "x"), ())
         assert any("duplicate atom" in msg for msg in validate_program(p))
+
+    @pytest.mark.parametrize("name", ["not", "a\n", "A", "1a", ""])
+    def test_bad_atom_name_flagged(self, name):
+        p = Program((name,), ())
+        assert any("bad atom name" in msg for msg in validate_program(p))
 
     def test_unknown_atom_flagged(self):
         p = Program(("a",), (make_rule("r1", head=["b"]),))

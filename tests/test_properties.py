@@ -1,6 +1,7 @@
 """Property tests: on small random programs, both builders give expressions
 that define the program's signed incidence graph, and both solvers decide
-on them what the brute-force oracle decides."""
+on them what the brute-force oracle decides; and the program text format
+round-trips."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from aspcw.expression import (heuristic_expression, trivial_expression,
                               validate_against)
 from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_answer_sets, enumerate_models
+from aspcw.program import parse_program, serialize_program
 
 programs = st.builds(
     gen_random_program,
@@ -31,3 +33,14 @@ def test_builders_decide_like_the_oracle(program):
         assert validate_against(expr, program) == []
         assert has_model_dp(expr) == has_model
         assert has_answer_set_dp(expr) == has_answer_set
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(programs)
+def test_program_text_round_trips(program):
+    # The text keeps every rule; atoms come back in first-occurrence order,
+    # and atoms in no rule are dropped, so a parsed program round-trips.
+    parsed = parse_program(serialize_program(program))
+    assert parsed.rules == program.rules
+    assert set(parsed.atoms) <= set(program.atoms)
+    assert parse_program(serialize_program(parsed)) == parsed

@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .errors import ExpressionError
-from .expression import (DisjointUnion, EdgeInsert, Expr, Introduce, fold,
-                         labels_used, op_label)
+from .expression import (DisjointUnion, EdgeInsert, Expr, Introduce, Relabel,
+                         fold, labels_used, op_label)
 from .graphs import SIGNS
 from .tables import KTriple
 
@@ -85,57 +85,81 @@ class TableOps(NamedTuple):
     union: Callable[[set, set], set]
     relabel: Callable[[set, Callable[[int], int]], set]  # (table, relabel_fn)
     edge: Callable[[set, list, int], set]       # (table, run, w)
+    forget: Callable[[set, int, int], set]      # (table, dead label mask, w)
     candidates: Callable[[set], set]            # the Q triples of a table
     snapshot: Callable[[int, str, set, int], object]  # (index, op, table, w)
 
 
 def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
-                on_node: OnNode | None = None) -> tuple[set, int]:
+                on_node: OnNode | None = None,
+                forget: bool = False) -> tuple[set, int]:
     """Runs a solver bottom-up over `expr`; returns (packed root table, w).
 
-    A run of consecutive edge inserts is applied at once by `ops.edge`,
-    when the next operator or the root needs its table.  `on_node(index,
-    op, size)` and `trace` see the same events: each table the solver
-    builds, in the order it builds them.  A run's table carries the index
-    and op of its last edge insert, and the root's index is the node count.
+    A run of consecutive edge inserts is applied at once by `ops.edge`, at
+    its top edge insert.  `on_node(index, op, size)` and `trace` see the
+    same events: each table the solver builds, in post-order.  A run's
+    table carries the index and op of its top edge insert, and the root's
+    index is the node count.
+
+    With `forget`, each table drops its dead labels through `ops.forget`: a
+    label is dead after the last edge insert or relabel that names it (in
+    post-order, so every operator above the table comes later), and dead
+    from the start if none names it.  No later operator reads a dead
+    label's T or F bit or clears its U bit, so a dead U bit keeps an entry
+    from ever passing the root check.
     """
+    nodes: list[Expr] = []
+    fold(expr, lambda node, *_: nodes.append(node))
     labels = labels_used(expr)
     k, w = len(labels), max(labels)
     q_limit = 1 << (3 * k)
-    count = 0
 
-    def built(index: int, node: Expr, table: set) -> set:
-        assert len(ops.candidates(table)) <= q_limit, \
-            "candidate triples exceed 2^(3k) bound"
-        if on_node is not None:
-            on_node(index, op_label(node), len(table))
-        if trace is not None:
-            trace.append(ops.snapshot(index, op_label(node), table, w))
-        return table
+    dies: dict[int, int] = {}  # index -> the labels dead from there on
+    if forget:
+        last = {label: 0 for label in labels}
+        for index, node in enumerate(nodes, 1):
+            if isinstance(node, EdgeInsert):
+                last[node.i] = last[node.j] = index
+            elif isinstance(node, Relabel):
+                last[node.old] = last[node.new] = index
+        for label, index in last.items():
+            dies[index] = dies.get(index, 0) | 1 << (label - 1)
+    dead = dies.get(0, 0)
 
-    # A node's result is (table, edge inserts deferred onto it, (index,
-    # node) of the last of them).
-    def settle(result: tuple[set, list, tuple | None]) -> set:
-        table, run, last = result
-        return built(*last, ops.edge(table, run, w)) if run else table
-
-    def visit(node: Expr, *kids: tuple) -> tuple[set, list, tuple | None]:
-        nonlocal count
-        count += 1
+    # The operands' tables, each with the dead labels forgotten in it.
+    stack: list[tuple[set, int]] = []
+    run: list[tuple[str, int, int]] = []
+    for index, node in enumerate(nodes, 1):
+        dead |= dies.get(index, 0)
         if isinstance(node, EdgeInsert):
             if node.sign not in SIGNS:
                 raise ExpressionError(
                     f"solver requires signed edges, got {node.sign!r}")
-            table, run, _ = kids[0]
             run.append((node.sign, node.i, node.j))
-            return table, run, (count, node)
-        tables = [settle(kid) for kid in kids]
-        if isinstance(node, Introduce):
-            table = ops.introduce(1 << (node.label - 1), node.kind, w)
+            # In post-order an edge insert is followed by its parent, or by
+            # an introduce if it is a left operand: so the run goes on
+            # above while the next node is an edge insert.
+            if index < len(nodes) and isinstance(nodes[index], EdgeInsert):
+                continue
+            table, gone = stack.pop()
+            table = ops.edge(table, run, w)
+            run = []
+        elif isinstance(node, Introduce):
+            table, gone = ops.introduce(1 << (node.label - 1), node.kind, w), 0
         elif isinstance(node, DisjointUnion):
-            table = ops.union(*tables)
+            (right, right_gone), (left, left_gone) = stack.pop(), stack.pop()
+            table, gone = ops.union(left, right), left_gone & right_gone
         else:
-            table = ops.relabel(tables[0], relabel_fn(node.old, node.new, w))
-        return built(count, node, table), [], None
-
-    return settle(fold(expr, visit)), w
+            table, gone = stack.pop()
+            table = ops.relabel(table, relabel_fn(node.old, node.new, w))
+        if dead & ~gone:
+            table, gone = ops.forget(table, dead, w), dead
+        if len(table) > q_limit:
+            assert len(ops.candidates(table)) <= q_limit, \
+                "candidate triples exceed 2^(3k) bound"
+        if on_node is not None:
+            on_node(index, op_label(node), len(table))
+        if trace is not None:
+            trace.append(ops.snapshot(index, op_label(node), table, w))
+        stack.append((table, gone))
+    return stack[0][0], w

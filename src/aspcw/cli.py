@@ -11,14 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import attrgetter
 from pathlib import Path
 
 from . import expression, generators, graphs, oracle
-from .dp_answersets import accepts as asp_accepts
-from .dp_answersets import dp_asp, has_answer_set_dp
-from .dp_classical import accepts as model_accepts
-from .dp_classical import dp_classical, has_model_dp
+from .dp_answersets import has_answer_set_dp
+from .dp_classical import has_model_dp
 from .errors import AspcwError
 from .program import parse_program, serialize_program
 
@@ -76,32 +73,28 @@ def _cmd_solve(args) -> int:
         return EXIT_INVALID
 
     if args.mode == "classical":
-        run, decide, accepts = dp_classical, has_model_dp, model_accepts
-        field, entry_json, order = "triples", _triple_json, None
+        decide, field, entry_json = has_model_dp, "triples", _triple_json
+        order = None
     else:
-        run, decide, accepts = dp_asp, has_answer_set_dp, asp_accepts
-        field, entry_json = "pairs", _pair_json
+        decide, field, entry_json = has_answer_set_dp, "pairs", _pair_json
         order = lambda p: (p.q, sorted(p.gamma))
-    if args.trace:
-        # One traced run gives the decision, the sizes and the trace file.
-        trace = []
-        decision = accepts(run(expr, trace=trace), attrgetter("u"))
-        tables = [getattr(n, field) for n in trace]
+    sizes = {"node_count": 0, "max_table": 0}
+
+    def on_node(index, op, size):
+        sizes["node_count"] = index
+        sizes["max_table"] = max(sizes["max_table"], size)
+
+    # A trace records the tables the decision builds; it does not change
+    # the path, so the payload is the same with and without it.
+    trace = [] if args.trace else None
+    decision = decide(expr, on_node=on_node, trace=trace)
+    if trace is not None:
         # Tables are sets; the file lists their entries in sorted order.
         nodes = [{"index": n.index, "op": n.op,
-                  field: [entry_json(e) for e in sorted(table, key=order)]}
-                 for n, table in zip(trace, tables)]
+                  field: [entry_json(e)
+                          for e in sorted(getattr(n, field), key=order)]}
+                 for n in trace]
         Path(args.trace).write_text(json.dumps({"nodes": nodes}, sort_keys=True))
-        sizes = {"node_count": trace[-1].index,
-                 "max_table": max(map(len, tables))}
-    else:
-        sizes = {"node_count": 0, "max_table": 0}
-
-        def on_node(index, op, size):
-            sizes["node_count"] = index
-            sizes["max_table"] = max(sizes["max_table"], size)
-
-        decision = decide(expr, on_node=on_node)
     _emit({"decision": decision, "width": expression.width(expr),
            "table_sizes": sizes})
     return EXIT_OK if decision else EXIT_NEGATIVE

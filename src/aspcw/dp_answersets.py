@@ -51,6 +51,14 @@ def _edge(table: set[PackedPair], run: list, w: int) -> set[PackedPair]:
             for q, g in table}
 
 
+def _forget(table: set[PackedPair], dead: int, w: int) -> set[PackedPair]:
+    # Drop pairs whose Q has a dead U bit, and Gamma members with one; clear
+    # the dead T and F bits.
+    tf, u = dead | dead << w, dead << 2 * w
+    return {(q & ~tf, frozenset([s & ~tf for s in g if not s & u]))
+            for q, g in table if not q & u}
+
+
 def _public(table: set[PackedPair], w: int) -> frozenset[KPair]:
     return frozenset(KPair(unpack(q, w), frozenset([unpack(s, w) for s in g]))
                      for q, g in table)
@@ -64,6 +72,7 @@ _TABLES = TableOps(
     relabel=lambda table, move:
         {(move(q), frozenset(move(s) for s in g)) for q, g in table},
     edge=_edge,
+    forget=_forget,
     candidates=lambda table: {q for q, _ in table},
     snapshot=lambda index, op, table, w:
         TraceNode(index, op, _public(table, w)))
@@ -77,10 +86,15 @@ def accepts(table: Iterable, u_of: Callable) -> bool:
 
 
 def dp_asp(expr: Expr, trace: list[TraceNode] | None = None) -> frozenset[KPair]:
+    """The full root table: every label is kept."""
     return _public(*fold_tables(expr, _TABLES, trace=trace))
 
 
-def has_answer_set_dp(expr: Expr, on_node: OnNode | None = None) -> bool:
-    """True iff some root pair has Q_U empty and no Gamma member with empty U."""
-    table, w = fold_tables(expr, _TABLES, on_node=on_node)
+def has_answer_set_dp(expr: Expr, on_node: OnNode | None = None,
+                      trace: list[TraceNode] | None = None) -> bool:
+    """True iff some root pair has Q_U empty and no Gamma member with empty
+    U.  The fold forgets dead labels, so `on_node` and `trace` see the
+    smaller tables it builds."""
+    table, w = fold_tables(expr, _TABLES, trace=trace, on_node=on_node,
+                           forget=True)
     return accepts(table, lambda key: key >> 2 * w)

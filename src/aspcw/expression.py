@@ -263,29 +263,39 @@ def join_labels(expr: Expr, joined: frozenset[str] | set[str]) -> Expr:
 # ---------------------------------------------------------------------------
 
 def quotient_expression(graph: SignedGraph, label: dict[str, int]) -> Expr:
-    """Introduce every vertex of `graph` under its label, union them, then
-    insert one edge per pair of adjacent labels, in (min, max) label order,
-    with the graph's sign on that pair.
+    """Introduce every vertex of `graph` under its label and union them;
+    insert one edge per pair of adjacent labels, with the graph's sign on
+    that pair, directly above the union that brings in the last vertex of
+    the later of its two labels.  Each such run of edge inserts goes in
+    (min, max) label order.
 
     Precondition: every two labels are joined by all of their vertex pairs
     or by none, always with one sign.  The introduces are unioned left-deep,
     every rule before every atom, each group in `graph.vertices` order: a
     union costs the product of its operands' tables, and a subexpression of
     rules without edges has one table entry, so rules unioned after the
-    atoms would each copy the atoms' whole table to set one U bit.
+    atoms would each copy the atoms' whole table to set one U bit.  Edges go
+    in as early as both labels are complete, so a decision can forget a
+    label once its last edge is in (see `_packed.fold_tables`).
     """
     if not graph.vertices:
         raise ValueError("an empty graph has no expression")
-    first, *rest = sorted(graph.vertices, key=lambda v: graph.kinds[v] != "rule")
-    expr: Expr = Introduce(label[first], first, graph.kinds[first])
-    for v in rest:
-        expr = DisjointUnion(expr, Introduce(label[v], v, graph.kinds[v]))
+    order = sorted(graph.vertices, key=lambda v: graph.kinds[v] != "rule")
+    # The position in `order` of each label's last vertex.
+    complete = {label[v]: p for p, v in enumerate(order)}
     quotient: dict[tuple[int, int], str] = {}
     for (u, v), sign in graph.edges.items():
         i, j = label[u], label[v]
         quotient[(i, j) if i < j else (j, i)] = sign
+    runs: dict[int, list[tuple[str, int, int]]] = {}
     for (i, j), sign in sorted(quotient.items()):
-        expr = EdgeInsert(sign, i, j, expr)
+        runs.setdefault(max(complete[i], complete[j]), []).append((sign, i, j))
+    first, *rest = order
+    expr: Expr = Introduce(label[first], first, graph.kinds[first])
+    for p, v in enumerate(rest, 1):
+        expr = DisjointUnion(expr, Introduce(label[v], v, graph.kinds[v]))
+        for sign, i, j in runs.get(p, ()):
+            expr = EdgeInsert(sign, i, j, expr)
     return expr
 
 

@@ -198,6 +198,8 @@ def _vertex_name(i: int, j: int) -> str:
 
 def gen_pclique(k: int, part_size: int, edge_density: float,
                 seed: int) -> KPartiteGraph:
+    if k < 1 or part_size < 1:
+        raise ValueError("k and part_size must be at least 1")
     rng = random.Random(seed)
     parts = tuple(
         tuple(_vertex_name(i, j) for i in range(1, part_size + 1))
@@ -302,6 +304,10 @@ def gen_random_program(num_atoms: int, num_rules: int,
                        seed: int) -> Program:
     """Each atom joins each rule's head / positive body / negative body with
     the given probabilities (disjoint by construction)."""
+    if num_atoms < 1:
+        raise ValueError("num_atoms must be at least 1")
+    if num_rules < 0:
+        raise ValueError("num_rules must be at least 0")
     ph, pp, pn = part_probabilities
     if ph + pp + pn > 1.0 + 1e-9:
         raise ValueError("part probabilities must sum to at most 1")

@@ -204,6 +204,19 @@ class TestGen:
                            "--expr", str(expr), "--join", "p,n")
         assert code == 0 and json.loads(out)["ok"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["random-program", "--atoms", "-1", "--rules", "2"],
+        ["random-program", "--atoms", "0", "--rules", "2"],
+        ["random-program", "--atoms", "2", "--rules", "-1"],
+        ["pclique", "--k", "0", "--part-size", "1"],
+        ["pclique", "--k", "2", "--part-size", "0"],
+        ["grid", "--n", "0"],
+    ])
+    def test_bad_sizes_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("aspcw: ") and "must be at least" in err
+
     def test_random_program(self, capsys, tmp_path):
         out_file = tmp_path / "r.lp"
         code, _, _ = run(capsys, "gen", "random-program", "--atoms", "4",
@@ -272,7 +285,7 @@ class TestErrors:
     @pytest.mark.parametrize("error", [MemoryError, RecursionError])
     def test_resource_error(self, capsys, monkeypatch, example1_file,
                             fig2_file, error):
-        def decide(expr, on_node=None):
+        def decide(expr, on_node=None, trace=None):
             raise error()
 
         monkeypatch.setattr("aspcw.cli.has_model_dp", decide)

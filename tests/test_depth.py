@@ -1,8 +1,11 @@
-"""Expressions far deeper than the interpreter's recursion limit.
+"""Expressions far deeper than the interpreter's recursion limit, and
+programs far past the brute-force oracle's reach.
 
 The trivial expression of a program with many rules is a left-deep chain of
-unions under a long run of edge inserts, so every tree transform and both
-solvers must work without recursion."""
+unions with runs of edge inserts between them, so every tree transform and
+both solvers must work without recursion.  Its width grows with the
+program, but a decision forgets each label after its last edge insert, so
+on a cycle its tables stay small however long the cycle is."""
 
 import json
 import sys
@@ -17,7 +20,8 @@ from aspcw.expression import (EdgeInsert, evaluate, fold,
                               op_label, parse_expression,
                               serialize_expression, trivial_expression,
                               validate_against)
-from aspcw.generators import gen_random_program
+from aspcw.generators import (gen_random_program, gen_random_qbf,
+                              qbf_is_valid, reduce_qbf_to_asp)
 from aspcw.oracle import enumerate_answer_sets, enumerate_models
 from aspcw.program import parse_program, serialize_program
 
@@ -87,6 +91,36 @@ def test_decisions_match_oracle(deep):
         (index, op_label(node)) for index, node in enumerate(postorder, 1)
         if not isinstance(node, EdgeInsert)]
     assert has_answer_set_dp(heuristic_expression(program)) == answer_set
+
+
+@pytest.mark.parametrize("n", [100, 101, 1000])
+@pytest.mark.parametrize("negative", [False, True])
+def test_cycles_past_the_oracle(n, negative):
+    # Rules a(i+1) :- a(i), or a(i+1) :- not a(i), around a cycle of n
+    # atoms.  The positive cycle's one answer set is the empty set; the
+    # negative cycle has an answer set iff n is even.
+    body = "not " if negative else ""
+    program = parse_program("".join(f"a{i % n + 1} :- {body}a{i}.\n"
+                                    for i in range(1, n + 1)))
+    expr = trivial_expression(program)
+    sizes = []
+    decision = has_answer_set_dp(
+        expr, on_node=lambda index, op, size: sizes.append(size))
+    assert decision is (not negative or n % 2 == 0)
+    assert max(sizes) <= 16
+    assert has_model_dp(expr) is True
+
+
+def test_qbf_reductions_decide_like_qbf_is_valid():
+    # QBF(3,3,2) reductions: 13 atoms and 18 rules, width 31.  Seeds 0-9
+    # give 6 valid and 4 invalid formulas.
+    verdicts = []
+    for seed in range(10):
+        phi = gen_random_qbf(3, 3, 2, seed)
+        decision = has_answer_set_dp(trivial_expression(reduce_qbf_to_asp(phi)))
+        assert decision == qbf_is_valid(phi)
+        verdicts.append(decision)
+    assert verdicts.count(True) == 6 and verdicts.count(False) == 4
 
 
 def run(capsys, *argv):

@@ -4,7 +4,8 @@ import pytest
 
 from aspcw._packed import fold_tables, pack, unpack
 from aspcw.dp_answersets import _TABLES, accepts, dp_asp, has_answer_set_dp
-from aspcw.dp_classical import dp_classical
+from aspcw.dp_classical import accepts as model_accepts
+from aspcw.dp_classical import dp_classical, has_model_dp
 from aspcw.errors import ExpressionError
 from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
                               heuristic_expression, parse_expression,
@@ -183,18 +184,62 @@ class TestBatchedEdgePath:
 
     def test_node_hook_matches_trace(self):
         # A trace does not change the path: it sees the events on_node sees,
-        # and its last table is the root table.
+        # sizes included.  The full fold builds its tables at the same
+        # nodes, none smaller than the decision's, and both decide alike.
         for seed in range(15):
             p = gen_random_program(4, 4, (0.25, 0.25, 0.25), seed)
             for expr in (trivial_expression(p), heuristic_expression(p)):
-                events = []
+                events, trace = [], []
                 decision = has_answer_set_dp(
-                    expr, on_node=lambda *event: events.append(event))
-                trace = []
-                root = dp_asp(expr, trace=trace)
+                    expr, on_node=lambda *event: events.append(event),
+                    trace=trace)
                 assert [(n.index, n.op, len(n.pairs)) for n in trace] == events
-                assert trace[-1].pairs == root
-                assert decision == accepts(root, lambda t: t.u)
+                full = []
+                root = dp_asp(expr, trace=full)
+                assert [(n.index, n.op) for n in full] == \
+                    [(index, op) for index, op, _ in events]
+                assert all(len(n.pairs) <= len(f.pairs)
+                           for n, f in zip(trace, full))
+                assert full[-1].pairs == root
+                assert decision == accepts(root, lambda t: t.u) == \
+                    accepts(trace[-1].pairs, lambda t: t.u)
+
+
+class TestForget:
+    """The decisions forget dead labels; they must decide what the root
+    check decides on the full root table."""
+
+    @staticmethod
+    def assert_pruned_equals_full(expr):
+        assert has_answer_set_dp(expr) == accepts(dp_asp(expr), lambda t: t.u)
+        assert has_model_dp(expr) == model_accepts(dp_classical(expr),
+                                                   lambda t: t.u)
+
+    def test_random_expressions(self):
+        # Relabels and runs of edge inserts under unions; labels that die
+        # inside the tree, or that no edge insert names at all.
+        for seed in range(400):
+            rng = random.Random(seed)
+            labels = range(1, rng.randint(2, 5) + 1)
+            self.assert_pruned_equals_full(
+                random_expr(rng, rng.randint(2, 8), labels, []))
+
+    def test_sparse_labels(self):
+        for seed in range(150):
+            rng = random.Random(seed)
+            self.assert_pruned_equals_full(
+                random_expr(rng, rng.randint(2, 8), [1, 70, 200], []))
+
+    def test_decision_tables_are_forgotten(self):
+        # Early edges let every atom label die after its own run, so the
+        # decision's largest table stays far below the full fold's 2^atoms.
+        p = gen_random_program(9, 7, (0.2, 0.2, 0.2), 5)
+        expr = trivial_expression(p)
+        pruned, full = [], []
+        has_answer_set_dp(expr, on_node=lambda *e: pruned.append(e[2]))
+        dp_asp(expr, trace=full)
+        assert max(len(n.pairs) for n in full) == 2 ** 9
+        assert max(pruned) < 2 ** 9 // 4
 
 
 class TestTrace:

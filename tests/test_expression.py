@@ -1,7 +1,7 @@
 import pytest
 
 from aspcw.dp_answersets import dp_asp, has_answer_set_dp
-from aspcw.dp_classical import dp_classical
+from aspcw.dp_classical import dp_classical, has_model_dp
 from aspcw.errors import ExpressionError, ParseError, SignConflictError
 from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
                               evaluate, fold, heuristic_expression,
@@ -214,18 +214,17 @@ def op_labels(expr):
 
 
 def in_vertex_order(expr, vertices):
-    """`expr` with its introduces unioned left-deep in `vertices` order,
-    under the same chain of edge inserts."""
-    edges = []
-    while isinstance(expr, EdgeInsert):
-        edges.append(expr)
-        expr = expr.child
+    """`expr` with its introduces unioned left-deep in `vertices` order and
+    every edge insert above the whole union, in sorted order."""
     leaf = {node.vertex: node for node in introduces(expr)}
+    edges = []
+    fold(expr, lambda node, *_: edges.append((node.i, node.j, node.sign))
+         if isinstance(node, EdgeInsert) else None)
     out = leaf[vertices[0]]
     for v in vertices[1:]:
         out = DisjointUnion(out, leaf[v])
-    for e in reversed(edges):
-        out = EdgeInsert(e.sign, e.i, e.j, out)
+    for i, j, sign in sorted(edges):
+        out = EdgeInsert(sign, i, j, out)
     return out
 
 
@@ -251,8 +250,9 @@ class TestBuilderOrder:
             assert order == rules_then_atoms(p)
 
     def test_order_changes_no_size_or_table(self, build):
-        # The expression with its introduces in vertex order has the same
-        # width, nodes and root tables.
+        # The expression with its introduces in vertex order and all of its
+        # edge inserts above the union has the same width, nodes, root
+        # tables and decisions.
         for p in BUILDER_PROGRAMS:
             expr = build(p)
             ref = in_vertex_order(expr, build_signed_incidence_graph(p).vertices)
@@ -262,6 +262,8 @@ class TestBuilderOrder:
             assert sorted(op_labels(expr)) == sorted(op_labels(ref))
             assert dp_classical(expr) == dp_classical(ref)
             assert dp_asp(expr) == dp_asp(ref)
+            assert has_model_dp(expr) == has_model_dp(ref)
+            assert has_answer_set_dp(expr) == has_answer_set_dp(ref)
 
 
 def test_pclique_rules_introduced_before_atoms():
@@ -270,20 +272,43 @@ def test_pclique_rules_introduced_before_atoms():
         assert order == rules_then_atoms(program)
 
 
-def edge_run(expr):
-    """The edge inserts above the union, bottom first, as (i, j, sign)."""
-    out = []
-    while isinstance(expr, EdgeInsert):
-        out.append((expr.i, expr.j, expr.sign))
-        expr = expr.child
-    assert not any(op.startswith("eta") for op in op_labels(expr))
-    return out[::-1]
+def edge_runs(expr):
+    """The runs of edge inserts in a left-deep union of introduces, as
+    {number of introduces below the run: [(i, j, sign), ...] bottom first}."""
+    below = len(introduces(expr))
+    runs = {}
+    while True:
+        run = []
+        while isinstance(expr, EdgeInsert):
+            run.append((expr.i, expr.j, expr.sign))
+            expr = expr.child
+        if run:
+            runs[below] = run[::-1]
+        if isinstance(expr, Introduce):
+            return runs
+        assert isinstance(expr.right, Introduce)
+        expr, below = expr.left, below - 1
 
 
 def quotient_pairs(graph, label):
     pairs = {(min(label[u], label[v]), max(label[u], label[v])): s
              for (u, v), s in graph.edges.items()}
     return [(i, j, s) for (i, j), s in sorted(pairs.items())]
+
+
+def assert_edges_placed_early(expr, graph):
+    """Each quotient pair gets exactly one edge insert, in the run directly
+    above the union that brings in the last vertex of its later label;
+    each run is in sorted order."""
+    order = introduces(expr)
+    label = {node.vertex: node.label for node in order}
+    last = {node.label: p for p, node in enumerate(order, 1)}
+    runs = edge_runs(expr)
+    placed = [edge for below in sorted(runs) for edge in runs[below]]
+    assert sorted(placed) == quotient_pairs(graph, label)
+    for below, run in runs.items():
+        assert run == sorted(run)
+        assert all(max(last[i], last[j]) == below for i, j, _ in run)
 
 
 class TestQuotientExpression:
@@ -306,24 +331,25 @@ class TestQuotientExpression:
         assert got.labels == self.LABEL
 
     def test_one_edge_insert_per_quotient_pair(self):
+        # Rules r1, r2 come first, then a1, a2, b1, b2: labels 3 and 4 are
+        # complete once a2 is in (4 introduces), label 1 once b2 is (6).
         expr = quotient_expression(self.GRAPH, self.LABEL)
-        assert edge_run(expr) == [(1, 2, "p"), (2, 3, "n"), (3, 4, "h")]
+        assert edge_runs(expr) == {4: [(2, 3, "n"), (3, 4, "h")],
+                                   6: [(1, 2, "p")]}
+        assert_edges_placed_early(expr, self.GRAPH)
         assert width(expr) == 4
 
     @pytest.mark.parametrize("build", [trivial_expression, heuristic_expression])
     def test_builders_insert_the_sorted_quotient_pairs(self, build):
         for p in BUILDER_PROGRAMS:
             expr = build(p)
-            label = {node.vertex: node.label for node in introduces(expr)}
-            sinc = build_signed_incidence_graph(p)
-            assert edge_run(expr) == quotient_pairs(sinc, label)
+            assert_edges_placed_early(expr, build_signed_incidence_graph(p))
 
     def test_pclique_inserts_the_sorted_quotient_pairs(self):
         for program, expr in PCLIQUE_REDUCTIONS:
-            label = {node.vertex: node.label for node in introduces(expr)}
             joined = join_graph_signs(
                 build_signed_incidence_graph(program), {"p", "n"})
-            assert edge_run(expr) == quotient_pairs(joined, label)
+            assert_edges_placed_early(expr, joined)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):

@@ -113,6 +113,11 @@ class TestPartitionedClique:
         with pytest.raises(ValueError):
             KPartiteGraph((("a", "b"),), frozenset({("a", "b")}))
 
+    @pytest.mark.parametrize("k,part_size", [(0, 1), (1, 0), (-1, 2), (2, -1)])
+    def test_sizes_checked(self, k, part_size):
+        with pytest.raises(ValueError):
+            gen_pclique(k, part_size, 0.5, 0)
+
     def test_json_round_trip(self):
         g = gen_pclique(3, 2, 0.5, seed=1)
         data = json.loads(pclique_to_json(g))
@@ -189,6 +194,16 @@ class TestRandomInstances:
     def test_probabilities_checked(self):
         with pytest.raises(ValueError):
             gen_random_program(3, 3, (0.5, 0.5, 0.5), 0)
+
+    @pytest.mark.parametrize("atoms,rules", [(0, 2), (-1, 2), (3, -1)])
+    def test_sizes_checked(self, atoms, rules):
+        with pytest.raises(ValueError):
+            gen_random_program(atoms, rules, (0.2, 0.2, 0.2), 0)
+
+    def test_smallest_sizes(self):
+        assert gen_random_program(1, 0, (0.2, 0.2, 0.2), 0).rules == ()
+        g = gen_pclique(1, 1, 0.5, 0)
+        assert g.parts == (("v1_1",),) and not g.edges
 
     def test_qbf_deterministic_and_valid_shape(self):
         a = gen_random_qbf(3, 2, 4, 9)

@@ -1,13 +1,15 @@
 """Property tests: on small random programs, both builders give expressions
 that define the program's signed incidence graph, and both solvers decide
-on them what the brute-force oracle decides; and the program text format
-round-trips."""
+on them what the brute-force oracle decides and what the root check decides
+on their full root tables; and the program text format round-trips."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspcw.dp_answersets import has_answer_set_dp
-from aspcw.dp_classical import has_model_dp
+from aspcw.dp_answersets import accepts as asp_accepts
+from aspcw.dp_answersets import dp_asp, has_answer_set_dp
+from aspcw.dp_classical import accepts as model_accepts
+from aspcw.dp_classical import dp_classical, has_model_dp
 from aspcw.expression import (heuristic_expression, trivial_expression,
                               validate_against)
 from aspcw.generators import gen_random_program
@@ -33,6 +35,18 @@ def test_builders_decide_like_the_oracle(program):
         assert validate_against(expr, program) == []
         assert has_model_dp(expr) == has_model
         assert has_answer_set_dp(expr) == has_answer_set
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(programs)
+def test_forgetting_decides_like_the_full_tables(program):
+    # The decisions forget dead labels; dp_classical and dp_asp keep them.
+    for build in (trivial_expression, heuristic_expression):
+        expr = build(program)
+        assert has_model_dp(expr) == model_accepts(dp_classical(expr),
+                                                   lambda t: t.u)
+        assert has_answer_set_dp(expr) == asp_accepts(dp_asp(expr),
+                                                      lambda t: t.u)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -9,6 +9,7 @@ stack depth.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -190,7 +191,10 @@ def _cmd_expr(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then kept: building it
+    costs far more than parsing one command line."""
     parser = argparse.ArgumentParser(
         prog="aspcw",
         description="Answer-set and classical-model decisions over "

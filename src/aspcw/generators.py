@@ -200,6 +200,8 @@ def gen_pclique(k: int, part_size: int, edge_density: float,
                 seed: int) -> KPartiteGraph:
     if k < 1 or part_size < 1:
         raise ValueError("k and part_size must be at least 1")
+    if not 0 <= edge_density <= 1:
+        raise ValueError("edge_density must be between 0 and 1")
     rng = random.Random(seed)
     parts = tuple(
         tuple(_vertex_name(i, j) for i in range(1, part_size + 1))
@@ -335,6 +337,8 @@ def gen_random_qbf(n: int, m: int, num_terms: int, seed: int) -> QbfEA:
     variables = existential + universal
     if not variables:
         raise ValueError("need at least one variable")
+    if num_terms < 0:
+        raise ValueError("num_terms must be at least 0")
     terms = []
     for _ in range(num_terms):
         size = rng.randint(1, min(3, len(variables)))

@@ -137,8 +137,9 @@ def _adjacency_masks(d: Digraph) -> tuple[list[int], list[int]]:
     succ = [0] * len(d.vertices)
     pred = [0] * len(d.vertices)
     for u, v in d.arcs:
-        succ[index[u]] |= 1 << index[v]
-        pred[index[v]] |= 1 << index[u]
+        i, j = index[u], index[v]
+        succ[i] |= 1 << j
+        pred[j] |= 1 << i
     return succ, pred
 
 
@@ -155,25 +156,41 @@ def _reach(adj: list[int], start: int, mask: int) -> int:
     seen = frontier = start
     while frontier:
         step = 0
-        for v in _bits(frontier):
-            step |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = step & mask & ~seen
         seen |= frontier
     return seen
 
 
-def _scc_masks(adj: tuple[list[int], list[int]], mask: int) -> list[int]:
-    """Strongly connected components of the sub-digraph induced by mask,
-    as vertex bitmasks, by lowest vertex: the component of a vertex is what
-    it reaches that also reaches it."""
+def _cyclic_components(adj: tuple[list[int], list[int]], mask: int) -> list[int]:
+    """Strongly connected components of two or more vertices in the
+    sub-digraph induced by mask, as vertex bitmasks, by lowest vertex.
+
+    A vertex with no successor or no predecessor left lies on no cycle, so
+    such vertices are trimmed until none is left. What remains is split by
+    reachability: the component of a vertex is what it reaches that also
+    reaches it.
+    """
     succ, pred = adj
-    sccs = []
+    queue = mask
+    while queue:
+        low = queue & -queue
+        queue ^= low
+        v = low.bit_length() - 1
+        if mask & low and not (succ[v] & mask and pred[v] & mask):
+            mask ^= low
+            queue |= (succ[v] | pred[v]) & mask
+    components = []
     while mask:
         low = mask & -mask
         comp = _reach(pred, low, _reach(succ, low, mask))
-        sccs.append(comp)
-        mask &= ~comp
-    return sccs
+        if comp != low:
+            components.append(comp)
+        mask ^= comp
+    return components
 
 
 def cycle_rank(d: Digraph, max_vertices: int = 16) -> int:
@@ -192,13 +209,13 @@ def cycle_rank(d: Digraph, max_vertices: int = 16) -> int:
     def rank(mask: int) -> int:
         if mask in memo:
             return memo[mask]
-        nontrivial = [s for s in _scc_masks(adj, mask) if s & (s - 1)]
-        if not nontrivial:
+        cyclic = _cyclic_components(adj, mask)
+        if not cyclic:
             result = 0
-        elif len(nontrivial) == 1 and nontrivial[0] == mask:
+        elif len(cyclic) == 1 and cyclic[0] == mask:
             result = 1 + min(rank(mask & ~(1 << v)) for v in _bits(mask))
         else:
-            result = max(rank(s) for s in nontrivial)
+            result = max(rank(s) for s in cyclic)
         memo[mask] = result
         return result
 
@@ -210,23 +227,42 @@ def undirected_cycle_rank(d: Digraph, max_vertices: int = 16) -> int:
 
 
 def is_cycle_rank_at_most(d: Digraph, width: int) -> bool:
-    """Branch-and-bound variant of cycle_rank with no vertex-count bound."""
+    """Branch-and-bound variant of cycle_rank with no vertex-count bound.
+
+    With one deletion left, a component is tried only at vertices that may
+    lie on all of its cycles (see one_cut)."""
     adj = _adjacency_masks(d)
     memo: dict[tuple[int, int], bool] = {}
+
+    def one_cut(s: int) -> bool:
+        """Whether deleting one vertex leaves the component s acyclic.
+        Such a vertex lies on every cycle of s, so it lies in every cyclic
+        component left after any other deletion: only the intersection of
+        those components stays a candidate."""
+        candidates = s
+        while candidates:
+            rest = _cyclic_components(adj, s & ~(candidates & -candidates))
+            if not rest:
+                return True
+            for comp in rest:
+                candidates &= comp
+        return False
 
     def at_most(mask: int, w: int) -> bool:
         key = (mask, w)
         if key in memo:
             return memo[key]
-        nontrivial = [s for s in _scc_masks(adj, mask) if s & (s - 1)]
-        if not nontrivial:
+        cyclic = _cyclic_components(adj, mask)
+        if not cyclic:
             result = True
         elif w <= 0:
             result = False
+        elif w == 1:
+            result = all(map(one_cut, cyclic))
         else:
             result = all(
                 any(at_most(s & ~(1 << v), w - 1) for v in _bits(s))
-                for s in nontrivial)
+                for s in cyclic)
         memo[key] = result
         return result
 
@@ -247,27 +283,30 @@ def homogeneous_orientations(program: Program,
     (rule, sign) group point the same way.
 
     Enumerates all 2^groups assignments when groups <= max_groups, otherwise
-    yields seeded random samples.
+    yields seeded random samples. Bit i of an assignment points group i
+    (in sorted (rule, sign) order) from its rule to its atoms. The first
+    next() raises ValueError if samples < 1 or max_groups < 0.
     """
-    sinc = build_signed_incidence_graph(program)
+    if samples < 1 or max_groups < 0:
+        raise ValueError("samples must be at least 1 and max_groups at least 0")
+    vertices, _ = _incidence_vertices(program)
     groups: dict[tuple[str, str], list[str]] = {}
     for r in program.rules:
         for sign, part in zip(SIGNS, (r.head, r.pos_body, r.neg_body)):
             if part:
                 groups[(r.id, sign)] = sorted(part)
     ordered = sorted(groups)
+    inward = [tuple((atom, rule_id) for atom in groups[rule_id, sign])
+              for rule_id, sign in ordered]
+    outward = [tuple((rule_id, atom) for atom in groups[rule_id, sign])
+               for rule_id, sign in ordered]
     g = len(ordered)
 
     def orient(assignment: int) -> Digraph:
-        arcs = set()
-        for bit, key in enumerate(ordered):
-            rule_id = key[0]
-            for atom in groups[key]:
-                if assignment >> bit & 1:
-                    arcs.add((rule_id, atom))
-                else:
-                    arcs.add((atom, rule_id))
-        return Digraph(sinc.vertices, frozenset(arcs))
+        arcs: list[tuple[str, str]] = []
+        for bit in range(g):
+            arcs += outward[bit] if assignment >> bit & 1 else inward[bit]
+        return Digraph(vertices, frozenset(arcs))
 
     if g <= max_groups:
         for assignment in range(1 << g):

@@ -96,8 +96,9 @@ class TestSolve:
 
 
     def test_trace_reports_node_events(self, capsys, tmp_path):
-        # The trivial expression ends in a run of five edge inserts; the
-        # trace file lists one table per on_node event.
+        # The trivial expression inserts its five edges in two runs, one
+        # above each atom introduce; the trace file lists one table per
+        # on_node event.
         text = "a :- not b.\nb :- not a.\n:- b.\n"
         events = []
         has_answer_set_dp(trivial_expression(parse_program(text)),
@@ -211,11 +212,19 @@ class TestGen:
         ["pclique", "--k", "0", "--part-size", "1"],
         ["pclique", "--k", "2", "--part-size", "0"],
         ["grid", "--n", "0"],
+        ["random-qbf", "--n", "1", "--m", "1", "--terms", "-1"],
     ])
     def test_bad_sizes_exit_3(self, capsys, argv):
         code, out, err = run(capsys, "gen", *argv)
         assert code == 3 and out == ""
         assert err.startswith("aspcw: ") and "must be at least" in err
+
+    @pytest.mark.parametrize("density", ["7", "-0.5"])
+    def test_bad_density_exits_3(self, capsys, density):
+        code, out, err = run(capsys, "gen", "pclique", "--k", "2",
+                             "--part-size", "1", "--density", density)
+        assert code == 3 and out == ""
+        assert err.startswith("aspcw: ") and "between 0 and 1" in err
 
     def test_random_program(self, capsys, tmp_path):
         out_file = tmp_path / "r.lp"
@@ -257,7 +266,9 @@ class TestErrors:
             main(["solve", "--mode", "bogus", "--program", "x",
                   "--auto-expr", "trivial"])
         assert exit_info.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert err.startswith("usage: aspcw solve")
+        assert "invalid choice: 'bogus'" in err
 
     def test_bad_program_text(self, capsys, tmp_path):
         bad = write(tmp_path, "bad.lp", "a :- a.\n")
@@ -281,6 +292,17 @@ class TestErrors:
         assert code == 3 and out == ""
         assert err.startswith("aspcw: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("options", [
+        ["--samples", "0"],
+        ["--samples", "-5", "--max-groups", "0"],
+        ["--max-groups", "-1"],
+    ])
+    def test_vacuous_homogeneous_exits_3(self, capsys, example1_file, options):
+        code, out, err = run(capsys, "measure", "homogeneous",
+                             "--program", example1_file, *options)
+        assert code == 3 and out == ""
+        assert err.startswith("aspcw: ") and "samples" in err
 
     @pytest.mark.parametrize("error", [MemoryError, RecursionError])
     def test_resource_error(self, capsys, monkeypatch, example1_file,

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from aspcw.errors import BoundExceededError
-from aspcw.graphs import (Digraph, UGraph, _adjacency_masks, _scc_masks,
+from aspcw import graphs
+from aspcw.graphs import (Digraph, UGraph, _adjacency_masks, _cyclic_components,
                           build_dependency_graph, build_incidence_graph,
                           build_signed_incidence_graph, cycle_rank,
                           digraph_from_json, edge_key,
@@ -24,6 +25,25 @@ def random_digraph(rng, n, p):
     arcs = {(u, v) for u in vertices for v in vertices
             if u != v and rng.random() < p}
     return Digraph(vertices, frozenset(arcs))
+
+
+def figure_eight(k):
+    """Two k-vertex loops through x, the highest-indexed vertex: deleting
+    x is the one way to leave the digraph acyclic."""
+    loops = [[f"{name}{i}" for i in range(k)] for name in "ab"]
+    arcs = set()
+    for loop in loops:
+        cycle = loop + ["x"]
+        arcs |= set(zip(cycle, cycle[1:] + cycle[:1]))
+    return digraph(loops[0] + loops[1] + ["x"], arcs)
+
+
+# Cycles a and b share no vertex, and h joins them into one strong
+# component, so no single deletion breaks every cycle.
+JOINED_CYCLES = digraph(["h", "a0", "a1", "a2", "b0", "b1", "b2"],
+                        {("a0", "a1"), ("a1", "a2"), ("a2", "a0"),
+                         ("b0", "b1"), ("b1", "b2"), ("b2", "b0"),
+                         ("a0", "h"), ("h", "b0"), ("b0", "a0")})
 
 
 class TestConstruction:
@@ -144,6 +164,59 @@ class TestCycleRank:
                     (u, v) for u, v in d.arcs if drop not in (u, v)))
                 assert cycle_rank(sub) <= full
 
+    @pytest.mark.parametrize("density", [0.12, 0.3, 0.6])
+    def test_bounded_variant_matches_exact_up_to_twelve(self, density):
+        rng = random.Random(int(density * 100))
+        for _ in range(40):
+            d = random_digraph(rng, rng.randint(1, 12), density)
+            exact = cycle_rank(d)
+            for w in range(-1, 4):
+                assert is_cycle_rank_at_most(d, w) == (exact <= w), (d, w)
+
+    def test_figure_eight_cut_at_highest_vertex(self):
+        d = figure_eight(3)
+        assert cycle_rank(d) == 1
+        assert is_cycle_rank_at_most(d, 1) is True
+        assert is_cycle_rank_at_most(d, 0) is False
+
+    def test_disjoint_cycles_joined(self):
+        d = JOINED_CYCLES
+        assert len(_cyclic_components(_adjacency_masks(d), 0b1111111)) == 1
+        assert cycle_rank(d) == 2
+        assert is_cycle_rank_at_most(d, 1) is False
+        assert is_cycle_rank_at_most(d, 2) is True
+
+
+def count_calls(monkeypatch, name, limit=100):
+    """Count the calls to graphs.<name>; fail once there are over limit."""
+    original = getattr(graphs, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= limit, f"more than {limit} calls to {name}"
+        return original(*args)
+
+    monkeypatch.setattr(graphs, name, counted)
+    return calls
+
+
+class TestOneDeletionPruning:
+    # With one deletion left, only vertices that stay in every cyclic
+    # component after the deletions tried so far remain candidates.
+    def test_figure_eight_tries_three_deletions(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_cyclic_components")
+        assert is_cycle_rank_at_most(figure_eight(6), 1) is True
+        # The whole digraph, then a0, b0 and x deleted.
+        assert len(calls) == 4
+
+    def test_disjoint_cycles_decided_by_one_deletion(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_cyclic_components")
+        assert is_cycle_rank_at_most(JOINED_CYCLES, 1) is False
+        # Deleting h leaves two disjoint cyclic components, so no
+        # candidate is left.
+        assert len(calls) == 2
+
 
 class TestStrongComponents:
     def test_matches_brute_force_reachability(self):
@@ -171,9 +244,40 @@ class TestStrongComponents:
                 expected = {sum(1 << v for v in kept
                                 if (u, v) in reach and (v, u) in reach)
                             for u in kept}
-                sccs = _scc_masks(adj, mask)
-                assert len(sccs) == len(expected)
-                assert set(sccs) == expected
+                cyclic = [s for s in expected if s & (s - 1)]
+                assert _cyclic_components(adj, mask) == sorted(
+                    cyclic, key=lambda s: s & -s)
+
+    def test_acyclic_digraphs_trimmed_without_search(self, monkeypatch):
+        # Trimming vertices with no successor or no predecessor, until
+        # none is left, empties any DAG before a reachability search.
+        rng = random.Random(4)
+        reaches = count_calls(monkeypatch, "_reach", limit=0)
+        for _ in range(100):
+            n = rng.randint(2, 12)
+            order = rng.sample(range(n), n)
+            vertices = [f"v{i}" for i in range(n)]
+            d = digraph(vertices, {(vertices[u], vertices[v])
+                                   for u, v in itertools.combinations(order, 2)
+                                   if rng.random() < 0.3})
+            assert _cyclic_components(_adjacency_masks(d), (1 << n) - 1) == []
+        assert reaches == []
+
+    def test_trim_needs_repeating(self, monkeypatch):
+        # v0 keeps a predecessor and a successor until v1 and v2 are gone.
+        d = digraph(["v0", "v1", "v2"], {("v1", "v0"), ("v0", "v2")})
+        reaches = count_calls(monkeypatch, "_reach", limit=0)
+        assert _cyclic_components(_adjacency_masks(d), 0b111) == []
+        assert reaches == []
+
+    def test_cycle_with_tails_searched_once(self, monkeypatch):
+        d = digraph(["t0", "a", "b", "c", "t1", "t2"],
+                    {("t0", "a"), ("a", "b"), ("b", "c"), ("c", "a"),
+                     ("c", "t1"), ("t1", "t2")})
+        reaches = count_calls(monkeypatch, "_reach")
+        assert _cyclic_components(_adjacency_masks(d), 0b111111) == [0b1110]
+        # One forward and one backward search, from a.
+        assert len(reaches) == 2
 
 
 class TestHomogeneousOrientations:
@@ -191,6 +295,36 @@ class TestHomogeneousOrientations:
         for d in homogeneous_orientations(example1):
             assert d.vertices == inc.vertices
             assert {frozenset(a) for a in d.arcs} == inc.edges
+
+    # Groups in sorted (rule, sign) order, each with its atom: bit i of an
+    # assignment points group i from its rule to its atom.
+    EXAMPLE1_GROUPS = (("r1", "x"),   # (r1, h)
+                       ("r1", "y"),   # (r1, n)
+                       ("r2", "y"),   # (r2, n)
+                       ("r2", "x"))   # (r2, p)
+
+    def expected_arcs(self, assignment):
+        return frozenset((rule, atom) if assignment >> bit & 1 else (atom, rule)
+                         for bit, (rule, atom) in enumerate(self.EXAMPLE1_GROUPS))
+
+    def test_enumeration_order_pinned(self, example1):
+        orientations = list(homogeneous_orientations(example1))
+        assert [d.vertices for d in orientations] == [("x", "y", "r1", "r2")] * 16
+        assert [d.arcs for d in orientations] == [
+            self.expected_arcs(a) for a in range(16)]
+
+    def test_sampled_order_pinned(self, example1):
+        sampled = homogeneous_orientations(example1, max_groups=2, samples=5,
+                                           seed=3)
+        # random.Random(3).getrandbits(4), five times.
+        assert [d.arcs for d in sampled] == [
+            self.expected_arcs(a) for a in (3, 9, 8, 2, 5)]
+
+    @pytest.mark.parametrize("samples,max_groups", [(0, 14), (-5, 0), (1, -1)])
+    def test_vacuous_arguments_rejected(self, example1, samples, max_groups):
+        with pytest.raises(ValueError):
+            list(homogeneous_orientations(example1, max_groups=max_groups,
+                                          samples=samples))
 
     def test_sampling_fallback(self, example1):
         sampled = list(homogeneous_orientations(

@@ -25,7 +25,7 @@ from typing import Callable, TypeVar, Union
 from .errors import ExpressionError, ParseError, SignConflictError
 from .graphs import (ALPHA, SIGNS, LabeledSignedGraph, SignedGraph, edge_key,
                      build_signed_incidence_graph, join_graph_signs)
-from .program import Program
+from .program import Program, _line_col
 
 EDGE_SIGNS = SIGNS + (ALPHA,)
 
@@ -215,25 +215,20 @@ def validate_against(expr: Expr, program: Program,
     want = build_signed_incidence_graph(program)
     if joined:
         want = join_graph_signs(want, frozenset(joined))
-    problems = []
-    got_vs, want_vs = set(got.vertices), set(want.vertices)
-    for v in sorted(want_vs - got_vs):
-        problems.append(f"missing vertex {v}")
-    for v in sorted(got_vs - want_vs):
-        problems.append(f"extra vertex {v}")
-    for v in sorted(got_vs & want_vs):
-        if got.kinds[v] != want.kinds[v]:
-            problems.append(
-                f"vertex {v}: kind {got.kinds[v]}, expected {want.kinds[v]}")
-    for e in sorted(set(want.edges) - set(got.edges)):
-        problems.append(f"missing edge {e[0]}--{e[1]} ({want.edges[e]})")
-    for e in sorted(set(got.edges) - set(want.edges)):
-        problems.append(f"extra edge {e[0]}--{e[1]} ({got.edges[e]})")
-    for e in sorted(set(got.edges) & set(want.edges)):
-        if got.edges[e] != want.edges[e]:
-            problems.append(
-                f"edge {e[0]}--{e[1]}: sign {got.edges[e]}, "
-                f"expected {want.edges[e]}")
+    vs, want_vs = got.kinds, want.kinds
+    es, want_es = got.edges, want.edges
+    problems = [f"missing vertex {v}" for v in sorted(want_vs.keys() - vs.keys())]
+    problems += [f"extra vertex {v}" for v in sorted(vs.keys() - want_vs.keys())]
+    problems += [f"vertex {v}: kind {k}, expected {want_vs[v]}"
+                 for v, k in sorted(vs.items() - want_vs.items()) if v in want_vs]
+    problems += [f"missing edge {u}--{v} ({want_es[u, v]})"
+                 for u, v in sorted(want_es.keys() - es.keys())]
+    # Edges the expression adds or signs differently, in key order.
+    changed = sorted(es.items() - want_es.items())
+    problems += [f"extra edge {u}--{v} ({s})"
+                 for (u, v), s in changed if (u, v) not in want_es]
+    problems += [f"edge {u}--{v}: sign {s}, expected {want_es[u, v]}"
+                 for (u, v), s in changed if (u, v) in want_es]
     return problems
 
 
@@ -328,104 +323,76 @@ def heuristic_expression(program: Program) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Text form
+# Text form: one pattern per operator head of the grammar above, each taking
+# the whitespace after it.  An operator with operands is read up to its first
+# operand; the separators after each operand are read by _SEPARATOR.
 # ---------------------------------------------------------------------------
 
-_EXPR_TOKEN = re.compile(r"\s*([a-zA-Z_][a-zA-Z0-9_]*|\d+|[(),])")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_LABEL = r"\s*(\d+)\s*"
+_INTRODUCE = re.compile(rf"([ar])\s*\({_LABEL},\s*({_NAME}|\d+)\s*\)\s*")
+_UNION = re.compile(r"oplus\s*\(\s*")
+_RELABEL = re.compile(rf"rho\s*\({_LABEL},{_LABEL},\s*")
+_EDGE = re.compile(rf"eta\s*\(\s*({_NAME})\s*,{_LABEL},{_LABEL},\s*")
+_SEPARATOR = re.compile(r"([,)])\s*")
+
+
+def _syntax_error(text: str, pos: int, want: str) -> ParseError:
+    found = repr(text[pos:pos + 30]) if pos < len(text) else "end of input"
+    return ParseError(f"expected {want}, found {found}", *_line_col(text, pos))
 
 
 def parse_expression(text: str) -> Expr:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _EXPR_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} "
-                                 f"in expression")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    it = iter(tokens)
-
-    def take():
-        try:
-            return next(it)
-        except StopIteration:
-            raise ParseError("unexpected end of expression") from None
-
-    def expect(want):
-        tok = take()
-        if tok != want:
-            raise ParseError(f"expected {want!r}, found {tok!r} in expression")
-
-    def number():
-        tok = take()
-        if not tok.isdigit() or int(tok) < 1:
-            raise ParseError(f"expected positive label, found {tok!r}")
-        return int(tok)
-
+    """Parse the text form.  A syntax error names its line and column; an
+    invalid node (a repeated vertex, a bad label or sign) names those of
+    its operator."""
     # Operators whose operands are still being read, innermost last:
-    # (constructor, number of operands, operands read so far).
-    pending: list[tuple[Callable[..., Expr], int, list[Expr]]] = []
+    # (constructor, number of operands, operands read so far, start).
+    pending: list[tuple[Callable[..., Expr], int, list[Expr], int]] = []
     seen: set[str] = set()
-    duplicate = None
+    pos = re.match(r"\s*", text).end()
     try:
         while True:
-            head = take()
-            expect("(")
-            if head in ("a", "r"):
-                label = number()
-                expect(",")
-                vertex = take()
-                expect(")")
-                node = Introduce(label, vertex, "atom" if head == "a" else "rule")
-                if vertex in seen and duplicate is None:
-                    duplicate = vertex
-                seen.add(vertex)
-            elif head == "oplus":
-                pending.append((DisjointUnion, 2, []))
-                continue
-            elif head == "rho":
-                old = number()
-                expect(",")
-                new = number()
-                expect(",")
-                pending.append((partial(Relabel, old, new), 1, []))
-                continue
-            elif head == "eta":
-                sign = take()
-                if sign not in EDGE_SIGNS:
-                    raise ParseError(f"bad edge sign {sign!r}")
-                expect(",")
-                i = number()
-                expect(",")
-                j = number()
-                expect(",")
-                pending.append((partial(EdgeInsert, sign, i, j), 1, []))
-                continue
+            # Where the node being built starts, for the except clause; the
+            # loop that finishes an operator sets it to that operator's start.
+            at = pos
+            if m := _INTRODUCE.match(text, pos):
+                if m[3] in seen:
+                    raise ExpressionError(
+                        f"vertex {m[3]!r} introduced more than once")
+                seen.add(m[3])
+                node = Introduce(int(m[2]), m[3], "atom" if m[1] == "a" else "rule")
+            elif m := _UNION.match(text, pos):
+                pending.append((DisjointUnion, 2, [], at))
+            elif m := _RELABEL.match(text, pos):
+                pending.append((partial(Relabel, int(m[1]), int(m[2])), 1, [], at))
+            elif m := _EDGE.match(text, pos):
+                pending.append((partial(EdgeInsert, m[1], int(m[2]), int(m[3])),
+                                1, [], at))
             else:
-                raise ParseError(f"unknown expression operator {head!r}")
+                raise _syntax_error(text, pos, "an expression")
+            pos = m.end()
+            if m.re is not _INTRODUCE:
+                continue
             # A complete subexpression: hand it to the operators waiting.
             while pending:
-                make, arity, operands = pending[-1]
+                make, arity, operands, at = pending[-1]
                 operands.append(node)
-                if len(operands) < arity:
-                    expect(",")
+                want = "," if len(operands) < arity else ")"
+                sep = _SEPARATOR.match(text, pos)
+                if sep is None or sep[1] != want:
+                    raise _syntax_error(text, pos, repr(want))
+                pos = sep.end()
+                if want == ",":
                     break
-                expect(")")
                 pending.pop()
                 node = make(*operands)
             else:
                 break
     except ExpressionError as exc:
-        raise ParseError(str(exc)) from exc
-
-    leftover = next(it, None)
-    if leftover is not None:
-        raise ParseError(f"trailing input {leftover!r} after expression")
-    if duplicate is not None:
-        raise ParseError(f"vertex {duplicate!r} introduced more than once")
+        raise ParseError(str(exc), *_line_col(text, at)) from exc
+    if pos < len(text):
+        raise _syntax_error(text, pos, "end of expression")
     return node
 
 
@@ -442,24 +409,22 @@ def op_label(node: Expr) -> str:
     return f"eta({node.sign},{node.i},{node.j})"
 
 
-def _text(node: Expr, *kids: str | tuple) -> str | tuple:
-    """The node's text as a string or a tuple of parts, joined once at the
-    end so a deep expression is not copied once per level."""
-    if not kids:
-        return op_label(node)
-    if isinstance(node, DisjointUnion):
-        return ("oplus(", kids[0], ",", kids[1], ")")
-    # rho(1,2) and eta(h,1,2) take their operand as a last argument.
-    return (op_label(node)[:-1] + ",", kids[0], ")")
-
-
 def serialize_expression(expr: Expr) -> str:
+    """Write the text form in one pre-order pass over a stack of nodes and
+    the literal strings that go between their operands."""
     out: list[str] = []
-    stack = [fold(expr, _text)]
+    stack: list = [expr]
     while stack:
-        part = stack.pop()
-        if type(part) is str:
-            out.append(part)
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        elif isinstance(item, Introduce):
+            out.append(op_label(item))
+        elif isinstance(item, DisjointUnion):
+            out.append("oplus(")
+            stack += (")", item.right, ",", item.left)
         else:
-            stack += reversed(part)
+            # rho(1,2) and eta(h,1,2) take their operand as a last argument.
+            out.append(op_label(item)[:-1] + ",")
+            stack += (")", item.child)
     return "".join(out)

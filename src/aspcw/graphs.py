@@ -14,6 +14,7 @@ from typing import Iterator
 
 from .errors import BoundExceededError
 from .program import Program
+from .tables import bits
 
 SIGNS = ("h", "p", "n")
 ALPHA = "alpha"
@@ -143,14 +144,6 @@ def _adjacency_masks(d: Digraph) -> tuple[list[int], list[int]]:
     return succ, pred
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _reach(adj: list[int], start: int, mask: int) -> int:
     """The vertices of mask reachable from the vertex bitmask start."""
     seen = frontier = start
@@ -213,7 +206,7 @@ def cycle_rank(d: Digraph, max_vertices: int = 16) -> int:
         if not cyclic:
             result = 0
         elif len(cyclic) == 1 and cyclic[0] == mask:
-            result = 1 + min(rank(mask & ~(1 << v)) for v in _bits(mask))
+            result = 1 + min(rank(mask & ~(1 << v)) for v in bits(mask))
         else:
             result = max(rank(s) for s in cyclic)
         memo[mask] = result
@@ -261,7 +254,7 @@ def is_cycle_rank_at_most(d: Digraph, width: int) -> bool:
             result = all(map(one_cut, cyclic))
         else:
             result = all(
-                any(at_most(s & ~(1 << v), w - 1) for v in _bits(s))
+                any(at_most(s & ~(1 << v), w - 1) for v in bits(s))
                 for s in cyclic)
         memo[key] = result
         return result

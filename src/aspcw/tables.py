@@ -8,7 +8,7 @@ against the reduct.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 def label_mask(labels: Iterable[int]) -> int:
@@ -20,15 +20,16 @@ def label_mask(labels: Iterable[int]) -> int:
     return mask
 
 
-def mask_labels(mask: int) -> frozenset[int]:
-    out = set()
-    i = 1
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
     while mask:
-        if mask & 1:
-            out.add(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_labels(mask: int) -> frozenset[int]:
+    return frozenset(b + 1 for b in bits(mask))
 
 
 class KTriple(NamedTuple):

@@ -293,6 +293,15 @@ class TestErrors:
         assert err.startswith("aspcw: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_expression_syntax_error_names_position(self, capsys, tmp_path,
+                                                   example1_file):
+        expr = write(tmp_path, "bad.expr", "oplus(a(1,x),\n  foo(2,y))\n")
+        code, out, err = run(capsys, "validate", "--program", example1_file,
+                             "--expr", expr)
+        assert code == 3 and out == ""
+        assert err == ("aspcw: line 2, col 3: expected an expression, "
+                       "found 'foo(2,y))\\n'\n")
+
     @pytest.mark.parametrize("options", [
         ["--samples", "0"],
         ["--samples", "-5", "--max-groups", "0"],

@@ -56,6 +56,28 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_expression("eta(q,1,2,a(1,x))")
 
+    @pytest.mark.parametrize("text,line,col", [
+        ("", 1, 1),
+        ("a(0,x)", 1, 1),
+        ("a(1,x", 1, 1),
+        ("oplus(a(1,x))", 1, 13),
+        ("oplus(a(1,x),", 1, 14),
+        ("rho(1,2)", 1, 1),
+        ("foo(1,x)", 1, 1),
+        ("a(1,x))", 1, 7),
+        ("a(1,x) $", 1, 8),
+        ("eta(h,1,2,a(1,x)", 1, 17),
+        ("oplus(a(1,x),\n  a(2,x))", 2, 3),
+        ("oplus(a(1,x),\n  a(2,y)) )", 2, 11),
+        ("eta(h,1,2,\n a(1,x)", 2, 8),
+        ("oplus(a(1,y),\n rho(0,1,a(1,x)))", 2, 2),
+    ])
+    def test_malformed_expression_names_position(self, text, line, col):
+        with pytest.raises(ParseError) as info:
+            parse_expression(text)
+        assert (info.value.line, info.value.col) == (line, col)
+        assert str(info.value).startswith(f"line {line}, col {col}: ")
+
 
 class TestEvaluate:
     def test_fig2_gives_running_example_graph(self, example1, fig2):
@@ -119,6 +141,23 @@ class TestValidate:
         problems = validate_against(fig2.child, example1)
         assert sorted(problems) == [
             "missing edge r1--y (n)", "missing edge r2--y (n)"]
+
+    def test_all_mismatch_kinds_in_order(self):
+        # Vertices, then kinds, then edges; each group sorted.
+        prog = parse_program("@r1: x | z :- y, not w.\n")
+        expr = parse_expression(
+            "eta(p,4,5,eta(p,3,4,eta(p,1,4,oplus(oplus(oplus(oplus(oplus("
+            "a(1,x),a(2,z)),r(3,y)),r(4,r1)),a(5,q)),a(6,b)))))")
+        assert validate_against(expr, prog) == [
+            "missing vertex w",
+            "extra vertex b",
+            "extra vertex q",
+            "vertex y: kind rule, expected atom",
+            "missing edge r1--w (n)",
+            "missing edge r1--z (h)",
+            "extra edge q--r1 (p)",
+            "edge r1--x: sign p, expected h",
+        ]
 
     def test_wrong_sign_reported(self, example1):
         expr = parse_expression(FIG2_TEXT.replace("eta(n,", "eta(p,"))

@@ -1,0 +1,22 @@
+import pytest
+
+from aspcw.tables import bits, label_mask, mask_labels
+
+
+@pytest.mark.parametrize("labels", [
+    set(), {1}, {1, 2, 3}, {1, 64}, {1, 65, 130}, {2, 63, 64, 65, 200},
+    set(range(1, 100, 7)),
+])
+def test_mask_round_trip(labels):
+    assert mask_labels(label_mask(labels)) == labels
+
+
+def test_bits_lowest_first():
+    assert list(bits(0)) == []
+    assert list(bits(0b1011)) == [0, 1, 3]
+    assert list(bits(1 << 64 | 1 << 65 | 1)) == [0, 64, 65]
+
+
+def test_label_mask_rejects_non_positive():
+    with pytest.raises(ValueError):
+        label_mask([0])

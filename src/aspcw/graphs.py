@@ -1,6 +1,6 @@
 """Graph representations of programs and cycle-rank based width measures.
 
-Provides the dependency graph, the (signed) incidence graph, exact cycle-rank
+Provides the dependency graph, the signed incidence graph, exact cycle-rank
 and a bounded decision variant, homogeneous orientations of the incidence
 graph, and a JSON reader for digraphs.
 """
@@ -25,6 +25,12 @@ class Digraph:
     vertices: tuple[str, ...]
     arcs: frozenset[tuple[str, str]]
 
+    # Set only on the orientations homogeneous_orientations yields: their
+    # (successor, predecessor) masks and the mask of vertices with both.
+    # Unannotated, so not fields: equality, hash and repr ignore them.
+    _adjacency = None
+    _live = None
+
     def __post_init__(self):
         known = set(self.vertices)
         if len(known) != len(self.vertices):
@@ -34,22 +40,6 @@ class Digraph:
                 raise ValueError(f"self-loop on {u!r} rejected")
             if u not in known or v not in known:
                 raise ValueError(f"arc ({u!r},{v!r}) references unknown vertex")
-
-
-@dataclass(frozen=True)
-class UGraph:
-    vertices: tuple[str, ...]
-    edges: frozenset[frozenset[str]]
-
-    def __post_init__(self):
-        known = set(self.vertices)
-        if len(known) != len(self.vertices):
-            raise ValueError("duplicate vertex ids")
-        for e in self.edges:
-            if len(e) != 2:
-                raise ValueError(f"edge {set(e)} is not a two-element set")
-            if not e <= known:
-                raise ValueError(f"edge {set(e)} references unknown vertex")
 
 
 @dataclass
@@ -112,11 +102,6 @@ def build_signed_incidence_graph(program: Program) -> SignedGraph:
     return SignedGraph(vertices, kinds, edges)
 
 
-def build_incidence_graph(program: Program) -> UGraph:
-    sinc = build_signed_incidence_graph(program)
-    return UGraph(sinc.vertices, frozenset(frozenset(e) for e in sinc.edges))
-
-
 def join_graph_signs(graph: SignedGraph, joined: frozenset[str] | set[str]) -> SignedGraph:
     edges = {e: (ALPHA if s in joined else s) for e, s in graph.edges.items()}
     return SignedGraph(graph.vertices, dict(graph.kinds), edges)
@@ -134,6 +119,8 @@ def symmetric_closure(d: Digraph) -> Digraph:
 
 def _adjacency_masks(d: Digraph) -> tuple[list[int], list[int]]:
     """Successor and predecessor bitmasks of each vertex."""
+    if d._adjacency is not None:
+        return d._adjacency
     index = {v: i for i, v in enumerate(d.vertices)}
     succ = [0] * len(d.vertices)
     pred = [0] * len(d.vertices)
@@ -158,17 +145,21 @@ def _reach(adj: list[int], start: int, mask: int) -> int:
     return seen
 
 
-def _cyclic_components(adj: tuple[list[int], list[int]], mask: int) -> list[int]:
+def _cyclic_components(adj: tuple[list[int], list[int]], mask: int,
+                       queue: int | None = None) -> list[int]:
     """Strongly connected components of two or more vertices in the
     sub-digraph induced by mask, as vertex bitmasks, by lowest vertex.
 
     A vertex with no successor or no predecessor left lies on no cycle, so
-    such vertices are trimmed until none is left. What remains is split by
-    reachability: the component of a vertex is what it reaches that also
-    reaches it.
+    such vertices are trimmed until none is left. The trim starts from the
+    vertices of queue, all of mask by default; a caller may pass fewer when
+    every other vertex of mask keeps a successor and a predecessor in it.
+    What remains is split by reachability: the component of a vertex is
+    what it reaches that also reaches it.
     """
     succ, pred = adj
-    queue = mask
+    if queue is None:
+        queue = mask
     while queue:
         low = queue & -queue
         queue ^= low
@@ -223,18 +214,24 @@ def is_cycle_rank_at_most(d: Digraph, width: int) -> bool:
     """Branch-and-bound variant of cycle_rank with no vertex-count bound.
 
     With one deletion left, a component is tried only at vertices that may
-    lie on all of its cycles (see one_cut)."""
-    adj = _adjacency_masks(d)
+    lie on all of its cycles (see one_cut). An orientation from
+    homogeneous_orientations starts from its carried mask of vertices with
+    both a successor and a predecessor: no other vertex lies on a cycle."""
+    adj = succ, pred = _adjacency_masks(d)
     memo: dict[tuple[int, int], bool] = {}
 
     def one_cut(s: int) -> bool:
         """Whether deleting one vertex leaves the component s acyclic.
         Such a vertex lies on every cycle of s, so it lies in every cyclic
         component left after any other deletion: only the intersection of
-        those components stays a candidate."""
+        those components stays a candidate. Every vertex of s keeps a
+        successor and a predecessor in s, so after a deletion only the
+        deleted vertex's neighbours need the trim's first check."""
         candidates = s
         while candidates:
-            rest = _cyclic_components(adj, s & ~(candidates & -candidates))
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            rest = _cyclic_components(adj, s ^ low, (succ[v] | pred[v]) & s)
             if not rest:
                 return True
             for comp in rest:
@@ -261,7 +258,8 @@ def is_cycle_rank_at_most(d: Digraph, width: int) -> bool:
 
     if width < 0:
         return False
-    return at_most((1 << len(d.vertices)) - 1, width)
+    start = (1 << len(d.vertices)) - 1 if d._live is None else d._live
+    return at_most(start, width)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +276,12 @@ def homogeneous_orientations(program: Program,
     Enumerates all 2^groups assignments when groups <= max_groups, otherwise
     yields seeded random samples. Bit i of an assignment points group i
     (in sorted (rule, sign) order) from its rule to its atoms. The first
-    next() raises ValueError if samples < 1 or max_groups < 0.
+    next() raises ValueError if samples < 1 or max_groups < 0, or if the
+    program repeats a vertex id or names an atom it does not list.
+
+    Each orientation carries its adjacency masks, OR-ed from per-group
+    masks built once, and its live mask: the vertices with both in-arcs
+    and out-arcs, the only ones that may lie on a cycle.
     """
     if samples < 1 or max_groups < 0:
         raise ValueError("samples must be at least 1 and max_groups at least 0")
@@ -293,13 +296,45 @@ def homogeneous_orientations(program: Program,
               for rule_id, sign in ordered]
     outward = [tuple((rule_id, atom) for atom in groups[rule_id, sign])
                for rule_id, sign in ordered]
+    # Every orientation's arcs are among these, so one check here raises
+    # what a check of each orientation would, and none is needed after it.
+    Digraph(vertices, frozenset().union(*inward, *outward))
+    index = {v: i for i, v in enumerate(vertices)}
+    # Per group: its rule's index and bit, its atoms' mask and indices, and
+    # its inward and outward arcs.
+    per_group = []
+    for key, ins, outs in zip(ordered, inward, outward):
+        rule = index[key[0]]
+        atoms = [index[atom] for atom in groups[key]]
+        per_group.append(
+            (rule, 1 << rule, sum(1 << a for a in atoms), atoms, ins, outs))
     g = len(ordered)
 
     def orient(assignment: int) -> Digraph:
         arcs: list[tuple[str, str]] = []
-        for bit in range(g):
-            arcs += outward[bit] if assignment >> bit & 1 else inward[bit]
-        return Digraph(vertices, frozenset(arcs))
+        succ = [0] * len(vertices)
+        pred = [0] * len(vertices)
+        for rule, rule_bit, atom_mask, atoms, ins, outs in per_group:
+            if assignment & 1:
+                arcs += outs
+                succ[rule] |= atom_mask
+                for a in atoms:
+                    pred[a] |= rule_bit
+            else:
+                arcs += ins
+                pred[rule] |= atom_mask
+                for a in atoms:
+                    succ[a] |= rule_bit
+            assignment >>= 1
+        live = 0
+        for v, out in enumerate(succ):
+            if out and pred[v]:
+                live |= 1 << v
+        # Skips __post_init__, whose checks these arcs passed above.
+        d = object.__new__(Digraph)
+        d.__dict__.update(vertices=vertices, arcs=frozenset(arcs),
+                          _adjacency=(succ, pred), _live=live)
+        return d
 
     if g <= max_groups:
         for assignment in range(1 << g):

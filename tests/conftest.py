@@ -1,11 +1,15 @@
 """Shared fixtures: the two-rule running example, its 3-expression, and the
-small exists-forall formula used by the reduction tests."""
+small exists-forall formula used by the reduction tests; and the unsigned
+incidence graph the graph, generator and acceptance tests compare against."""
+
+from dataclasses import dataclass
 
 import pytest
 
 from aspcw.expression import parse_expression
 from aspcw.generators import Literal, QbfEA
-from aspcw.program import parse_program
+from aspcw.graphs import build_signed_incidence_graph
+from aspcw.program import Program, parse_program
 from aspcw.tables import KTriple
 
 EXAMPLE1_TEXT = "x :- not y.\n:- x, not y.\n"
@@ -19,6 +23,27 @@ EXAMPLE1_LABELING = {"x": 1, "r1": 2, "r2": 2, "y": 3}
 
 def triple(ts, fs, us) -> KTriple:
     return KTriple.from_sets(ts, fs, us)
+
+
+@dataclass(frozen=True)
+class UGraph:
+    vertices: tuple[str, ...]
+    edges: frozenset[frozenset[str]]
+
+    def __post_init__(self):
+        known = set(self.vertices)
+        if len(known) != len(self.vertices):
+            raise ValueError("duplicate vertex ids")
+        for e in self.edges:
+            if len(e) != 2:
+                raise ValueError(f"edge {set(e)} is not a two-element set")
+            if not e <= known:
+                raise ValueError(f"edge {set(e)} references unknown vertex")
+
+
+def build_incidence_graph(program: Program) -> UGraph:
+    sinc = build_signed_incidence_graph(program)
+    return UGraph(sinc.vertices, frozenset(frozenset(e) for e in sinc.edges))
 
 
 @pytest.fixture

@@ -19,14 +19,14 @@ from aspcw.generators import (KPartiteGraph, gen_grid_program, gen_pclique,
                               gen_random_program, gen_random_qbf,
                               has_partitioned_clique, qbf_is_valid,
                               reduce_pclique_to_asp, reduce_qbf_to_asp)
-from aspcw.graphs import (build_dependency_graph, build_incidence_graph,
+from aspcw.graphs import (build_dependency_graph,
                           build_signed_incidence_graph,
                           homogeneous_orientations, is_cycle_rank_at_most,
                           symmetric_closure)
 from aspcw.oracle import (enumerate_answer_sets, enumerate_models,
                           interpretation_triple, reduct_interpretation_triple)
 from aspcw.program import Program, make_rule
-from conftest import triple
+from conftest import build_incidence_graph, triple
 
 
 def random_instance(seed):

@@ -10,8 +10,9 @@ from aspcw.generators import (KPartiteGraph, Literal, QbfEA, gen_grid_program,
                               pclique_to_json, qbf_is_valid,
                               reduce_pclique_to_asp, reduce_qbf_to_asp,
                               serialize_qbf)
-from aspcw.graphs import build_incidence_graph, edge_key
+from aspcw.graphs import edge_key
 from aspcw.program import make_rule, validate_program
+from conftest import build_incidence_graph
 
 
 class TestQbf:

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import random
@@ -5,15 +6,17 @@ import random
 import pytest
 
 from aspcw.errors import BoundExceededError
+from aspcw.generators import gen_random_program, gen_random_qbf, reduce_qbf_to_asp
 from aspcw import graphs
-from aspcw.graphs import (Digraph, UGraph, _adjacency_masks, _cyclic_components,
-                          build_dependency_graph, build_incidence_graph,
+from aspcw.graphs import (Digraph, _adjacency_masks, _cyclic_components,
+                          build_dependency_graph,
                           build_signed_incidence_graph, cycle_rank,
                           digraph_from_json, edge_key,
                           homogeneous_orientations, is_cycle_rank_at_most,
                           join_graph_signs, symmetric_closure,
                           undirected_cycle_rank)
 from aspcw.program import Program, make_rule, parse_program
+from conftest import UGraph, build_incidence_graph
 
 
 def digraph(vertices, arcs):
@@ -217,6 +220,17 @@ class TestOneDeletionPruning:
         # candidate is left.
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_deletions_trimmed_before_search(self, monkeypatch, k):
+        # The trim after each deletion starts from the deleted vertex's
+        # neighbours and still removes every loop the deletion opened.
+        reaches = count_calls(monkeypatch, "_reach")
+        assert is_cycle_rank_at_most(figure_eight(k), 1) is True
+        # One forward and one backward search each for the whole digraph,
+        # the b loop left by deleting a0 and the a loop left by deleting
+        # b0; deleting x leaves nothing to search.
+        assert len(reaches) == 6
+
 
 class TestStrongComponents:
     def test_matches_brute_force_reachability(self):
@@ -333,6 +347,109 @@ class TestHomogeneousOrientations:
         again = list(homogeneous_orientations(
             example1, max_groups=2, samples=5, seed=3))
         assert sampled == again
+
+
+def rebuilt(d):
+    """The same digraph built directly, so with no carried state."""
+    return Digraph(d.vertices, d.arcs)
+
+
+def group_masks(program):
+    """Per vertex index: the bits of the (rule, sign) groups with an edge
+    at that vertex, in the sorted group order of the assignments."""
+    index = {v: i for i, v in enumerate(program.atoms + tuple(
+        r.id for r in program.rules))}
+    parts = {(r.id, sign): part for r in program.rules
+             for sign, part in zip("hpn", (r.head, r.pos_body, r.neg_body))
+             if part}
+    masks = [0] * len(index)
+    for bit, (rule_id, sign) in enumerate(sorted(parts)):
+        for v in (rule_id, *parts[rule_id, sign]):
+            masks[index[v]] |= 1 << bit
+    return masks
+
+
+class TestCarriedMasks:
+    # The running example (enumerated), a sampled QBF reduction (over 14
+    # groups), and rules where one atom is in two of a rule's groups, which
+    # parse_program rejects: a :- a.  and  a | b :- a, not b.
+    @pytest.fixture(params=["example1", "qbf", "a-head-and-body",
+                            "a-and-b-twice"])
+    def program(self, request, example1):
+        return {
+            "example1": lambda: example1,
+            "qbf": lambda: reduce_qbf_to_asp(gen_random_qbf(6, 6, 6, 1)),
+            "a-head-and-body": lambda: Program(
+                ("a",), (make_rule("r1", head=["a"], pos_body=["a"]),)),
+            "a-and-b-twice": lambda: Program(
+                ("a", "b"), (make_rule("r1", head=["a", "b"], pos_body=["a"],
+                                       neg_body=["b"]),)),
+        }[request.param]()
+
+    def test_masks_match_rebuilt_digraph(self, program):
+        orientations = list(homogeneous_orientations(program))
+        assert orientations
+        for o in orientations:
+            d = rebuilt(o)
+            assert d._adjacency is None and d._live is None
+            assert _adjacency_masks(o) == _adjacency_masks(d)
+            assert o == d and hash(o) == hash(d) and repr(o) == repr(d)
+
+    def test_live_mask(self, program):
+        # The vertices with both a successor and a predecessor: those where
+        # the assignment points some, but not all, of their groups away
+        # from their rule.
+        masks = group_masks(program)
+        g = max(masks).bit_length()
+        rng = random.Random(0)
+        assignments = (range(1 << g) if g <= 14
+                       else [rng.getrandbits(g) for _ in range(64)])
+        orientations = list(homogeneous_orientations(program))
+        assert len(orientations) == len(assignments)
+        for assignment, o in zip(assignments, orientations):
+            succ, pred = _adjacency_masks(rebuilt(o))
+            both = sum(1 << v for v in range(len(o.vertices))
+                       if succ[v] and pred[v])
+            by_groups = sum(1 << v for v, gm in enumerate(masks)
+                            if 0 != assignment & gm != gm)
+            assert o._live == both == by_groups
+
+    def test_qbf_reduction_is_sampled(self):
+        program = reduce_qbf_to_asp(gen_random_qbf(6, 6, 6, 1))
+        assert max(group_masks(program)).bit_length() > 14
+        assert len(list(homogeneous_orientations(program))) == 64
+
+    def test_decisions_match_rebuilt_digraph(self):
+        verdicts = {w: set() for w in (0, 1, 2)}
+        for seed in range(30):
+            program = gen_random_program(6, 5, (0.33, 0.33, 0.33), seed)
+            for o in homogeneous_orientations(program, max_groups=6,
+                                              samples=16, seed=seed):
+                d = rebuilt(o)
+                for w in verdicts:
+                    verdict = is_cycle_rank_at_most(o, w)
+                    assert verdict == is_cycle_rank_at_most(d, w), (o, w)
+                    verdicts[w].add(verdict)
+        assert all(v == {True, False} for v in verdicts.values())
+
+    def test_still_a_generator_function(self):
+        # Callers that count orientations one next() at a time rely on it.
+        assert inspect.isgeneratorfunction(homogeneous_orientations)
+
+
+class TestOrientationErrors:
+    # Raised at the first next(), never at the call, on both paths.
+    @pytest.mark.parametrize("max_groups", [14, 0])
+    @pytest.mark.parametrize("program,message", [
+        (Program(("a",), (make_rule("r1", head=["b"]),)), "unknown vertex"),
+        (Program(("a", "a"), (make_rule("r1", head=["a"]),)),
+         "duplicate vertex ids"),
+    ])
+    def test_bad_program_rejected_at_first_next(self, program, message,
+                                                max_groups):
+        orientations = homogeneous_orientations(program, max_groups=max_groups)
+        with pytest.raises(ValueError, match=message):
+            next(orientations)
 
 
 class TestExport:

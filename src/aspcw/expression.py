@@ -24,7 +24,8 @@ from typing import Callable, TypeVar, Union
 
 from .errors import ExpressionError, ParseError, SignConflictError
 from .graphs import (ALPHA, SIGNS, LabeledSignedGraph, SignedGraph, edge_key,
-                     build_signed_incidence_graph, join_graph_signs)
+                     build_signed_incidence_graph, check_joinable,
+                     join_graph_signs)
 from .program import Program, _line_col
 
 EDGE_SIGNS = SIGNS + (ALPHA,)
@@ -236,9 +237,7 @@ def join_labels(expr: Expr, joined: frozenset[str] | set[str]) -> Expr:
     """Rewrite every edge insert whose sign is in `joined` to sign alpha."""
     if not joined:
         raise ValueError("join needs at least one sign")
-    bad = set(joined) - set(SIGNS)
-    if bad:
-        raise ValueError(f"cannot join non-signs {sorted(bad)}")
+    check_joinable(joined)
 
     def rebuild(node: Expr, *kids: Expr) -> Expr:
         if isinstance(node, Introduce):

@@ -2,7 +2,9 @@
 
 Provides the dependency graph, the signed incidence graph, exact cycle-rank
 and a bounded decision variant, homogeneous orientations of the incidence
-graph, and a JSON reader for digraphs.
+graph, and a JSON reader for digraphs. A Digraph is its successor and
+predecessor bitmasks by vertex position; Digraph.from_arcs builds one from
+named arcs and checks them, and its arcs are read back from the masks.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import BoundExceededError
 from .program import Program
@@ -22,24 +24,36 @@ ALPHA = "alpha"
 
 @dataclass(frozen=True)
 class Digraph:
+    """Bit j of succ[i] is the arc vertices[i] -> vertices[j]; pred is its
+    transpose, so equality and hash leave it out."""
     vertices: tuple[str, ...]
-    arcs: frozenset[tuple[str, str]]
+    succ: tuple[int, ...]
+    pred: tuple[int, ...] = field(compare=False)
 
-    # Set only on the orientations homogeneous_orientations yields: their
-    # (successor, predecessor) masks and the mask of vertices with both.
-    # Unannotated, so not fields: equality, hash and repr ignore them.
-    _adjacency = None
-    _live = None
-
-    def __post_init__(self):
-        known = set(self.vertices)
-        if len(known) != len(self.vertices):
+    @classmethod
+    def from_arcs(cls, vertices: Iterable[str],
+                  arcs: Iterable[tuple[str, str]]) -> Digraph:
+        vertices = tuple(vertices)
+        index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
             raise ValueError("duplicate vertex ids")
-        for u, v in self.arcs:
+        succ = [0] * len(vertices)
+        pred = [0] * len(vertices)
+        for u, v in arcs:
             if u == v:
                 raise ValueError(f"self-loop on {u!r} rejected")
-            if u not in known or v not in known:
+            if u not in index or v not in index:
                 raise ValueError(f"arc ({u!r},{v!r}) references unknown vertex")
+            i, j = index[u], index[v]
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
+        return cls(vertices, tuple(succ), tuple(pred))
+
+    @property
+    def arcs(self) -> frozenset[tuple[str, str]]:
+        vs = self.vertices
+        return frozenset((vs[i], vs[j])
+                         for i, out in enumerate(self.succ) for j in bits(out))
 
 
 @dataclass
@@ -77,7 +91,7 @@ def build_dependency_graph(program: Program) -> Digraph:
             for y in r.head:
                 if x != y:
                     arcs.add((x, y))
-    return Digraph(program.atoms, frozenset(arcs))
+    return Digraph.from_arcs(program.atoms, arcs)
 
 
 def _incidence_vertices(program: Program) -> tuple[tuple[str, ...], dict[str, str]]:
@@ -102,7 +116,14 @@ def build_signed_incidence_graph(program: Program) -> SignedGraph:
     return SignedGraph(vertices, kinds, edges)
 
 
+def check_joinable(joined: frozenset[str] | set[str]) -> None:
+    bad = set(joined) - set(SIGNS)
+    if bad:
+        raise ValueError(f"cannot join non-signs {sorted(bad)}")
+
+
 def join_graph_signs(graph: SignedGraph, joined: frozenset[str] | set[str]) -> SignedGraph:
+    check_joinable(joined)
     edges = {e: (ALPHA if s in joined else s) for e, s in graph.edges.items()}
     return SignedGraph(graph.vertices, dict(graph.kinds), edges)
 
@@ -112,26 +133,11 @@ def join_graph_signs(graph: SignedGraph, joined: frozenset[str] | set[str]) -> S
 # ---------------------------------------------------------------------------
 
 def symmetric_closure(d: Digraph) -> Digraph:
-    arcs = set(d.arcs)
-    arcs.update((v, u) for u, v in d.arcs)
-    return Digraph(d.vertices, frozenset(arcs))
+    both = tuple(out | into for out, into in zip(d.succ, d.pred))
+    return Digraph(d.vertices, both, both)
 
 
-def _adjacency_masks(d: Digraph) -> tuple[list[int], list[int]]:
-    """Successor and predecessor bitmasks of each vertex."""
-    if d._adjacency is not None:
-        return d._adjacency
-    index = {v: i for i, v in enumerate(d.vertices)}
-    succ = [0] * len(d.vertices)
-    pred = [0] * len(d.vertices)
-    for u, v in d.arcs:
-        i, j = index[u], index[v]
-        succ[i] |= 1 << j
-        pred[j] |= 1 << i
-    return succ, pred
-
-
-def _reach(adj: list[int], start: int, mask: int) -> int:
+def _reach(adj: tuple[int, ...], start: int, mask: int) -> int:
     """The vertices of mask reachable from the vertex bitmask start."""
     seen = frontier = start
     while frontier:
@@ -145,7 +151,7 @@ def _reach(adj: list[int], start: int, mask: int) -> int:
     return seen
 
 
-def _cyclic_components(adj: tuple[list[int], list[int]], mask: int,
+def _cyclic_components(d: Digraph, mask: int,
                        queue: int | None = None) -> list[int]:
     """Strongly connected components of two or more vertices in the
     sub-digraph induced by mask, as vertex bitmasks, by lowest vertex.
@@ -157,7 +163,7 @@ def _cyclic_components(adj: tuple[list[int], list[int]], mask: int,
     What remains is split by reachability: the component of a vertex is
     what it reaches that also reaches it.
     """
-    succ, pred = adj
+    succ, pred = d.succ, d.pred
     if queue is None:
         queue = mask
     while queue:
@@ -187,13 +193,12 @@ def cycle_rank(d: Digraph, max_vertices: int = 16) -> int:
     if len(d.vertices) > max_vertices:
         raise BoundExceededError(
             f"{len(d.vertices)} vertices exceeds exact-search bound {max_vertices}")
-    adj = _adjacency_masks(d)
     memo: dict[int, int] = {}
 
     def rank(mask: int) -> int:
         if mask in memo:
             return memo[mask]
-        cyclic = _cyclic_components(adj, mask)
+        cyclic = _cyclic_components(d, mask)
         if not cyclic:
             result = 0
         elif len(cyclic) == 1 and cyclic[0] == mask:
@@ -214,10 +219,10 @@ def is_cycle_rank_at_most(d: Digraph, width: int) -> bool:
     """Branch-and-bound variant of cycle_rank with no vertex-count bound.
 
     With one deletion left, a component is tried only at vertices that may
-    lie on all of its cycles (see one_cut). An orientation from
-    homogeneous_orientations starts from its carried mask of vertices with
-    both a successor and a predecessor: no other vertex lies on a cycle."""
-    adj = succ, pred = _adjacency_masks(d)
+    lie on all of its cycles (see one_cut). The search starts from the
+    vertices with both a successor and a predecessor: no other vertex lies
+    on a cycle."""
+    succ, pred = d.succ, d.pred
     memo: dict[tuple[int, int], bool] = {}
 
     def one_cut(s: int) -> bool:
@@ -231,7 +236,7 @@ def is_cycle_rank_at_most(d: Digraph, width: int) -> bool:
         while candidates:
             low = candidates & -candidates
             v = low.bit_length() - 1
-            rest = _cyclic_components(adj, s ^ low, (succ[v] | pred[v]) & s)
+            rest = _cyclic_components(d, s ^ low, (succ[v] | pred[v]) & s)
             if not rest:
                 return True
             for comp in rest:
@@ -242,7 +247,7 @@ def is_cycle_rank_at_most(d: Digraph, width: int) -> bool:
         key = (mask, w)
         if key in memo:
             return memo[key]
-        cyclic = _cyclic_components(adj, mask)
+        cyclic = _cyclic_components(d, mask)
         if not cyclic:
             result = True
         elif w <= 0:
@@ -258,8 +263,11 @@ def is_cycle_rank_at_most(d: Digraph, width: int) -> bool:
 
     if width < 0:
         return False
-    start = (1 << len(d.vertices)) - 1 if d._live is None else d._live
-    return at_most(start, width)
+    live = 0
+    for v, out in enumerate(succ):
+        if out and pred[v]:
+            live |= 1 << v
+    return at_most(live, width)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +287,7 @@ def homogeneous_orientations(program: Program,
     next() raises ValueError if samples < 1 or max_groups < 0, or if the
     program repeats a vertex id or names an atom it does not list.
 
-    Each orientation carries its adjacency masks, OR-ed from per-group
-    masks built once, and its live mask: the vertices with both in-arcs
-    and out-arcs, the only ones that may lie on a cycle.
+    Each orientation's masks are OR-ed from per-group masks built once.
     """
     if samples < 1 or max_groups < 0:
         raise ValueError("samples must be at least 1 and max_groups at least 0")
@@ -292,49 +298,33 @@ def homogeneous_orientations(program: Program,
             if part:
                 groups[(r.id, sign)] = sorted(part)
     ordered = sorted(groups)
-    inward = [tuple((atom, rule_id) for atom in groups[rule_id, sign])
-              for rule_id, sign in ordered]
-    outward = [tuple((rule_id, atom) for atom in groups[rule_id, sign])
-               for rule_id, sign in ordered]
-    # Every orientation's arcs are among these, so one check here raises
+    # Every orientation joins the same vertex pairs, so one check here raises
     # what a check of each orientation would, and none is needed after it.
-    Digraph(vertices, frozenset().union(*inward, *outward))
+    Digraph.from_arcs(vertices, ((atom, rule_id) for rule_id, sign in ordered
+                                 for atom in groups[rule_id, sign]))
     index = {v: i for i, v in enumerate(vertices)}
-    # Per group: its rule's index and bit, its atoms' mask and indices, and
-    # its inward and outward arcs.
+    # Per group: its rule's index and bit, and its atoms' mask and indices.
     per_group = []
-    for key, ins, outs in zip(ordered, inward, outward):
+    for key in ordered:
         rule = index[key[0]]
         atoms = [index[atom] for atom in groups[key]]
-        per_group.append(
-            (rule, 1 << rule, sum(1 << a for a in atoms), atoms, ins, outs))
+        per_group.append((rule, 1 << rule, sum(1 << a for a in atoms), atoms))
     g = len(ordered)
 
     def orient(assignment: int) -> Digraph:
-        arcs: list[tuple[str, str]] = []
         succ = [0] * len(vertices)
         pred = [0] * len(vertices)
-        for rule, rule_bit, atom_mask, atoms, ins, outs in per_group:
+        for rule, rule_bit, atom_mask, atoms in per_group:
             if assignment & 1:
-                arcs += outs
                 succ[rule] |= atom_mask
                 for a in atoms:
                     pred[a] |= rule_bit
             else:
-                arcs += ins
                 pred[rule] |= atom_mask
                 for a in atoms:
                     succ[a] |= rule_bit
             assignment >>= 1
-        live = 0
-        for v, out in enumerate(succ):
-            if out and pred[v]:
-                live |= 1 << v
-        # Skips __post_init__, whose checks these arcs passed above.
-        d = object.__new__(Digraph)
-        d.__dict__.update(vertices=vertices, arcs=frozenset(arcs),
-                          _adjacency=(succ, pred), _live=live)
-        return d
+        return Digraph(vertices, tuple(succ), tuple(pred))
 
     if g <= max_groups:
         for assignment in range(1 << g):
@@ -363,4 +353,4 @@ def digraph_from_json(text: str) -> Digraph:
     if not (isinstance(arcs, list)
             and all(_strings(a) and len(a) == 2 for a in arcs)):
         raise ValueError("digraph JSON needs an 'arcs' list of [u, v] string pairs")
-    return Digraph(tuple(vertices), frozenset(map(tuple, arcs)))
+    return Digraph.from_arcs(vertices, arcs)

@@ -6,11 +6,10 @@ decomposition-based solvers on small instances.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import BoundExceededError
-from .program import Program, Rule, is_model, is_model_of_rule, reduct
-from .tables import KTriple
+from .program import Program, is_model, reduct
 
 DEFAULT_ENUMERATION_BOUND = 20
 
@@ -56,43 +55,3 @@ def enumerate_answer_sets(program: Program,
     _check_bound(program, bound)
     return [m for m in enumerate_models(program, bound)
             if is_answer_set(program, m)]
-
-
-def interpretation_triple(program: Program, labeling: Mapping[str, int],
-                          interp: frozenset[str] | set[str]) -> KTriple:
-    """The unique triple whose components are the labels of true atoms,
-    false atoms, and rules not satisfied by the interpretation."""
-    try:
-        return KTriple.from_sets(
-            (labeling[a] for a in interp),
-            (labeling[a] for a in program.atoms if a not in interp),
-            (labeling[r.id] for r in program.rules
-             if not is_model_of_rule(r, frozenset(interp))),
-        )
-    except KeyError as exc:
-        raise KeyError(f"unlabeled vertex {exc.args[0]!r}") from None
-
-
-def reduct_interpretation_triple(program: Program, labeling: Mapping[str, int],
-                                 interp: frozenset[str] | set[str],
-                                 sub: frozenset[str] | set[str]) -> KTriple:
-    """Triple of `sub` evaluated against the reduct w.r.t. `interp`: the U
-    component collects rules that survive the reduct and are unsatisfied by
-    `sub`."""
-    interp = frozenset(interp)
-    sub = frozenset(sub)
-
-    def survives_unsatisfied(r: Rule) -> bool:
-        if r.neg_body & interp:
-            return False
-        stripped = Rule(r.id, r.head, r.pos_body, frozenset())
-        return not is_model_of_rule(stripped, sub)
-
-    try:
-        return KTriple.from_sets(
-            (labeling[a] for a in sub),
-            (labeling[a] for a in program.atoms if a not in sub),
-            (labeling[r.id] for r in program.rules if survives_unsatisfied(r)),
-        )
-    except KeyError as exc:
-        raise KeyError(f"unlabeled vertex {exc.args[0]!r}") from None

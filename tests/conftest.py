@@ -1,15 +1,18 @@
 """Shared fixtures: the two-rule running example, its 3-expression, and the
-small exists-forall formula used by the reduction tests; and the unsigned
-incidence graph the graph, generator and acceptance tests compare against."""
+small exists-forall formula used by the reduction tests; the unsigned
+incidence graph the graph, generator and acceptance tests compare against;
+and the brute-force triples of an interpretation that the oracle and
+acceptance tests compare the DP tables against."""
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import pytest
 
 from aspcw.expression import parse_expression
 from aspcw.generators import Literal, QbfEA
 from aspcw.graphs import build_signed_incidence_graph
-from aspcw.program import Program, parse_program
+from aspcw.program import Program, Rule, is_model_of_rule, parse_program
 from aspcw.tables import KTriple
 
 EXAMPLE1_TEXT = "x :- not y.\n:- x, not y.\n"
@@ -44,6 +47,46 @@ class UGraph:
 def build_incidence_graph(program: Program) -> UGraph:
     sinc = build_signed_incidence_graph(program)
     return UGraph(sinc.vertices, frozenset(frozenset(e) for e in sinc.edges))
+
+
+def interpretation_triple(program: Program, labeling: Mapping[str, int],
+                          interp: frozenset[str] | set[str]) -> KTriple:
+    """The unique triple whose components are the labels of true atoms,
+    false atoms, and rules not satisfied by the interpretation."""
+    try:
+        return KTriple.from_sets(
+            (labeling[a] for a in interp),
+            (labeling[a] for a in program.atoms if a not in interp),
+            (labeling[r.id] for r in program.rules
+             if not is_model_of_rule(r, frozenset(interp))),
+        )
+    except KeyError as exc:
+        raise KeyError(f"unlabeled vertex {exc.args[0]!r}") from None
+
+
+def reduct_interpretation_triple(program: Program, labeling: Mapping[str, int],
+                                 interp: frozenset[str] | set[str],
+                                 sub: frozenset[str] | set[str]) -> KTriple:
+    """Triple of `sub` evaluated against the reduct w.r.t. `interp`: the U
+    component collects rules that survive the reduct and are unsatisfied by
+    `sub`."""
+    interp = frozenset(interp)
+    sub = frozenset(sub)
+
+    def survives_unsatisfied(r: Rule) -> bool:
+        if r.neg_body & interp:
+            return False
+        stripped = Rule(r.id, r.head, r.pos_body, frozenset())
+        return not is_model_of_rule(stripped, sub)
+
+    try:
+        return KTriple.from_sets(
+            (labeling[a] for a in sub),
+            (labeling[a] for a in program.atoms if a not in sub),
+            (labeling[r.id] for r in program.rules if survives_unsatisfied(r)),
+        )
+    except KeyError as exc:
+        raise KeyError(f"unlabeled vertex {exc.args[0]!r}") from None
 
 
 @pytest.fixture

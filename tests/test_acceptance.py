@@ -23,10 +23,10 @@ from aspcw.graphs import (build_dependency_graph,
                           build_signed_incidence_graph,
                           homogeneous_orientations, is_cycle_rank_at_most,
                           symmetric_closure)
-from aspcw.oracle import (enumerate_answer_sets, enumerate_models,
-                          interpretation_triple, reduct_interpretation_triple)
+from aspcw.oracle import enumerate_answer_sets, enumerate_models
 from aspcw.program import Program, make_rule
-from conftest import build_incidence_graph, triple
+from conftest import (build_incidence_graph, interpretation_triple,
+                      reduct_interpretation_triple, triple)
 
 
 def random_instance(seed):

@@ -144,6 +144,14 @@ class TestValidate:
         assert code == 3
         assert json.loads(out)["mismatches"]
 
+    @pytest.mark.parametrize("signs", ["q", "alpha", "h,,p"])
+    def test_join_rejects_non_signs(self, capsys, example1_file, fig2_file,
+                                    signs):
+        code, out, err = run(capsys, "validate", "--program", example1_file,
+                             "--expr", fig2_file, "--join", signs)
+        assert code == 3 and out == ""
+        assert err.startswith("aspcw: cannot join non-signs")
+
 
 class TestMeasure:
     def test_cyclerank(self, capsys, tmp_path):

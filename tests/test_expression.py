@@ -173,6 +173,13 @@ class TestJoinLabels:
         assert set(evaluate(joined).edges.values()) == {"alpha"}
         assert evaluate(joined).edges.keys() == evaluate(fig2).edges.keys()
 
+    @pytest.mark.parametrize("signs", [{"q"}, {"alpha"}, {"h", "", "p"}])
+    def test_non_signs_rejected_by_both(self, example1, fig2, signs):
+        with pytest.raises(ValueError, match="cannot join non-signs"):
+            join_labels(fig2, signs)
+        with pytest.raises(ValueError, match="cannot join non-signs"):
+            validate_against(fig2, example1, joined=signs)
+
     def test_join_absent_sign_is_identity(self):
         expr = knn_expression(2, sign="h")
         assert join_labels(expr, {"p"}) == expr

@@ -8,7 +8,7 @@ import pytest
 from aspcw.errors import BoundExceededError
 from aspcw.generators import gen_random_program, gen_random_qbf, reduce_qbf_to_asp
 from aspcw import graphs
-from aspcw.graphs import (Digraph, _adjacency_masks, _cyclic_components,
+from aspcw.graphs import (Digraph, _cyclic_components,
                           build_dependency_graph,
                           build_signed_incidence_graph, cycle_rank,
                           digraph_from_json, edge_key,
@@ -20,14 +20,14 @@ from conftest import UGraph, build_incidence_graph
 
 
 def digraph(vertices, arcs):
-    return Digraph(tuple(vertices), frozenset(arcs))
+    return Digraph.from_arcs(vertices, arcs)
 
 
 def random_digraph(rng, n, p):
     vertices = tuple(f"v{i}" for i in range(n))
     arcs = {(u, v) for u in vertices for v in vertices
             if u != v and rng.random() < p}
-    return Digraph(vertices, frozenset(arcs))
+    return Digraph.from_arcs(vertices, arcs)
 
 
 def figure_eight(k):
@@ -61,6 +61,20 @@ class TestConstruction:
     def test_ugraph_rejects_loop_edge(self):
         with pytest.raises(ValueError):
             UGraph(("a",), frozenset({frozenset({"a"})}))
+
+    # Duplicate ids are checked before any arc; each arc is checked for a
+    # self-loop before its endpoints.
+    @pytest.mark.parametrize("vertices,arcs,message", [
+        ("aba", [("a", "b")], "duplicate vertex ids"),
+        ("aa", [("a", "c")], "duplicate vertex ids"),
+        ("ab", [("a", "a")], "self-loop on 'a' rejected"),
+        ("ab", [("c", "c")], "self-loop on 'c' rejected"),
+        ("ab", [("a", "c")], r"arc \('a','c'\) references unknown vertex"),
+        ("ab", [("c", "a")], r"arc \('c','a'\) references unknown vertex"),
+    ])
+    def test_from_arcs_messages(self, vertices, arcs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Digraph.from_arcs(vertices, arcs)
 
 
 class TestProgramGraphs:
@@ -111,6 +125,24 @@ class TestClosures:
     def test_symmetric_closure_idempotent(self):
         d = symmetric_closure(digraph("abc", {("a", "b"), ("b", "c")}))
         assert symmetric_closure(d) == d
+
+    def test_arcs_round_trip(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            vertices = [f"v{i}" for i in range(rng.randint(0, 9))]
+            arcs = frozenset(pair for pair in itertools.permutations(vertices, 2)
+                             if rng.random() < 0.3)
+            assert Digraph.from_arcs(vertices, arcs).arcs == arcs
+
+    def test_symmetric_closure_matches_arc_pairs(self):
+        rng = random.Random(6)
+        for _ in range(50):
+            d = random_digraph(rng, rng.randint(0, 9), rng.random())
+            closure = symmetric_closure(d)
+            expected = digraph(d.vertices,
+                               d.arcs | {(v, u) for u, v in d.arcs})
+            assert closure == expected
+            assert closure.pred == expected.pred
 
 
 class TestCycleRank:
@@ -163,7 +195,7 @@ class TestCycleRank:
             assert undirected_cycle_rank(d) >= full
             for drop in d.vertices:
                 kept = tuple(v for v in d.vertices if v != drop)
-                sub = Digraph(kept, frozenset(
+                sub = Digraph.from_arcs(kept, (
                     (u, v) for u, v in d.arcs if drop not in (u, v)))
                 assert cycle_rank(sub) <= full
 
@@ -184,7 +216,7 @@ class TestCycleRank:
 
     def test_disjoint_cycles_joined(self):
         d = JOINED_CYCLES
-        assert len(_cyclic_components(_adjacency_masks(d), 0b1111111)) == 1
+        assert len(_cyclic_components(d, 0b1111111)) == 1
         assert cycle_rank(d) == 2
         assert is_cycle_rank_at_most(d, 1) is False
         assert is_cycle_rank_at_most(d, 2) is True
@@ -242,7 +274,6 @@ class TestStrongComponents:
             d = random_digraph(rng, n, rng.choice([0.1, 0.25, 0.4]))
             index = {v: i for i, v in enumerate(d.vertices)}
             arcs = {(index[u], index[v]) for u, v in d.arcs}
-            adj = _adjacency_masks(d)
             for _ in range(20):
                 mask = rng.getrandbits(n)
                 kept = [i for i in range(n) if mask >> i & 1]
@@ -259,7 +290,7 @@ class TestStrongComponents:
                                 if (u, v) in reach and (v, u) in reach)
                             for u in kept}
                 cyclic = [s for s in expected if s & (s - 1)]
-                assert _cyclic_components(adj, mask) == sorted(
+                assert _cyclic_components(d, mask) == sorted(
                     cyclic, key=lambda s: s & -s)
 
     def test_acyclic_digraphs_trimmed_without_search(self, monkeypatch):
@@ -274,14 +305,14 @@ class TestStrongComponents:
             d = digraph(vertices, {(vertices[u], vertices[v])
                                    for u, v in itertools.combinations(order, 2)
                                    if rng.random() < 0.3})
-            assert _cyclic_components(_adjacency_masks(d), (1 << n) - 1) == []
+            assert _cyclic_components(d, (1 << n) - 1) == []
         assert reaches == []
 
     def test_trim_needs_repeating(self, monkeypatch):
         # v0 keeps a predecessor and a successor until v1 and v2 are gone.
         d = digraph(["v0", "v1", "v2"], {("v1", "v0"), ("v0", "v2")})
         reaches = count_calls(monkeypatch, "_reach", limit=0)
-        assert _cyclic_components(_adjacency_masks(d), 0b111) == []
+        assert _cyclic_components(d, 0b111) == []
         assert reaches == []
 
     def test_cycle_with_tails_searched_once(self, monkeypatch):
@@ -289,7 +320,7 @@ class TestStrongComponents:
                     {("t0", "a"), ("a", "b"), ("b", "c"), ("c", "a"),
                      ("c", "t1"), ("t1", "t2")})
         reaches = count_calls(monkeypatch, "_reach")
-        assert _cyclic_components(_adjacency_masks(d), 0b111111) == [0b1110]
+        assert _cyclic_components(d, 0b111111) == [0b1110]
         # One forward and one backward search, from a.
         assert len(reaches) == 2
 
@@ -350,8 +381,8 @@ class TestHomogeneousOrientations:
 
 
 def rebuilt(d):
-    """The same digraph built directly, so with no carried state."""
-    return Digraph(d.vertices, d.arcs)
+    """The same digraph built from its named arcs."""
+    return Digraph.from_arcs(d.vertices, d.arcs)
 
 
 def group_masks(program):
@@ -370,9 +401,11 @@ def group_masks(program):
 
 
 class TestCarriedMasks:
-    # The running example (enumerated), a sampled QBF reduction (over 14
-    # groups), and rules where one atom is in two of a rule's groups, which
-    # parse_program rejects: a :- a.  and  a | b :- a, not b.
+    # Each orientation's OR-ed masks against the same digraph built from
+    # its named arcs. The running example (enumerated), a sampled QBF
+    # reduction (over 14 groups), and rules where one atom is in two of a
+    # rule's groups, which parse_program rejects: a :- a.  and
+    # a | b :- a, not b.
     @pytest.fixture(params=["example1", "qbf", "a-head-and-body",
                             "a-and-b-twice"])
     def program(self, request, example1):
@@ -391,9 +424,8 @@ class TestCarriedMasks:
         assert orientations
         for o in orientations:
             d = rebuilt(o)
-            assert d._adjacency is None and d._live is None
-            assert _adjacency_masks(o) == _adjacency_masks(d)
-            assert o == d and hash(o) == hash(d) and repr(o) == repr(d)
+            assert o == d and hash(o) == hash(d)
+            assert (o.succ, o.pred) == (d.succ, d.pred)
 
     def test_live_mask(self, program):
         # The vertices with both a successor and a predecessor: those where
@@ -407,12 +439,11 @@ class TestCarriedMasks:
         orientations = list(homogeneous_orientations(program))
         assert len(orientations) == len(assignments)
         for assignment, o in zip(assignments, orientations):
-            succ, pred = _adjacency_masks(rebuilt(o))
             both = sum(1 << v for v in range(len(o.vertices))
-                       if succ[v] and pred[v])
+                       if o.succ[v] and o.pred[v])
             by_groups = sum(1 << v for v, gm in enumerate(masks)
                             if 0 != assignment & gm != gm)
-            assert o._live == both == by_groups
+            assert both == by_groups
 
     def test_qbf_reduction_is_sampled(self):
         program = reduce_qbf_to_asp(gen_random_qbf(6, 6, 6, 1))
@@ -425,10 +456,10 @@ class TestCarriedMasks:
             program = gen_random_program(6, 5, (0.33, 0.33, 0.33), seed)
             for o in homogeneous_orientations(program, max_groups=6,
                                               samples=16, seed=seed):
-                d = rebuilt(o)
+                exact = cycle_rank(rebuilt(o))
                 for w in verdicts:
                     verdict = is_cycle_rank_at_most(o, w)
-                    assert verdict == is_cycle_rank_at_most(d, w), (o, w)
+                    assert verdict == (exact <= w), (o, w)
                     verdicts[w].add(verdict)
         assert all(v == {True, False} for v in verdicts.values())
 

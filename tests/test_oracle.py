@@ -5,10 +5,10 @@ import pytest
 from aspcw.errors import BoundExceededError
 from aspcw.generators import gen_random_program
 from aspcw.oracle import (enumerate_answer_sets, enumerate_models,
-                          interpretation_triple, is_answer_set,
-                          reduct_interpretation_triple)
+                          is_answer_set)
 from aspcw.program import Program, parse_program, reduct
-from conftest import EXAMPLE1_LABELING, triple
+from conftest import (EXAMPLE1_LABELING, interpretation_triple,
+                      reduct_interpretation_triple, triple)
 
 
 class TestModels:

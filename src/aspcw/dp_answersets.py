@@ -10,11 +10,10 @@ nonempty U component (no proper subset survives as a model of the reduct).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
-from ._packed import OnNode, TableOps, fold_tables, run_clear, unpack
 from .expression import Expr
-from .tables import KPair
+from .tables import (KPair, OnNode, TableOps, decide, fold_tables, run_clear,
+                     unpack)
 
 PackedPair = tuple[int, frozenset[int]]
 
@@ -51,10 +50,9 @@ def _edge(table: set[PackedPair], run: list, w: int) -> set[PackedPair]:
             for q, g in table}
 
 
-def _forget(table: set[PackedPair], dead: int, w: int) -> set[PackedPair]:
+def _forget(table: set[PackedPair], tf: int, u: int) -> set[PackedPair]:
     # Drop pairs whose Q has a dead U bit, and Gamma members with one; clear
     # the dead T and F bits.
-    tf, u = dead | dead << w, dead << 2 * w
     return {(q & ~tf, frozenset([s & ~tf for s in g if not s & u]))
             for q, g in table if not q & u}
 
@@ -65,24 +63,19 @@ def _public(table: set[PackedPair], w: int) -> frozenset[KPair]:
 
 
 _TABLES = TableOps(
-    introduce=lambda bit, kind, w:
-        {(bit, frozenset({bit << w})), (bit << w, frozenset())}
-        if kind == "atom" else {(bit << 2 * w, frozenset())},
+    introduce=lambda kind, t, f, u:
+        {(t, frozenset({f})), (f, frozenset())}
+        if kind == "atom" else {(u, frozenset())},
     union=_union,
     relabel=lambda table, move:
         {(move(q), frozenset(move(s) for s in g)) for q, g in table},
     edge=_edge,
     forget=_forget,
-    candidates=lambda table: {q for q, _ in table},
+    # Some pair has Q_U empty and no Gamma member with an empty U.
+    accepts=lambda table, u:
+        any(not q & u and all(s & u for s in g) for q, g in table),
     snapshot=lambda index, op, table, w:
         TraceNode(index, op, _public(table, w)))
-
-
-def accepts(table: Iterable, u_of: Callable) -> bool:
-    """The root check: some pair has Q_U empty and no Gamma member with an
-    empty U.  `u_of` reads an entry's U component, so one check serves packed
-    and KPair tables."""
-    return any(not u_of(q) and all(u_of(s) for s in g) for q, g in table)
 
 
 def dp_asp(expr: Expr, trace: list[TraceNode] | None = None) -> frozenset[KPair]:
@@ -95,6 +88,4 @@ def has_answer_set_dp(expr: Expr, on_node: OnNode | None = None,
     """True iff some root pair has Q_U empty and no Gamma member with empty
     U.  The fold forgets dead labels, so `on_node` and `trace` see the
     smaller tables it builds."""
-    table, w = fold_tables(expr, _TABLES, trace=trace, on_node=on_node,
-                           forget=True)
-    return accepts(table, lambda key: key >> 2 * w)
+    return decide(expr, _TABLES, on_node, trace)

@@ -270,7 +270,7 @@ def quotient_expression(graph: SignedGraph, label: dict[str, int]) -> Expr:
     rules without edges has one table entry, so rules unioned after the
     atoms would each copy the atoms' whole table to set one U bit.  Edges go
     in as early as both labels are complete, so a decision can forget a
-    label once its last edge is in (see `_packed.fold_tables`).
+    label once its last edge is in (see `tables.fold_tables`).
     """
     if not graph.vertices:
         raise ValueError("an empty graph has no expression")

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import BoundExceededError, ParseError
 from .expression import Expr, quotient_expression
-from .graphs import build_signed_incidence_graph, join_graph_signs
+from .graphs import build_signed_incidence_graph, edge_key, join_graph_signs
 from .program import Program, Rule, make_rule
 
 
@@ -34,15 +34,25 @@ class QbfEA:
     terms: tuple[tuple[Literal, ...], ...]
 
     def __post_init__(self):
-        declared = set(self.existential) | set(self.universal)
-        if len(declared) != len(self.existential) + len(self.universal):
-            raise ValueError("duplicate variable declaration")
+        declared: set[str] = set()
+        _declare(self.existential + self.universal, declared)
         for term in self.terms:
-            if not 1 <= len(term) <= 3:
-                raise ValueError(f"term size {len(term)} outside 1..3")
-            for lit in term:
-                if lit.var not in declared:
-                    raise ValueError(f"undeclared variable {lit.var!r}")
+            _check_term(term, declared)
+
+
+def _declare(names: tuple[str, ...] | list[str], declared: set[str]) -> None:
+    for name in names:
+        if name in declared:
+            raise ValueError("duplicate variable declaration")
+        declared.add(name)
+
+
+def _check_term(term: tuple[Literal, ...], declared: set[str]) -> None:
+    if not 1 <= len(term) <= 3:
+        raise ValueError(f"term size {len(term)} outside 1..3")
+    for lit in term:
+        if lit.var not in declared:
+            raise ValueError(f"undeclared variable {lit.var!r}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,7 @@ class KPartiteGraph:
                 raise ValueError(f"intra-part edge ({u!r},{v!r})")
 
     def has_edge(self, u: str, v: str) -> bool:
-        return ((u, v) if u <= v else (v, u)) in self.edges
+        return edge_key(u, v) in self.edges
 
 
 # ---------------------------------------------------------------------------
@@ -149,30 +159,38 @@ def reduce_qbf_to_asp(phi: QbfEA) -> Program:
 
 def parse_qbf(text: str) -> QbfEA:
     """Format: 'exists x1 x2' / 'forall y1 y2' / one 'term' line per term,
-    literals negated with a '-' prefix."""
+    literals negated with a '-' prefix.  Each error names the line (col 1)
+    of the declaration or term at fault."""
     existential: list[str] = []
     universal: list[str] = []
     terms: list[tuple[Literal, ...]] = []
+    term_lines: list[int] = []
+    declared: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("%")[0].strip()
         if not line:
             continue
         keyword, *rest = line.split()
-        if keyword == "exists":
-            existential += rest
-        elif keyword == "forall":
-            universal += rest
+        if keyword in ("exists", "forall"):
+            try:
+                _declare(rest, declared)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno, 1) from exc
+            (existential if keyword == "exists" else universal).extend(rest)
         elif keyword == "term":
-            lits = tuple(
+            terms.append(tuple(
                 Literal(tok[1:], True) if tok.startswith("-") else Literal(tok, False)
-                for tok in rest)
-            terms.append(lits)
+                for tok in rest))
+            term_lines.append(lineno)
         else:
             raise ParseError(f"unknown keyword {keyword!r}", lineno, 1)
-    try:
-        return QbfEA(tuple(existential), tuple(universal), tuple(terms))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    # A term may come before the declarations it uses.
+    for term, lineno in zip(terms, term_lines):
+        try:
+            _check_term(term, declared)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno, 1) from exc
+    return QbfEA(tuple(existential), tuple(universal), tuple(terms))
 
 
 def serialize_qbf(phi: QbfEA) -> str:
@@ -211,7 +229,7 @@ def gen_pclique(k: int, part_size: int, edge_density: float,
         for u in parts[j1]:
             for v in parts[j2]:
                 if rng.random() < edge_density:
-                    edges.add((u, v) if u <= v else (v, u))
+                    edges.add(edge_key(u, v))
     return KPartiteGraph(parts, frozenset(edges))
 
 
@@ -311,6 +329,8 @@ def gen_random_program(num_atoms: int, num_rules: int,
     if num_rules < 0:
         raise ValueError("num_rules must be at least 0")
     ph, pp, pn = part_probabilities
+    if not all(0 <= p <= 1 for p in part_probabilities):
+        raise ValueError("part probabilities must be between 0 and 1")
     if ph + pp + pn > 1.0 + 1e-9:
         raise ValueError("part probabilities must sum to at most 1")
     rng = random.Random(seed)

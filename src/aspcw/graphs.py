@@ -16,10 +16,17 @@ from typing import Iterable, Iterator
 
 from .errors import BoundExceededError
 from .program import Program
-from .tables import bits
 
 SIGNS = ("h", "p", "n")
 ALPHA = "alpha"
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)

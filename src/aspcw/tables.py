@@ -1,31 +1,28 @@
-"""Table entries for the decomposition-based solvers.
+"""Table entries and the one table fold shared by the two solvers.
 
 A KTriple (T, F, U) holds three label sets as bitmasks (label l -> bit l-1):
 labels of true atoms, false atoms, and not-yet-satisfied rules.  A KPair
 extends a triple with the table of its candidate's proper subsets evaluated
 against the reduct.
+
+Inside the fold a triple over labels 1..w is one integer with three w-bit
+fields, T | F << w | U << 2w: unions become bitwise or, and relabels and edge
+runs become shifted mask operations.  Only this module reads those fields.
+A solver gives its operators as a TableOps; `fold_tables` hands them
+ready-made bits and masks, and `unpack` reads an entry back as a KTriple.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
+
+from .errors import ExpressionError
+from .expression import (DisjointUnion, EdgeInsert, Expr, Introduce, Relabel,
+                         fold, labels_used, op_label)
+from .graphs import SIGNS, bits
 
 
-def label_mask(labels: Iterable[int]) -> int:
-    mask = 0
-    for l in labels:
-        if l < 1:
-            raise ValueError(f"labels are positive integers, got {l}")
-        mask |= 1 << (l - 1)
-    return mask
-
-
-def bits(mask: int) -> Iterator[int]:
-    """The set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+OnNode = Callable[[int, str, int], None]
 
 
 def mask_labels(mask: int) -> frozenset[int]:
@@ -36,12 +33,6 @@ class KTriple(NamedTuple):
     t: int
     f: int
     u: int
-
-    @classmethod
-    def from_sets(cls, true_labels: Iterable[int], false_labels: Iterable[int],
-                  unsat_labels: Iterable[int]) -> "KTriple":
-        return cls(label_mask(true_labels), label_mask(false_labels),
-                   label_mask(unsat_labels))
 
     def to_sets(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
         return mask_labels(self.t), mask_labels(self.f), mask_labels(self.u)
@@ -56,3 +47,152 @@ class KPair(NamedTuple):
     q: KTriple
     gamma: frozenset[KTriple]
 
+
+def unpack(key: int, w: int) -> KTriple:
+    mask = (1 << w) - 1
+    return KTriple(key & mask, key >> w & mask, key >> 2 * w & mask)
+
+
+def relabel_fn(old: int, new: int, w: int):
+    bit = 1 << (old - 1)
+    mask3 = bit | bit << w | bit << 2 * w
+    keep = ~mask3
+    shift = new - old
+
+    if shift > 0:
+        def move(key: int) -> int:
+            hit = key & mask3
+            return (key & keep) | hit << shift if hit else key
+    else:
+        def move(key: int) -> int:
+            hit = key & mask3
+            return (key & keep) | hit >> -shift if hit else key
+    return move
+
+
+class _RunClear(dict):
+    """Gate projection -> the U bits the run's edges clear there, filled in
+    on first use."""
+
+    def __init__(self, edges: list[tuple[int, int]]):
+        self.edges = edges
+
+    def __missing__(self, hit: int) -> int:
+        bits = 0
+        for gate, bit in self.edges:
+            if hit & gate:
+                bits |= bit
+        self[hit] = bits
+        return bits
+
+
+def run_clear(run: list[tuple[str, int, int]], w: int,
+              signs: str = "hpn") -> tuple[int, dict[int, int]]:
+    """The edges of a run of edge inserts [(sign, i, j), ...] whose sign is
+    in `signs`, as (gates, clear): entry `key` loses the U bits
+    `clear[key & gates]`.
+
+    Edges i x j clear rule label j where the entry has label i true (h, n)
+    or false (p).  No edge insert changes a T or F bit, so a run commutes
+    and what it clears in an entry depends only on the entry's gate bits.
+    """
+    edges = [(1 << (i - 1) << (w if sign == "p" else 0), 1 << (j - 1 + 2 * w))
+             for sign, i, j in run if sign in signs]
+    gates = 0
+    for gate, _ in edges:
+        gates |= gate
+    return gates, _RunClear(edges)
+
+
+class TableOps(NamedTuple):
+    """One solver's operators on tables of packed entries (field width w)."""
+    introduce: Callable[[str, int, int, int], set]  # (kind, T, F, U bit)
+    union: Callable[[set, set], set]
+    relabel: Callable[[set, Callable[[int], int]], set]  # (table, relabel_fn)
+    edge: Callable[[set, list, int], set]       # (table, run, w)
+    forget: Callable[[set, int, int], set]      # (table, dead T|F, dead U)
+    accepts: Callable[[set, int], bool]         # (root table, all U bits)
+    snapshot: Callable[[int, str, set, int], object]  # (index, op, table, w)
+
+
+def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
+                on_node: OnNode | None = None,
+                forget: bool = False) -> tuple[set, int]:
+    """Runs a solver bottom-up over `expr`; returns (packed root table, w).
+
+    A run of consecutive edge inserts is applied at once by `ops.edge`, at
+    its top edge insert.  `on_node(index, op, size)` and `trace` see the
+    same events: each table the solver builds, in post-order.  A run's
+    table carries the index and op of its top edge insert, and the root's
+    index is the node count.
+
+    With `forget`, each table drops its dead labels through `ops.forget`: a
+    label is dead after the last edge insert or relabel that names it (in
+    post-order, so every operator above the table comes later), and dead
+    from the start if none names it.  No later operator reads a dead
+    label's T or F bit or clears its U bit, so a dead U bit keeps an entry
+    from ever passing the root check.
+    """
+    nodes: list[Expr] = []
+    fold(expr, lambda node, *_: nodes.append(node))
+    labels = labels_used(expr)
+    w = max(labels)
+
+    dies: dict[int, int] = {}  # index -> the labels dead from there on
+    if forget:
+        last = {label: 0 for label in labels}
+        for index, node in enumerate(nodes, 1):
+            if isinstance(node, EdgeInsert):
+                last[node.i] = last[node.j] = index
+            elif isinstance(node, Relabel):
+                last[node.old] = last[node.new] = index
+        for label, index in last.items():
+            dies[index] = dies.get(index, 0) | 1 << (label - 1)
+    dead = dies.get(0, 0)
+
+    # The operands' tables, each with the dead labels forgotten in it.
+    stack: list[tuple[set, int]] = []
+    run: list[tuple[str, int, int]] = []
+    for index, node in enumerate(nodes, 1):
+        dead |= dies.get(index, 0)
+        if isinstance(node, EdgeInsert):
+            if node.sign not in SIGNS:
+                raise ExpressionError(
+                    f"solver requires signed edges, got {node.sign!r}")
+            run.append((node.sign, node.i, node.j))
+            # In post-order an edge insert is followed by its parent, or by
+            # an introduce if it is a left operand: so the run goes on
+            # above while the next node is an edge insert.
+            if index < len(nodes) and isinstance(nodes[index], EdgeInsert):
+                continue
+            table, gone = stack.pop()
+            table = ops.edge(table, run, w)
+            run = []
+        elif isinstance(node, Introduce):
+            bit = 1 << (node.label - 1)
+            table = ops.introduce(node.kind, bit, bit << w, bit << 2 * w)
+            gone = 0
+        elif isinstance(node, DisjointUnion):
+            (right, right_gone), (left, left_gone) = stack.pop(), stack.pop()
+            table, gone = ops.union(left, right), left_gone & right_gone
+        else:
+            table, gone = stack.pop()
+            table = ops.relabel(table, relabel_fn(node.old, node.new, w))
+        if dead & ~gone:
+            table = ops.forget(table, dead | dead << w, dead << 2 * w)
+            gone = dead
+        if on_node is not None:
+            on_node(index, op_label(node), len(table))
+        if trace is not None:
+            trace.append(ops.snapshot(index, op_label(node), table, w))
+        stack.append((table, gone))
+    return stack[0][0], w
+
+
+def decide(expr: Expr, ops: TableOps, on_node: OnNode | None = None,
+           trace: list | None = None) -> bool:
+    """The decision: the fold forgets dead labels, so `on_node` and `trace`
+    see the smaller tables it builds; then `ops.accepts` checks the root."""
+    table, w = fold_tables(expr, ops, trace=trace, on_node=on_node,
+                           forget=True)
+    return ops.accepts(table, ((1 << w) - 1) << 2 * w)

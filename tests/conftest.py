@@ -1,11 +1,12 @@
 """Shared fixtures: the two-rule running example, its 3-expression, and the
 small exists-forall formula used by the reduction tests; the unsigned
 incidence graph the graph, generator and acceptance tests compare against;
-and the brute-force triples of an interpretation that the oracle and
-acceptance tests compare the DP tables against."""
+triples built from label sets, packed entries, and the root check on a full
+packed root table; and the brute-force triples of an interpretation that the
+oracle and acceptance tests compare the DP tables against."""
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import pytest
 
@@ -13,7 +14,7 @@ from aspcw.expression import parse_expression
 from aspcw.generators import Literal, QbfEA
 from aspcw.graphs import build_signed_incidence_graph
 from aspcw.program import Program, Rule, is_model_of_rule, parse_program
-from aspcw.tables import KTriple
+from aspcw.tables import KTriple, TableOps, fold_tables
 
 EXAMPLE1_TEXT = "x :- not y.\n:- x, not y.\n"
 
@@ -24,8 +25,28 @@ FIG2_TEXT = ("eta(n,3,2, oplus( rho(3,2, eta(p,1,3, oplus( eta(h,1,2, "
 EXAMPLE1_LABELING = {"x": 1, "r1": 2, "r2": 2, "y": 3}
 
 
-def triple(ts, fs, us) -> KTriple:
-    return KTriple.from_sets(ts, fs, us)
+def label_mask(labels: Iterable[int]) -> int:
+    mask = 0
+    for l in labels:
+        if l < 1:
+            raise ValueError(f"labels are positive integers, got {l}")
+        mask |= 1 << (l - 1)
+    return mask
+
+
+def triple(ts: Iterable[int], fs: Iterable[int], us: Iterable[int]) -> KTriple:
+    return KTriple(label_mask(ts), label_mask(fs), label_mask(us))
+
+
+def pack(q: KTriple, w: int) -> int:
+    return q.t | q.f << w | q.u << 2 * w
+
+
+def full_root_accepts(expr, ops: TableOps) -> bool:
+    """The solver's root check on the root table of the fold that keeps
+    every label."""
+    table, w = fold_tables(expr, ops)
+    return ops.accepts(table, ((1 << w) - 1) << 2 * w)
 
 
 @dataclass(frozen=True)
@@ -54,7 +75,7 @@ def interpretation_triple(program: Program, labeling: Mapping[str, int],
     """The unique triple whose components are the labels of true atoms,
     false atoms, and rules not satisfied by the interpretation."""
     try:
-        return KTriple.from_sets(
+        return triple(
             (labeling[a] for a in interp),
             (labeling[a] for a in program.atoms if a not in interp),
             (labeling[r.id] for r in program.rules
@@ -80,7 +101,7 @@ def reduct_interpretation_triple(program: Program, labeling: Mapping[str, int],
         return not is_model_of_rule(stripped, sub)
 
     try:
-        return KTriple.from_sets(
+        return triple(
             (labeling[a] for a in sub),
             (labeling[a] for a in program.atoms if a not in sub),
             (labeling[r.id] for r in program.rules if survives_unsatisfied(r)),

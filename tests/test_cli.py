@@ -234,6 +234,15 @@ class TestGen:
         assert code == 3 and out == ""
         assert err.startswith("aspcw: ") and "between 0 and 1" in err
 
+    @pytest.mark.parametrize("probability", [
+        ["--head-p", "-1", "--pos-p", "0.5"], ["--neg-p", "1.5"],
+    ])
+    def test_bad_probability_exits_3(self, capsys, probability):
+        code, out, err = run(capsys, "gen", "random-program", "--atoms", "2",
+                             "--rules", "1", *probability)
+        assert code == 3 and out == ""
+        assert err.startswith("aspcw: ") and "between 0 and 1" in err
+
     def test_random_program(self, capsys, tmp_path):
         out_file = tmp_path / "r.lp"
         code, _, _ = run(capsys, "gen", "random-program", "--atoms", "4",

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from aspcw._packed import fold_tables, pack, unpack
-from aspcw.dp_answersets import _TABLES, accepts, dp_asp, has_answer_set_dp
-from aspcw.dp_classical import accepts as model_accepts
+from aspcw.dp_answersets import _TABLES, _public, dp_asp, has_answer_set_dp
+from aspcw.dp_classical import _TABLES as _MODEL_TABLES
 from aspcw.dp_classical import dp_classical, has_model_dp
 from aspcw.errors import ExpressionError
 from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
@@ -13,8 +12,8 @@ from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
 from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_answer_sets
 from aspcw.program import parse_program
-from aspcw.tables import KPair
-from conftest import triple
+from aspcw.tables import KPair, fold_tables, unpack
+from conftest import full_root_accepts, pack, triple
 
 
 def pair(q, gamma=()):
@@ -160,10 +159,10 @@ class TestBatchedEdgePath:
         for seed in range(15):
             p = gen_random_program(4, 4, (0.25, 0.25, 0.25), seed)
             for expr in (trivial_expression(p), heuristic_expression(p)):
-                table, w = fold_tables(expr, _REFERENCE)
-                assert fold_tables(expr, _TABLES) == (table, w)
-                assert has_answer_set_dp(expr) == accepts(
-                    table, lambda key: key >> 2 * w)
+                assert fold_tables(expr, _TABLES) == \
+                    fold_tables(expr, _REFERENCE)
+                assert has_answer_set_dp(expr) == \
+                    full_root_accepts(expr, _TABLES)
 
     def test_chains_inside_the_tree(self):
         # Runs of edge inserts under unions and relabels, not only at the
@@ -184,8 +183,9 @@ class TestBatchedEdgePath:
 
     def test_node_hook_matches_trace(self):
         # A trace does not change the path: it sees the events on_node sees,
-        # sizes included.  The full fold builds its tables at the same
-        # nodes, none smaller than the decision's, and both decide alike.
+        # sizes included, and its last node is the forgetting fold's root.
+        # The full fold builds its tables at the same nodes, none smaller
+        # than the decision's, and both decide alike.
         for seed in range(15):
             p = gen_random_program(4, 4, (0.25, 0.25, 0.25), seed)
             for expr in (trivial_expression(p), heuristic_expression(p)):
@@ -201,8 +201,9 @@ class TestBatchedEdgePath:
                 assert all(len(n.pairs) <= len(f.pairs)
                            for n, f in zip(trace, full))
                 assert full[-1].pairs == root
-                assert decision == accepts(root, lambda t: t.u) == \
-                    accepts(trace[-1].pairs, lambda t: t.u)
+                assert trace[-1].pairs == _public(
+                    *fold_tables(expr, _TABLES, forget=True))
+                assert decision == full_root_accepts(expr, _TABLES)
 
 
 class TestForget:
@@ -211,9 +212,8 @@ class TestForget:
 
     @staticmethod
     def assert_pruned_equals_full(expr):
-        assert has_answer_set_dp(expr) == accepts(dp_asp(expr), lambda t: t.u)
-        assert has_model_dp(expr) == model_accepts(dp_classical(expr),
-                                                   lambda t: t.u)
+        assert has_answer_set_dp(expr) == full_root_accepts(expr, _TABLES)
+        assert has_model_dp(expr) == full_root_accepts(expr, _MODEL_TABLES)
 
     def test_random_expressions(self):
         # Relabels and runs of edge inserts under unions; labels that die

@@ -1,11 +1,11 @@
-from aspcw._packed import pack, relabel_fn, unpack
 from aspcw.dp_classical import _TABLES, dp_classical, has_model_dp
 from aspcw.errors import ExpressionError
 from aspcw.expression import parse_expression, trivial_expression
 from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_models
 from aspcw.program import parse_program
-from conftest import triple
+from aspcw.tables import relabel_fn, unpack
+from conftest import pack, triple
 
 import pytest
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from aspcw.errors import BoundExceededError
+from aspcw.errors import BoundExceededError, ParseError
 from aspcw.expression import validate_against, width
 from aspcw.generators import (KPartiteGraph, Literal, QbfEA, gen_grid_program,
                               gen_pclique, gen_random_program, gen_random_qbf,
@@ -43,6 +43,23 @@ class TestQbf:
         phi = parse_qbf("exists x1 x2\nforall y1\nterm x1 -y1\n")
         assert phi.existential == ("x1", "x2")
         assert phi.terms == ((Literal("x1", False), Literal("y1", True)),)
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("exists x1\nforall y1\nterm x1 z9\n", 3, "undeclared variable 'z9'"),
+        ("exists x1\n% comment\nforall y1 x1\n", 3,
+         "duplicate variable declaration"),
+        ("exists x1\nterm\n", 2, "term size 0 outside 1..3"),
+        ("exists x1 x2\nterm x1 x2 -x1 -x2\n", 2, "term size 4 outside 1..3"),
+    ])
+    def test_parse_errors_name_the_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_qbf(text)
+        assert (err.value.line, err.value.col) == (line, 1)
+        assert str(err.value) == f"line {line}, col 1: {message}"
+
+    def test_term_before_its_declaration(self):
+        phi = parse_qbf("term x1 -y1\nexists x1\nforall y1\n")
+        assert phi.existential == ("x1",) and phi.universal == ("y1",)
 
 
 class TestQbfReduction:
@@ -195,6 +212,13 @@ class TestRandomInstances:
     def test_probabilities_checked(self):
         with pytest.raises(ValueError):
             gen_random_program(3, 3, (0.5, 0.5, 0.5), 0)
+
+    @pytest.mark.parametrize("probabilities", [
+        (-1, 0.5, 0), (0.2, -0.1, 0.2), (1.5, -0.6, 0), (0, 0, float("nan")),
+    ])
+    def test_probabilities_outside_unit_interval(self, probabilities):
+        with pytest.raises(ValueError, match="between 0 and 1"):
+            gen_random_program(2, 1, probabilities, 0)
 
     @pytest.mark.parametrize("atoms,rules", [(0, 2), (-1, 2), (3, -1)])
     def test_sizes_checked(self, atoms, rules):

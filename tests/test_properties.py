@@ -6,15 +6,16 @@ on their full root tables; and the program text format round-trips."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspcw.dp_answersets import accepts as asp_accepts
-from aspcw.dp_answersets import dp_asp, has_answer_set_dp
-from aspcw.dp_classical import accepts as model_accepts
-from aspcw.dp_classical import dp_classical, has_model_dp
+from aspcw.dp_answersets import _TABLES as _ASP_TABLES
+from aspcw.dp_answersets import has_answer_set_dp
+from aspcw.dp_classical import _TABLES as _MODEL_TABLES
+from aspcw.dp_classical import has_model_dp
 from aspcw.expression import (heuristic_expression, trivial_expression,
                               validate_against)
 from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_answer_sets, enumerate_models
 from aspcw.program import parse_program, serialize_program
+from conftest import full_root_accepts
 
 programs = st.builds(
     gen_random_program,
@@ -40,13 +41,11 @@ def test_builders_decide_like_the_oracle(program):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(programs)
 def test_forgetting_decides_like_the_full_tables(program):
-    # The decisions forget dead labels; dp_classical and dp_asp keep them.
+    # The decisions forget dead labels; the full fold keeps them.
     for build in (trivial_expression, heuristic_expression):
         expr = build(program)
-        assert has_model_dp(expr) == model_accepts(dp_classical(expr),
-                                                   lambda t: t.u)
-        assert has_answer_set_dp(expr) == asp_accepts(dp_asp(expr),
-                                                      lambda t: t.u)
+        assert has_model_dp(expr) == full_root_accepts(expr, _MODEL_TABLES)
+        assert has_answer_set_dp(expr) == full_root_accepts(expr, _ASP_TABLES)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -1,6 +1,11 @@
+"""The set-bits helper, and label masks (built by the test helper
+`conftest.label_mask`) read back as label sets."""
+
 import pytest
 
-from aspcw.tables import bits, label_mask, mask_labels
+from aspcw.graphs import bits
+from aspcw.tables import mask_labels
+from conftest import label_mask
 
 
 @pytest.mark.parametrize("labels", [

@@ -5,6 +5,10 @@ candidate interpretation I, and every member of Gamma is a triple for a
 proper subset J of I evaluated against the reduct w.r.t. I.  An answer set
 exists iff some root pair has Q_U empty while every member of Gamma keeps a
 nonempty U component (no proper subset survives as a model of the reduct).
+
+The decision refutes candidates early: once a subtree holds every rule
+introduce no U bit comes back, so a Gamma member with an empty U keeps it,
+and `_forget` drops its pair there.
 """
 
 from __future__ import annotations
@@ -50,11 +54,14 @@ def _edge(table: set[PackedPair], run: list, w: int) -> set[PackedPair]:
             for q, g in table}
 
 
-def _forget(table: set[PackedPair], tf: int, u: int) -> set[PackedPair]:
+def _forget(table: set[PackedPair], tf: int, u: int,
+            floor: int) -> set[PackedPair]:
     # Drop pairs whose Q has a dead U bit, and Gamma members with one; clear
-    # the dead T and F bits.
+    # the dead T and F bits.  Under a closed subtree (floor > 0) a Gamma
+    # member below the floor has an empty U for good, so its pair is
+    # refuted: drop it too.
     return {(q & ~tf, frozenset([s & ~tf for s in g if not s & u]))
-            for q, g in table if not q & u}
+            for q, g in table if not q & u and not (g and min(g) < floor)}
 
 
 def _public(table: set[PackedPair], w: int) -> frozenset[KPair]:
@@ -71,9 +78,9 @@ _TABLES = TableOps(
         {(move(q), frozenset(move(s) for s in g)) for q, g in table},
     edge=_edge,
     forget=_forget,
-    # Some pair has Q_U empty and no Gamma member with an empty U.
-    accepts=lambda table, u:
-        any(not q & u and all(s & u for s in g) for q, g in table),
+    # At the root every field is cleared: Q is empty, and so is each Gamma
+    # member, which then has an empty U.
+    accepted=(0, frozenset()),
     snapshot=lambda index, op, table, w:
         TraceNode(index, op, _public(table, w)))
 
@@ -86,6 +93,6 @@ def dp_asp(expr: Expr, trace: list[TraceNode] | None = None) -> frozenset[KPair]
 def has_answer_set_dp(expr: Expr, on_node: OnNode | None = None,
                       trace: list[TraceNode] | None = None) -> bool:
     """True iff some root pair has Q_U empty and no Gamma member with empty
-    U.  The fold forgets dead labels, so `on_node` and `trace` see the
-    smaller tables it builds."""
+    U.  The fold forgets dead labels and drops refuted pairs, so `on_node`
+    and `trace` see the smaller tables it builds."""
     return decide(expr, _TABLES, on_node, trace)

@@ -31,15 +31,24 @@ def _edge(table: set[int], run: list, w: int) -> set[int]:
     return {key & ~clear[key & gates] for key in table}
 
 
+def _forget(table: set[int], tf: int, u: int, floor: int) -> set[int]:
+    # Under a closed subtree (floor > 0) a triple below the floor has an
+    # empty U for good and is accepted: keep it alone.  Otherwise drop
+    # triples with a dead U bit.  Clear the dead T and F bits.
+    low = min(table, default=floor)
+    if low < floor:
+        return {low & ~tf}
+    return {key & ~tf for key in table if not key & u}
+
+
 _TABLES = TableOps(
     introduce=lambda kind, t, f, u: {t, f} if kind == "atom" else {u},
     union=lambda left, right: {a | b for a in left for b in right},
     relabel=lambda table, move: {move(key) for key in table},
     edge=_edge,
-    # Drop triples with a dead U bit; clear the dead T and F bits.
-    forget=lambda table, tf, u: {key & ~tf for key in table if not key & u},
-    # Some triple has U = empty.
-    accepts=lambda table, u: any(not key & u for key in table),
+    forget=_forget,
+    # At the root every field is cleared.
+    accepted=0,
     snapshot=lambda index, op, table, w:
         TraceNode(index, op, _public(table, w)))
 
@@ -53,5 +62,6 @@ def dp_classical(expr: Expr,
 def has_model_dp(expr: Expr, on_node: OnNode | None = None,
                  trace: list[TraceNode] | None = None) -> bool:
     """True iff some root triple has U = empty.  The fold forgets dead
-    labels, so `on_node` and `trace` see the smaller tables it builds."""
+    labels and keeps one accepted triple once it has one, so `on_node` and
+    `trace` see the smaller tables it builds."""
     return decide(expr, _TABLES, on_node, trace)

@@ -14,11 +14,11 @@ ready-made bits and masks, and `unpack` reads an entry back as a KTriple.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, Hashable, NamedTuple
 
 from .errors import ExpressionError
 from .expression import (DisjointUnion, EdgeInsert, Expr, Introduce, Relabel,
-                         fold, labels_used, op_label)
+                         fold, op_label)
 from .graphs import SIGNS, bits
 
 
@@ -105,13 +105,14 @@ def run_clear(run: list[tuple[str, int, int]], w: int,
 
 
 class TableOps(NamedTuple):
-    """One solver's operators on tables of packed entries (field width w)."""
+    """One solver's operators on tables of packed entries (field width w),
+    and the one root entry its decision accepts."""
     introduce: Callable[[str, int, int, int], set]  # (kind, T, F, U bit)
     union: Callable[[set, set], set]
     relabel: Callable[[set, Callable[[int], int]], set]  # (table, relabel_fn)
     edge: Callable[[set, list, int], set]       # (table, run, w)
-    forget: Callable[[set, int, int], set]      # (table, dead T|F, dead U)
-    accepts: Callable[[set, int], bool]         # (root table, all U bits)
+    forget: Callable[[set, int, int, int], set]  # (table, dead T|F, U, floor)
+    accepted: Hashable                          # the decision's root entry
     snapshot: Callable[[int, str, set, int], object]  # (index, op, table, w)
 
 
@@ -132,26 +133,45 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
     from the start if none names it.  No later operator reads a dead
     label's T or F bit or clears its U bit, so a dead U bit keeps an entry
     from ever passing the root check.
+
+    A subtree that holds every rule introduce is closed: its siblings carry
+    no U bits, edge inserts only clear U bits and relabels only move them,
+    so an entry with an empty U keeps it up to the root.  There the fold
+    passes `ops.forget` the floor 1 << 2w, the lowest U bit (elsewhere 0),
+    and "U empty" is `entry < floor`.  One pre-pass lists the nodes in
+    post-order and finds the labels, where each dies and the rule count.
     """
     nodes: list[Expr] = []
-    fold(expr, lambda node, *_: nodes.append(node))
-    labels = labels_used(expr)
+    labels: set[int] = set()  # those of introduces, then all
+    last: dict[int, int] = {}  # label -> its last edge insert or relabel
+    rules = 0
+
+    def visit(node: Expr, *_) -> None:
+        nonlocal rules
+        nodes.append(node)
+        if isinstance(node, Introduce):
+            labels.add(node.label)
+            rules += node.kind == "rule"
+        elif isinstance(node, EdgeInsert):
+            last[node.i] = last[node.j] = len(nodes)
+        elif isinstance(node, Relabel):
+            last[node.old] = last[node.new] = len(nodes)
+
+    fold(expr, visit)
+    labels.update(last)
     w = max(labels)
+    floor = 1 << 2 * w
 
     dies: dict[int, int] = {}  # index -> the labels dead from there on
     if forget:
-        last = {label: 0 for label in labels}
-        for index, node in enumerate(nodes, 1):
-            if isinstance(node, EdgeInsert):
-                last[node.i] = last[node.j] = index
-            elif isinstance(node, Relabel):
-                last[node.old] = last[node.new] = index
-        for label, index in last.items():
+        for label in labels:
+            index = last.get(label, 0)
             dies[index] = dies.get(index, 0) | 1 << (label - 1)
     dead = dies.get(0, 0)
 
-    # The operands' tables, each with the dead labels forgotten in it.
-    stack: list[tuple[set, int]] = []
+    # The operands' tables, each with the dead labels forgotten in it, its
+    # forgotten labels and the count of rule introduces under it.
+    stack: list[tuple[set, int, int]] = []
     run: list[tuple[str, int, int]] = []
     for index, node in enumerate(nodes, 1):
         dead |= dies.get(index, 0)
@@ -165,34 +185,39 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
             # above while the next node is an edge insert.
             if index < len(nodes) and isinstance(nodes[index], EdgeInsert):
                 continue
-            table, gone = stack.pop()
+            table, gone, held = stack.pop()
             table = ops.edge(table, run, w)
             run = []
         elif isinstance(node, Introduce):
             bit = 1 << (node.label - 1)
             table = ops.introduce(node.kind, bit, bit << w, bit << 2 * w)
-            gone = 0
+            gone, held = 0, node.kind == "rule"
         elif isinstance(node, DisjointUnion):
-            (right, right_gone), (left, left_gone) = stack.pop(), stack.pop()
-            table, gone = ops.union(left, right), left_gone & right_gone
+            (right, right_gone, right_held), (left, left_gone, left_held) = \
+                stack.pop(), stack.pop()
+            table = ops.union(left, right)
+            gone, held = left_gone & right_gone, left_held + right_held
         else:
-            table, gone = stack.pop()
+            table, gone, held = stack.pop()
             table = ops.relabel(table, relabel_fn(node.old, node.new, w))
         if dead & ~gone:
-            table = ops.forget(table, dead | dead << w, dead << 2 * w)
+            table = ops.forget(table, dead | dead << w, dead << 2 * w,
+                               floor if held == rules else 0)
             gone = dead
         if on_node is not None:
             on_node(index, op_label(node), len(table))
         if trace is not None:
             trace.append(ops.snapshot(index, op_label(node), table, w))
-        stack.append((table, gone))
+        stack.append((table, gone, held))
     return stack[0][0], w
 
 
 def decide(expr: Expr, ops: TableOps, on_node: OnNode | None = None,
            trace: list | None = None) -> bool:
     """The decision: the fold forgets dead labels, so `on_node` and `trace`
-    see the smaller tables it builds; then `ops.accepts` checks the root."""
-    table, w = fold_tables(expr, ops, trace=trace, on_node=on_node,
+    see the smaller tables it builds.  Every label is dead at the root, so
+    the root table holds only entries with every field cleared, and the
+    decision is whether `ops.accepted` is among them."""
+    table, _ = fold_tables(expr, ops, trace=trace, on_node=on_node,
                            forget=True)
-    return ops.accepts(table, ((1 << w) - 1) << 2 * w)
+    return ops.accepted in table

@@ -2,8 +2,9 @@
 small exists-forall formula used by the reduction tests; the unsigned
 incidence graph the graph, generator and acceptance tests compare against;
 triples built from label sets, packed entries, and the root check on a full
-packed root table; and the brute-force triples of an interpretation that the
-oracle and acceptance tests compare the DP tables against."""
+packed root table of either solver; and the brute-force triples of an
+interpretation that the oracle and acceptance tests compare the DP tables
+against."""
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -42,11 +43,19 @@ def pack(q: KTriple, w: int) -> int:
     return q.t | q.f << w | q.u << 2 * w
 
 
+def accepts(table: set, u: int) -> bool:
+    """The root check on a packed table whose U bits are `u`: some entry has
+    an empty U, and for a pair (Q, Gamma) no member of Gamma has one."""
+    return any(not q & u and all(s & u for s in g)
+               for q, g in (entry if type(entry) is tuple else (entry, ())
+                            for entry in table))
+
+
 def full_root_accepts(expr, ops: TableOps) -> bool:
-    """The solver's root check on the root table of the fold that keeps
-    every label."""
+    """The root check on the root table of the fold that keeps every
+    label."""
     table, w = fold_tables(expr, ops)
-    return ops.accepts(table, ((1 << w) - 1) << 2 * w)
+    return accepts(table, ((1 << w) - 1) << 2 * w)
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,18 @@ def test_qbf_reductions_decide_like_qbf_is_valid():
     assert verdicts.count(True) == 6 and verdicts.count(False) == 4
 
 
+def test_qbf_reductions_past_the_oracle_decide_like_qbf_is_valid():
+    # QBF(5,5,2) reductions: 21 atoms and 28 rules, past what the oracle
+    # enumerates in a test.  Seeds 0-3 give 2 valid and 2 invalid formulas.
+    verdicts = []
+    for seed in range(4):
+        phi = gen_random_qbf(5, 5, 2, seed)
+        decision = has_answer_set_dp(trivial_expression(reduce_qbf_to_asp(phi)))
+        assert decision == qbf_is_valid(phi)
+        verdicts.append(decision)
+    assert verdicts.count(True) == 2 and verdicts.count(False) == 2
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()

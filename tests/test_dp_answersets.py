@@ -12,7 +12,7 @@ from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
 from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_answer_sets
 from aspcw.program import parse_program
-from aspcw.tables import KPair, fold_tables, unpack
+from aspcw.tables import KPair, decide, fold_tables, unpack
 from conftest import full_root_accepts, pack, triple
 
 
@@ -240,6 +240,49 @@ class TestForget:
         dp_asp(expr, trace=full)
         assert max(len(n.pairs) for n in full) == 2 ** 9
         assert max(pruned) < 2 ** 9 // 4
+
+
+class TestRefutation:
+    """Under a subtree that holds every rule introduce no U bit comes back,
+    so the decisions drop the pairs whose Gamma has a member with an empty
+    U; every label is dead at the root, so only cleared entries reach it."""
+
+    def test_no_floor_below_a_missing_rule(self):
+        # Below the union with r1, x's pair (x true, {x false}) has a Gamma
+        # member with an empty U.  The union adds r1's U bit to it, and the
+        # edge keeps it there (x false leaves r1's head unmet), so {x} is
+        # an answer set.
+        expr = parse_expression(
+            "eta(h,1,3,oplus(oplus(a(1,x),a(2,y)),r(3,r1)))")
+        assert has_answer_set_dp(expr) is True
+        assert has_model_dp(expr) is True
+
+    def test_closed_subtrees_drop_refuted_pairs(self):
+        # The decision without the floor keeps every refuted pair.
+        no_floor = _TABLES._replace(
+            forget=lambda table, tf, u, floor: _TABLES.forget(table, tf, u, 0))
+        for seed in range(1, 4):
+            expr = trivial_expression(
+                gen_random_program(10, 8, (0.2, 0.2, 0.2), seed))
+            sizes, kept = [], []
+            decision = decide(expr, _TABLES,
+                              on_node=lambda *e: sizes.append(e[2]))
+            assert decision == decide(expr, no_floor,
+                                      on_node=lambda *e: kept.append(e[2]))
+            assert all(a <= b for a, b in zip(sizes, kept))
+            assert sum(sizes) < sum(kept)
+
+    def test_decision_root_is_cleared(self):
+        empty = triple((), (), ())
+        for seed in range(300):
+            rng = random.Random(seed)
+            labels = range(1, rng.randint(2, 5) + 1)
+            expr = random_expr(rng, rng.randint(1, 8), labels, [])
+            pairs, triples = [], []
+            has_answer_set_dp(expr, trace=pairs)
+            has_model_dp(expr, trace=triples)
+            assert pairs[-1].pairs <= {pair(empty), pair(empty, {empty})}
+            assert triples[-1].triples <= {empty}
 
 
 class TestTrace:

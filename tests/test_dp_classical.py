@@ -116,6 +116,20 @@ class TestDecision:
         assert seen[-1][1] == "eta(n,3,2)"
         assert all(size <= 2 ** (3 * 3) for _, _, size in seen)
 
+    def test_closed_subtree_keeps_one_accepted_triple(self):
+        # The edge satisfies the only rule where x is true, in two triples;
+        # the rule's label dies there, under every rule, so the decision
+        # keeps one of them and nothing else.
+        expr = parse_expression(
+            "rho(2,1,eta(h,1,3,oplus(oplus(r(3,r),a(1,x)),a(2,y))))")
+        trace, full = [], []
+        assert has_model_dp(expr, trace=trace) is True
+        dp_classical(expr, trace=full)
+        assert trace[-2].op == full[-2].op == "eta(h,1,3)"
+        accepted = {q for q in full[-2].triples if not q.u}
+        assert accepted == {triple({1, 2}, (), ()), triple({1}, {2}, ())}
+        assert len(trace[-2].triples) == 1 and trace[-2].triples <= accepted
+
     def test_oracle_agreement_sample(self):
         for seed in range(40):
             p = gen_random_program(4, 4, (0.2, 0.2, 0.2), seed)

@@ -46,8 +46,8 @@ def _load_expression(path: str):
 
 
 def _triple_json(t):
-    ts, fs, us = t.to_sets()
-    return [sorted(ts), sorted(fs), sorted(us)]
+    # `bits` yields the lowest bit first, so each label list comes out sorted.
+    return [[b + 1 for b in graphs.bits(mask)] for mask in t]
 
 
 def _pair_json(p):

@@ -9,6 +9,15 @@ nonempty U component (no proper subset survives as a model of the reduct).
 The decision refutes candidates early: once a subtree holds every rule
 introduce no U bit comes back, so a Gamma member with an empty U keeps it,
 and `_forget` drops its pair there.
+
+It also drops dominated pairs: (Q, G2) is dominated by (Q, G1) when G1 is
+a subset of G2.  Every operator maps the members of Gamma through a map
+that depends only on the member and on Q: a union ORs the same partner pair
+into both Gammas, an edge run gates by the member and by Q's T bits, and
+relabel and forget act per member.  So the inclusion holds up to the root,
+any member that refutes G1 (an empty U, or one below the floor) is in G2
+too, and (Q, G2) is accepted only if (Q, G1) is.  `_forget` keeps, for each
+Q, only the minimal Gammas.
 """
 
 from __future__ import annotations
@@ -54,14 +63,33 @@ def _edge(table: set[PackedPair], run: list, w: int) -> set[PackedPair]:
             for q, g in table}
 
 
+def _undominated(table: set[PackedPair]) -> set[PackedPair]:
+    # Keep, for each Q, only the minimal Gammas: a smaller Gamma is never a
+    # superset, so taking them by size compares each with the kept ones only.
+    groups: dict[int, list[frozenset[int]]] = {}
+    for q, g in table:
+        groups.setdefault(q, []).append(g)
+    if len(groups) == len(table):
+        return table
+    kept = set()
+    for q, gammas in groups.items():
+        minimal: list[frozenset[int]] = []
+        for g in sorted(gammas, key=len):
+            if not any(m <= g for m in minimal):
+                minimal.append(g)
+                kept.add((q, g))
+    return kept
+
+
 def _forget(table: set[PackedPair], tf: int, u: int,
             floor: int) -> set[PackedPair]:
     # Drop pairs whose Q has a dead U bit, and Gamma members with one; clear
     # the dead T and F bits.  Under a closed subtree (floor > 0) a Gamma
     # member below the floor has an empty U for good, so its pair is
-    # refuted: drop it too.
-    return {(q & ~tf, frozenset([s & ~tf for s in g if not s & u]))
-            for q, g in table if not q & u and not (g and min(g) < floor)}
+    # refuted: drop it too.  Then drop the dominated pairs.
+    return _undominated(
+        {(q & ~tf, frozenset([s & ~tf for s in g if not s & u]))
+         for q, g in table if not q & u and not (g and min(g) < floor)})
 
 
 def _public(table: set[PackedPair], w: int) -> frozenset[KPair]:
@@ -93,6 +121,6 @@ def dp_asp(expr: Expr, trace: list[TraceNode] | None = None) -> frozenset[KPair]
 def has_answer_set_dp(expr: Expr, on_node: OnNode | None = None,
                       trace: list[TraceNode] | None = None) -> bool:
     """True iff some root pair has Q_U empty and no Gamma member with empty
-    U.  The fold forgets dead labels and drops refuted pairs, so `on_node`
-    and `trace` see the smaller tables it builds."""
+    U.  The fold forgets dead labels and drops refuted and dominated pairs,
+    so `on_node` and `trace` see the smaller tables it builds."""
     return decide(expr, _TABLES, on_node, trace)

@@ -34,9 +34,6 @@ class KTriple(NamedTuple):
     f: int
     u: int
 
-    def to_sets(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-        return mask_labels(self.t), mask_labels(self.f), mask_labels(self.u)
-
     def __repr__(self) -> str:
         def fmt(mask):
             return "{" + ",".join(map(str, sorted(mask_labels(mask)))) + "}"

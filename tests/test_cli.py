@@ -1,12 +1,13 @@
 import json
+import random
 
 import pytest
 
-from aspcw.cli import main
+from aspcw.cli import _triple_json, main
 from aspcw.dp_answersets import has_answer_set_dp
 from aspcw.expression import trivial_expression
 from aspcw.program import parse_program
-from conftest import EXAMPLE1_TEXT, FIG2_TEXT
+from conftest import EXAMPLE1_TEXT, FIG2_TEXT, triple
 
 
 def run(capsys, *argv):
@@ -113,6 +114,16 @@ class TestSolve:
         sizes = json.loads(out)["table_sizes"]
         assert sizes["max_table"] == max(len(n["pairs"]) for n in nodes)
         assert sizes["node_count"] == nodes[-1]["index"]
+
+    def test_triple_json_lists_sorted_labels(self):
+        # Each field is its labels in increasing order, as sorting the label
+        # sets gives them, for labels up to and past one machine word.
+        rng = random.Random(0)
+        for _ in range(300):
+            fields = [rng.sample([1, 2, 3, 63, 64, 65, 200],
+                                 rng.randint(0, 4)) for _ in range(3)]
+            assert _triple_json(triple(*fields)) == \
+                [sorted(labels) for labels in fields]
 
 
 class TestOracle:

@@ -135,6 +135,19 @@ def test_qbf_reductions_past_the_oracle_decide_like_qbf_is_valid():
     assert verdicts.count(True) == 2 and verdicts.count(False) == 2
 
 
+def test_qbf_reduction_tables_keep_undominated_pairs():
+    # QBF(5,5,8) seed 0 through the heuristic expression: 21 atoms, valid.
+    # Dropping each pair whose Gamma holds another Gamma of the same Q keeps
+    # its largest table at 5,040 pairs (27,450 without the drop).
+    phi = gen_random_qbf(5, 5, 8, 0)
+    sizes = []
+    decision = has_answer_set_dp(
+        heuristic_expression(reduce_qbf_to_asp(phi)),
+        on_node=lambda index, op, size: sizes.append(size))
+    assert decision == qbf_is_valid(phi)
+    assert max(sizes) <= 5040
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()

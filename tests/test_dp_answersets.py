@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from aspcw.dp_answersets import _TABLES, _public, dp_asp, has_answer_set_dp
+from aspcw import dp_answersets
+from aspcw.dp_answersets import (_TABLES, _public, _undominated, dp_asp,
+                                 has_answer_set_dp)
 from aspcw.dp_classical import _TABLES as _MODEL_TABLES
 from aspcw.dp_classical import dp_classical, has_model_dp
 from aspcw.errors import ExpressionError
@@ -283,6 +285,53 @@ class TestRefutation:
             has_model_dp(expr, trace=triples)
             assert pairs[-1].pairs <= {pair(empty), pair(empty, {empty})}
             assert triples[-1].triples <= {empty}
+
+
+class TestDomination:
+    """The decisions drop each pair (Q, G2) whose table holds (Q, G1) with
+    G1 a subset of G2; TestForget checks that they still decide like the
+    full fold."""
+
+    def test_hand_made_table(self):
+        q, q2, other = 0b001, 0b010, 0b100
+        s, t = 0b1000, 0b10000
+        table = {(q, frozenset()), (q, frozenset({s})), (q, frozenset({s, t})),
+                 (q2, frozenset({s})), (q2, frozenset({s, t})),
+                 (q2, frozenset({t})), (other, frozenset({s, t}))}
+        assert _undominated(table) == {
+            (q, frozenset()), (q2, frozenset({s})), (q2, frozenset({t})),
+            (other, frozenset({s, t}))}
+        distinct = {(q, frozenset({s})), (q2, frozenset()), (other, frozenset())}
+        assert _undominated(distinct) is distinct
+
+    def test_every_dropped_pair_has_a_dominator(self, monkeypatch):
+        calls = []
+
+        def recorded(table):
+            kept = _undominated(table)
+            calls.append((table, kept))
+            return kept
+
+        monkeypatch.setattr(dp_answersets, "_undominated", recorded)
+        for seed in range(300):
+            rng = random.Random(seed)
+            labels = range(1, rng.randint(2, 5) + 1)
+            has_answer_set_dp(random_expr(rng, rng.randint(2, 8), labels, []))
+        for seed in range(40):
+            p = gen_random_program(5, 5, (0.25, 0.25, 0.25), seed)
+            for expr in (trivial_expression(p), heuristic_expression(p)):
+                has_answer_set_dp(expr)
+        dropped = 0
+        for table, kept in calls:
+            assert kept <= table
+            for q, g in table:
+                dominators = [k for r, k in kept if r == q and k <= g]
+                if (q, g) in kept:
+                    assert dominators == [g]
+                else:
+                    assert dominators
+                    dropped += 1
+        assert dropped
 
 
 class TestTrace:

@@ -8,7 +8,7 @@ nonempty U component (no proper subset survives as a model of the reduct).
 
 The decision refutes candidates early: once a subtree holds every rule
 introduce no U bit comes back, so a Gamma member with an empty U keeps it,
-and `_forget` drops its pair there.
+and `_join` drops its pair there.
 
 It also drops dominated pairs: (Q, G2) is dominated by (Q, G1) when G1 is
 a subset of G2.  Every operator maps the members of Gamma through a map
@@ -16,8 +16,11 @@ that depends only on the member and on Q: a union ORs the same partner pair
 into both Gammas, an edge run gates by the member and by Q's T bits, and
 relabel and forget act per member.  So the inclusion holds up to the root,
 any member that refutes G1 (an empty U, or one below the floor) is in G2
-too, and (Q, G2) is accepted only if (Q, G1) is.  `_forget` keeps, for each
-Q, only the minimal Gammas.
+too, and (Q, G2) is accepted only if (Q, G1) is.  A join that forgets
+keeps, for each Q, only the minimal Gammas.
+
+Every union, edge run and forget is one `_join`, Q first: a pair whose Q
+the run and the forget drop never gets its Gamma built.
 """
 
 from __future__ import annotations
@@ -38,29 +41,49 @@ class TraceNode:
     pairs: frozenset[KPair]
 
 
-def _union(left: set[PackedPair], right: set[PackedPair]) -> set[PackedPair]:
-    table = set()
-    for q1, g1 in left:
-        for q2, g2 in right:
-            gamma = {s1 | s2 for s1 in g1 for s2 in g2}
-            gamma.update(q1 | s for s in g2)
-            gamma.update(s | q2 for s in g1)
-            table.add((q1 | q2, frozenset(gamma)))
-    return table
-
-
-def _edge(table: set[PackedPair], run: list, w: int) -> set[PackedPair]:
+def _join(left: set[PackedPair], right: set[PackedPair], run: list, w: int,
+          tf: int, u: int, floor: int) -> set[PackedPair]:
+    # Q first: OR the operands' Qs, apply the run's clears and drop a pair
+    # with a dead U bit before building its Gamma.  Gamma gets each proper
+    # subset of the union: on each side a member of its Gamma or its whole
+    # Q, but not both whole Qs, which come last.
+    #
     # Q is gated by its own T and F bits.  A member of Gamma is gated by its
     # own bits for h and p edges, but by the outer Q's T bits for n edges:
     # once I hits the negative body, the rule vanishes from the reduct for
-    # all subsets J, whether or not J itself touches label i.  Without h or
-    # p edges, a pair whose Q opens no n gate keeps its Gamma.
-    (own_gates, own), (gates, member), (n_gates, outer) = (
-        run_clear(run, w, signs) for signs in ("hpn", "hp", "n"))
-    return {(q & ~own[q & own_gates],
-             frozenset([s & ~(member[s & gates] | n) for s in g])
-             if (n := outer[q & n_gates]) or gates else g)
-            for q, g in table}
+    # all subsets J, whether or not J itself touches label i.
+    #
+    # Under a closed subtree (floor > 0) a Gamma member below the floor has
+    # an empty U for good, so its pair is refuted: drop it.  Drop Gamma
+    # members with a dead U bit, clear the dead T and F bits, and if any
+    # label is dead, drop the dominated pairs.
+    own_gates = gates = n_gates = 0
+    if run:
+        own_gates, own = run_clear(run, w)
+        gates, member = run_clear(run, w, "hp")
+        n_gates, outer = run_clear(run, w, "n")
+    keep = ~tf
+    table = set()
+    right = [(q2, (*g2, q2)) for q2, g2 in right]
+    for q1, g1 in left:
+        subsets1 = (*g1, q1)
+        for q2, subsets2 in right:
+            q = q1 | q2
+            if own_gates:
+                q &= ~own[q & own_gates]
+            if q & u:
+                continue
+            gamma = [s1 | s2 for s1 in subsets1 for s2 in subsets2]
+            gamma.pop()
+            if (n := n_gates and outer[q & n_gates]) or gates:
+                gamma = [c & keep for s in gamma
+                         if not (c := s & ~(member[s & gates] | n)) & u]
+            elif u:
+                gamma = [s & keep for s in gamma if not s & u]
+            if floor and gamma and min(gamma) < floor:
+                continue
+            table.add((q & keep, frozenset(gamma)))
+    return _undominated(table) if u else table
 
 
 def _undominated(table: set[PackedPair]) -> set[PackedPair]:
@@ -81,17 +104,6 @@ def _undominated(table: set[PackedPair]) -> set[PackedPair]:
     return kept
 
 
-def _forget(table: set[PackedPair], tf: int, u: int,
-            floor: int) -> set[PackedPair]:
-    # Drop pairs whose Q has a dead U bit, and Gamma members with one; clear
-    # the dead T and F bits.  Under a closed subtree (floor > 0) a Gamma
-    # member below the floor has an empty U for good, so its pair is
-    # refuted: drop it too.  Then drop the dominated pairs.
-    return _undominated(
-        {(q & ~tf, frozenset([s & ~tf for s in g if not s & u]))
-         for q, g in table if not q & u and not (g and min(g) < floor)})
-
-
 def _public(table: set[PackedPair], w: int) -> frozenset[KPair]:
     return frozenset(KPair(unpack(q, w), frozenset([unpack(s, w) for s in g]))
                      for q, g in table)
@@ -101,11 +113,10 @@ _TABLES = TableOps(
     introduce=lambda kind, t, f, u:
         {(t, frozenset({f})), (f, frozenset())}
         if kind == "atom" else {(u, frozenset())},
-    union=_union,
+    join=_join,
+    unit={(0, frozenset())},
     relabel=lambda table, move:
         {(move(q), frozenset(move(s) for s in g)) for q, g in table},
-    edge=_edge,
-    forget=_forget,
     # At the root every field is cleared: Q is empty, and so is each Gamma
     # member, which then has an empty U.
     accepted=(0, frozenset()),

@@ -26,27 +26,30 @@ def _public(table: set[int], w: int) -> frozenset[KTriple]:
     return frozenset([unpack(key, w) for key in table])
 
 
-def _edge(table: set[int], run: list, w: int) -> set[int]:
-    gates, clear = run_clear(run, w)
-    return {key & ~clear[key & gates] for key in table}
-
-
-def _forget(table: set[int], tf: int, u: int, floor: int) -> set[int]:
-    # Under a closed subtree (floor > 0) a triple below the floor has an
-    # empty U for good and is accepted: keep it alone.  Otherwise drop
-    # triples with a dead U bit.  Clear the dead T and F bits.
-    low = min(table, default=floor)
-    if low < floor:
-        return {low & ~tf}
-    return {key & ~tf for key in table if not key & u}
+def _join(left: set[int], right: set[int], run: list, w: int, tf: int,
+          u: int, floor: int) -> set[int]:
+    # A triple has no Gamma to build after its Q, so each step is one pass,
+    # run only when it has work: OR each operand pair, apply the run's
+    # clears, then drop triples with a dead U bit and clear the dead T and
+    # F bits.  Under a closed subtree (floor > 0) a triple below the floor
+    # has an empty U for good and is accepted: keep it alone.
+    table = {a | b for a in left for b in right}
+    if run:
+        gates, clear = run_clear(run, w)
+        table = {key & ~clear[key & gates] for key in table}
+    if u:
+        low = min(table, default=floor)
+        if low < floor:
+            return {low & ~tf}
+        table = {key & ~tf for key in table if not key & u}
+    return table
 
 
 _TABLES = TableOps(
     introduce=lambda kind, t, f, u: {t, f} if kind == "atom" else {u},
-    union=lambda left, right: {a | b for a in left for b in right},
+    join=_join,
+    unit={0},
     relabel=lambda table, move: {move(key) for key in table},
-    edge=_edge,
-    forget=_forget,
     # At the root every field is cleared.
     accepted=0,
     snapshot=lambda index, op, table, w:

@@ -8,8 +8,9 @@ against the reduct.
 Inside the fold a triple over labels 1..w is one integer with three w-bit
 fields, T | F << w | U << 2w: unions become bitwise or, and relabels and edge
 runs become shifted mask operations.  Only this module reads those fields.
-A solver gives its operators as a TableOps; `fold_tables` hands them
-ready-made bits and masks, and `unpack` reads an entry back as a KTriple.
+A solver gives its operators as a TableOps, with one `join` for unions, edge
+runs and forgets; `fold_tables` hands them ready-made bits and masks, and
+`unpack` reads an entry back as a KTriple.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ def run_clear(run: list[tuple[str, int, int]], w: int,
     `clear[key & gates]`.
 
     Edges i x j clear rule label j where the entry has label i true (h, n)
-    or false (p).  No edge insert changes a T or F bit, so a run commutes
+    or false (p): the fold names each edge atom label first (see
+    `atoms_first`).  No edge insert changes a T or F bit, so a run commutes
     and what it clears in an entry depends only on the entry's gate bits.
     """
     edges = [(1 << (i - 1) << (w if sign == "p" else 0), 1 << (j - 1 + 2 * w))
@@ -101,14 +103,26 @@ def run_clear(run: list[tuple[str, int, int]], w: int,
     return gates, _RunClear(edges)
 
 
+def atoms_first(run: list[tuple[str, int, int]],
+                atoms: int) -> list[tuple[str, int, int]]:
+    """The run with each edge atom label first: an edge insert is
+    undirected, so (sign, i, j) becomes (sign, j, i) where label j holds
+    atoms (its bit of the mask `atoms` is 1) and label i does not (0)."""
+    return [(sign, j, i) if atoms >> (j - 1) & 1 > atoms >> (i - 1) & 1
+            else (sign, i, j) for sign, i, j in run]
+
+
 class TableOps(NamedTuple):
     """One solver's operators on tables of packed entries (field width w),
-    and the one root entry its decision accepts."""
+    its unit table and the one root entry its decision accepts.  `join`
+    ORs each pair of operand entries, applies the run's clears, drops an
+    entry with a dead U bit and clears the dead T and F bits: it is the
+    one operator for a union, an edge run and a forget."""
     introduce: Callable[[str, int, int, int], set]  # (kind, T, F, U bit)
-    union: Callable[[set, set], set]
+    # (left, right, run, w, dead T|F, dead U, floor)
+    join: Callable[[set, set, list, int, int, int, int], set]
+    unit: set                                   # joins as the identity
     relabel: Callable[[set, Callable[[int], int]], set]  # (table, relabel_fn)
-    edge: Callable[[set, list, int], set]       # (table, run, w)
-    forget: Callable[[set, int, int, int], set]  # (table, dead T|F, U, floor)
     accepted: Hashable                          # the decision's root entry
     snapshot: Callable[[int, str, set, int], object]  # (index, op, table, w)
 
@@ -118,23 +132,35 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
                 forget: bool = False) -> tuple[set, int]:
     """Runs a solver bottom-up over `expr`; returns (packed root table, w).
 
-    A run of consecutive edge inserts is applied at once by `ops.edge`, at
-    its top edge insert.  `on_node(index, op, size)` and `trace` see the
-    same events: each table the solver builds, in post-order.  A run's
-    table carries the index and op of its top edge insert, and the root's
-    index is the node count.
+    `ops` gives the solver's `introduce`, `join`, `unit`, `relabel`,
+    `accepted` and `snapshot` (see TableOps).  A union is `ops.join` of its
+    operands with an empty run.  A run of consecutive edge inserts is one
+    `ops.join` against `ops.unit` at its top edge insert.  An edge insert
+    is undirected; the fold hands each edge to `ops.join` atom label first
+    (see `atoms_first`), from the mask of labels that hold atoms that each
+    operand carries: an atom introduce sets its label's bit, a union ORs
+    the masks and a relabel moves the bit.
 
-    With `forget`, each table drops its dead labels through `ops.forget`: a
-    label is dead after the last edge insert or relabel that names it (in
-    post-order, so every operator above the table comes later), and dead
-    from the start if none names it.  No later operator reads a dead
-    label's T or F bit or clears its U bit, so a dead U bit keeps an entry
-    from ever passing the root check.
+    `on_node(index, op, size)` and `trace` see the same events: each table
+    the solver builds, in post-order.  A run's table carries the index and
+    op of its top edge insert, and the root's index is the node count.
+
+    With `forget`, each table drops its dead labels: the join that builds
+    it gets their masks, and an introduce or relabel table that has dead
+    labels is joined against `ops.unit` with them.  A label is dead after
+    the last edge insert or relabel that names it (in post-order, so every
+    operator above the table comes later), and dead from the start if none
+    names it.  No later operator reads a dead label's T or F bit or clears
+    its U bit, so a dead U bit keeps an entry from ever passing the root
+    check.  Also with `forget`, a union whose next node in post-order is an
+    edge insert (its parent) builds no table: its operands go to the run's
+    join, which builds only the entries that survive the run and the
+    forget.  Such a union sends no `on_node` or trace event.
 
     A subtree that holds every rule introduce is closed: its siblings carry
     no U bits, edge inserts only clear U bits and relabels only move them,
     so an entry with an empty U keeps it up to the root.  There the fold
-    passes `ops.forget` the floor 1 << 2w, the lowest U bit (elsewhere 0),
+    passes `ops.join` the floor 1 << 2w, the lowest U bit (elsewhere 0),
     and "U empty" is `entry < floor`.  One pre-pass lists the nodes in
     post-order and finds the labels, where each dies and the rule count.
     """
@@ -167,45 +193,66 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
     dead = dies.get(0, 0)
 
     # The operands' tables, each with the dead labels forgotten in it, its
-    # forgotten labels and the count of rule introduces under it.
-    stack: list[tuple[set, int, int]] = []
+    # forgotten labels, the count of rule introduces under it and the mask
+    # of its labels that hold atoms.
+    stack: list[tuple[set, int, int, int]] = []
     run: list[tuple[str, int, int]] = []
-    for index, node in enumerate(nodes, 1):
+    deferred = None  # a union's operands and masks, for the run above
+    # In post-order an edge insert or a union is followed by its parent, or
+    # by an introduce if it is a left operand: so a run goes on above while
+    # the next node is an edge insert, and a union is an edge insert's
+    # operand if the next node is one.
+    for index, (node, above) in enumerate(zip(nodes, nodes[1:] + [None]), 1):
         dead |= dies.get(index, 0)
+        right = None  # the second operand of a join, if the node is one
         if isinstance(node, EdgeInsert):
             if node.sign not in SIGNS:
                 raise ExpressionError(
                     f"solver requires signed edges, got {node.sign!r}")
             run.append((node.sign, node.i, node.j))
-            # In post-order an edge insert is followed by its parent, or by
-            # an introduce if it is a left operand: so the run goes on
-            # above while the next node is an edge insert.
-            if index < len(nodes) and isinstance(nodes[index], EdgeInsert):
+            if isinstance(above, EdgeInsert):
                 continue
-            table, gone, held = stack.pop()
-            table = ops.edge(table, run, w)
-            run = []
+            if deferred is not None:
+                (left, right, gone, held, atoms), deferred = deferred, None
+            else:
+                (left, gone, held, atoms), right = stack.pop(), ops.unit
+            run = atoms_first(run, atoms)
         elif isinstance(node, Introduce):
             bit = 1 << (node.label - 1)
-            table = ops.introduce(node.kind, bit, bit << w, bit << 2 * w)
+            left = ops.introduce(node.kind, bit, bit << w, bit << 2 * w)
             gone, held = 0, node.kind == "rule"
+            atoms = 0 if held else bit
         elif isinstance(node, DisjointUnion):
-            (right, right_gone, right_held), (left, left_gone, left_held) = \
+            (right, right_gone, right_held, right_atoms), \
+                (left, left_gone, left_held, left_atoms) = \
                 stack.pop(), stack.pop()
-            table = ops.union(left, right)
             gone, held = left_gone & right_gone, left_held + right_held
+            atoms = left_atoms | right_atoms
+            if forget and isinstance(above, EdgeInsert):
+                deferred = left, right, gone, held, atoms
+                continue
         else:
-            table, gone, held = stack.pop()
-            table = ops.relabel(table, relabel_fn(node.old, node.new, w))
+            left, gone, held, atoms = stack.pop()
+            left = ops.relabel(left, relabel_fn(node.old, node.new, w))
+            old = 1 << (node.old - 1)
+            if atoms & old:
+                atoms = atoms & ~old | 1 << (node.new - 1)
         if dead & ~gone:
-            table = ops.forget(table, dead | dead << w, dead << 2 * w,
-                               floor if held == rules else 0)
+            table = ops.join(left, ops.unit if right is None else right, run,
+                             w, dead | dead << w, dead << 2 * w,
+                             floor if held == rules else 0)
             gone = dead
+        elif right is not None:
+            table = ops.join(left, right, run, w, 0, 0, 0)
+        else:
+            table = left
+        if run:
+            run = []
         if on_node is not None:
             on_node(index, op_label(node), len(table))
         if trace is not None:
             trace.append(ops.snapshot(index, op_label(node), table, w))
-        stack.append((table, gone, held))
+        stack.append((table, gone, held, atoms))
     return stack[0][0], w
 
 

@@ -1,17 +1,18 @@
 """Shared fixtures: the two-rule running example, its 3-expression, and the
 small exists-forall formula used by the reduction tests; the unsigned
 incidence graph the graph, generator and acceptance tests compare against;
-triples built from label sets, packed entries, and the root check on a full
-packed root table of either solver; and the brute-force triples of an
-interpretation that the oracle and acceptance tests compare the DP tables
-against."""
+triples built from label sets, packed entries, the root check on a full
+packed root table of either solver and the nodes the fold reports; and the
+brute-force triples of an interpretation that the oracle and acceptance
+tests compare the DP tables against."""
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import pytest
 
-from aspcw.expression import parse_expression
+from aspcw.expression import (DisjointUnion, EdgeInsert, fold, op_label,
+                              parse_expression)
 from aspcw.generators import Literal, QbfEA
 from aspcw.graphs import build_signed_incidence_graph
 from aspcw.program import Program, Rule, is_model_of_rule, parse_program
@@ -24,6 +25,25 @@ FIG2_TEXT = ("eta(n,3,2, oplus( rho(3,2, eta(p,1,3, oplus( eta(h,1,2, "
 
 # Root labeling of the 3-expression above.
 EXAMPLE1_LABELING = {"x": 1, "r1": 2, "r2": 2, "y": 3}
+
+# Programs with expressions that insert their edges rule label first, as
+# (program text, expression text).  An edge insert is undirected, so both
+# validate; `a` is an answer set of the first and the empty set one of the
+# second.
+RULE_FIRST = [
+    ("a.\n", "eta(h,1,2,oplus(r(1,r1),a(2,a)))"),
+    ("a1 :- a0.\na0 :- a1.\n",
+     "eta(h,1,3,eta(p,1,4,eta(h,2,4,eta(p,2,3,oplus(oplus(r(1,r1),r(2,r2)),"
+     "oplus(a(3,a1),a(4,a0)))))))"),
+]
+
+# The tables the classical decision builds on the 3-expression above, as
+# (index, op, size) in post-order.  The unions at 3, 6 and 10 lie directly
+# under edge inserts, so their joins are the runs' and they build none.
+FIG2_MODEL_EVENTS = [
+    (1, "a(1,x)", 2), (2, "r(2,r1)", 1), (4, "eta(h,1,2)", 2),
+    (5, "r(3,r2)", 1), (7, "eta(p,1,3)", 2), (8, "rho(3,2)", 1),
+    (9, "a(3,y)", 2), (11, "eta(n,3,2)", 1)]
 
 
 def label_mask(labels: Iterable[int]) -> int:
@@ -56,6 +76,19 @@ def full_root_accepts(expr, ops: TableOps) -> bool:
     label."""
     table, w = fold_tables(expr, ops)
     return accepts(table, ((1 << w) - 1) << 2 * w)
+
+
+def table_nodes(expr, fused: bool) -> list[tuple[int, str]]:
+    """The (index, op) of each table the fold builds: every node in
+    post-order but an edge insert below the top of its run, and with
+    `fused` (the decision's fold) but a union directly under an edge insert
+    too."""
+    nodes = []
+    fold(expr, lambda node, *_: nodes.append(node))
+    skipped = (EdgeInsert, DisjointUnion) if fused else EdgeInsert
+    return [(index, op_label(node)) for index, node in enumerate(nodes, 1)
+            if not (isinstance(node, skipped) and index < len(nodes)
+                    and isinstance(nodes[index], EdgeInsert))]
 
 
 @dataclass(frozen=True)

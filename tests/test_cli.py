@@ -7,7 +7,8 @@ from aspcw.cli import _triple_json, main
 from aspcw.dp_answersets import has_answer_set_dp
 from aspcw.expression import trivial_expression
 from aspcw.program import parse_program
-from conftest import EXAMPLE1_TEXT, FIG2_TEXT, triple
+from conftest import (EXAMPLE1_TEXT, FIG2_MODEL_EVENTS, FIG2_TEXT,
+                      RULE_FIRST, triple)
 
 
 def run(capsys, *argv):
@@ -68,6 +69,19 @@ class TestSolve:
         assert code == 3
         assert json.loads(out)["mismatches"]
 
+    @pytest.mark.parametrize("program_text,expr_text", RULE_FIRST)
+    @pytest.mark.parametrize("mode", ["asp", "classical"])
+    def test_rule_label_first(self, capsys, tmp_path, mode, program_text,
+                              expr_text):
+        # An edge insert is undirected: both programs validate and have an
+        # answer set with the rule label named first.
+        files = ["--program", write(tmp_path, "p.lp", program_text),
+                 "--expr", write(tmp_path, "p.expr", expr_text)]
+        code, out, _ = run(capsys, "validate", *files)
+        assert code == 0 and json.loads(out)["ok"] is True
+        code, out, _ = run(capsys, "solve", "--mode", mode, *files)
+        assert code == 0 and json.loads(out)["decision"] is True
+
     def test_trace_file(self, capsys, tmp_path, example1_file, fig2_file):
         trace = tmp_path / "trace.json"
         code, _, _ = run(capsys, "solve", "--mode", "classical",
@@ -75,8 +89,8 @@ class TestSolve:
                          "--trace", str(trace))
         assert code == 0
         nodes = json.loads(trace.read_text())["nodes"]
-        assert len(nodes) == 11
-        assert nodes[-1]["op"] == "eta(n,3,2)"
+        assert [(n["index"], n["op"], len(n["triples"])) for n in nodes] == \
+            FIG2_MODEL_EVENTS
 
     @pytest.mark.parametrize("mode,program_text,expr_text", [
         ("classical", EXAMPLE1_TEXT, FIG2_TEXT),

@@ -15,15 +15,15 @@ import pytest
 from aspcw.cli import main
 from aspcw.dp_answersets import has_answer_set_dp
 from aspcw.dp_classical import has_model_dp
-from aspcw.expression import (EdgeInsert, evaluate, fold,
-                              heuristic_expression, join_labels, node_count,
-                              op_label, parse_expression,
+from aspcw.expression import (evaluate, fold, heuristic_expression,
+                              join_labels, node_count, parse_expression,
                               serialize_expression, trivial_expression,
                               validate_against)
 from aspcw.generators import (gen_random_program, gen_random_qbf,
                               qbf_is_valid, reduce_qbf_to_asp)
 from aspcw.oracle import enumerate_answer_sets, enumerate_models
 from aspcw.program import parse_program, serialize_program
+from conftest import table_nodes
 
 
 def depth(expr):
@@ -81,15 +81,10 @@ def test_decisions_match_oracle(deep):
         expr, on_node=lambda index, op, size: events.append((index, op))
     ) == answer_set
     # One event per table built: a run of edge inserts reports only its
-    # last node, every other node reports its own.
-    indices = [index for index, _ in events]
-    assert indices == sorted(set(indices))
-    assert indices[-1] == node_count(expr)
-    postorder = []
-    fold(expr, lambda node, *_: postorder.append(node))
-    assert [e for e in events if not e[1].startswith("eta")] == [
-        (index, op_label(node)) for index, node in enumerate(postorder, 1)
-        if not isinstance(node, EdgeInsert)]
+    # top node, a union directly under an edge insert none, and every
+    # other node its own.
+    assert events == table_nodes(expr, fused=True)
+    assert events[-1][0] == node_count(expr)
     assert has_answer_set_dp(heuristic_expression(program)) == answer_set
 
 
@@ -138,14 +133,28 @@ def test_qbf_reductions_past_the_oracle_decide_like_qbf_is_valid():
 def test_qbf_reduction_tables_keep_undominated_pairs():
     # QBF(5,5,8) seed 0 through the heuristic expression: 21 atoms, valid.
     # Dropping each pair whose Gamma holds another Gamma of the same Q keeps
-    # its largest table at 5,040 pairs (27,450 without the drop).
+    # its largest table at 5,040 pairs (27,450 without the drop); building
+    # no table for a union under an edge insert keeps it at 2,520.
     phi = gen_random_qbf(5, 5, 8, 0)
     sizes = []
     decision = has_answer_set_dp(
         heuristic_expression(reduce_qbf_to_asp(phi)),
         on_node=lambda index, op, size: sizes.append(size))
     assert decision == qbf_is_valid(phi)
-    assert max(sizes) <= 5040
+    assert max(sizes) <= 2520
+
+
+def test_larger_qbf_reduction_joins_unions_into_edge_runs():
+    # QBF(6,6,8) seed 0 through the heuristic expression: 25 atoms.  Its
+    # largest union table held 22,770 pairs; the run above each union
+    # builds only the pairs that survive it, at most 11,385.
+    phi = gen_random_qbf(6, 6, 8, 0)
+    sizes = []
+    decision = has_answer_set_dp(
+        heuristic_expression(reduce_qbf_to_asp(phi)),
+        on_node=lambda index, op, size: sizes.append(size))
+    assert decision == qbf_is_valid(phi)
+    assert max(sizes) <= 11385
 
 
 def run(capsys, *argv):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -10,12 +11,13 @@ from aspcw.dp_classical import dp_classical, has_model_dp
 from aspcw.errors import ExpressionError
 from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
                               heuristic_expression, parse_expression,
-                              trivial_expression)
+                              trivial_expression, validate_against)
 from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_answer_sets
 from aspcw.program import parse_program
-from aspcw.tables import KPair, decide, fold_tables, unpack
-from conftest import full_root_accepts, pack, triple
+from aspcw.tables import KPair, atoms_first, decide, fold_tables, unpack
+from conftest import (RULE_FIRST, full_root_accepts, pack, table_nodes,
+                      triple)
 
 
 def pair(q, gamma=()):
@@ -104,8 +106,8 @@ class TestNegativeEdgeGating:
         run = [("n", 1, 2), ("h", 3, 4), ("p", 1, 4)]
         one_at_a_time = table
         for edge in run:
-            one_at_a_time = _TABLES.edge(one_at_a_time, [edge], w)
-        at_once = _TABLES.edge(table, run, w)
+            one_at_a_time = edge_run(one_at_a_time, [edge], w)
+        at_once = edge_run(table, run, w)
         assert at_once == one_at_a_time
         assert {pair(unpack(q, w), {unpack(s, w) for s in g})
                 for q, g in at_once} == {
@@ -142,27 +144,39 @@ class TestDecision:
             assert {q for q, _ in dp_asp(expr)} == dp_classical(expr)
 
 
-def one_edge_at_a_time(table, run, w):
+def edge_run(table, run, w):
+    return _TABLES.join(table, _TABLES.unit, run, w, 0, 0, 0)
+
+
+def unfused_join(left, right, run, w, tf, u, floor):
+    """The union, each edge of the run and the forget as separate joins."""
+    table = _TABLES.join(left, right, [], w, 0, 0, 0)
     for edge in run:
-        table = _TABLES.edge(table, [edge], w)
-    return table
+        table = edge_run(table, [edge], w)
+    return _TABLES.join(table, _TABLES.unit, [], w, tf, u, floor)
 
 
-# The reference fold: the same skeleton, with each run of edge inserts
-# applied one edge at a time.
-_REFERENCE = _TABLES._replace(edge=one_edge_at_a_time)
+# The reference fold: the same skeleton, with each union, each edge insert
+# and each forget applied by its own join.
+_REFERENCE = _TABLES._replace(join=unfused_join)
 
 
 class TestBatchedEdgePath:
-    """The fold applies a run of edge inserts with one operator call; it
-    must build the root table of the reference fold."""
+    """The fold applies a union, the run of edge inserts above it and the
+    forget with one join; it must build the root tables of the reference
+    fold, with and without forgetting."""
+
+    @staticmethod
+    def assert_same_roots(expr):
+        for forget in (False, True):
+            assert fold_tables(expr, _TABLES, forget=forget) == \
+                fold_tables(expr, _REFERENCE, forget=forget)
 
     def test_paths_agree(self):
         for seed in range(15):
             p = gen_random_program(4, 4, (0.25, 0.25, 0.25), seed)
             for expr in (trivial_expression(p), heuristic_expression(p)):
-                assert fold_tables(expr, _TABLES) == \
-                    fold_tables(expr, _REFERENCE)
+                self.assert_same_roots(expr)
                 assert has_answer_set_dp(expr) == \
                     full_root_accepts(expr, _TABLES)
 
@@ -173,21 +187,22 @@ class TestBatchedEdgePath:
             rng = random.Random(seed)
             leaves = rng.randint(2, 7)
             labels = range(1, rng.randint(2, 5) + 1)
-            expr = random_expr(rng, leaves, labels, [])
-            assert fold_tables(expr, _TABLES) == fold_tables(expr, _REFERENCE)
+            self.assert_same_roots(random_expr(rng, leaves, labels, []))
 
     def test_sparse_labels(self):
         # Packed fields as wide as the largest label, past one machine word.
         for seed in range(40):
             rng = random.Random(seed)
-            expr = random_expr(rng, rng.randint(2, 7), [1, 70, 200], [])
-            assert fold_tables(expr, _TABLES) == fold_tables(expr, _REFERENCE)
+            self.assert_same_roots(
+                random_expr(rng, rng.randint(2, 7), [1, 70, 200], []))
 
     def test_node_hook_matches_trace(self):
         # A trace does not change the path: it sees the events on_node sees,
         # sizes included, and its last node is the forgetting fold's root.
-        # The full fold builds its tables at the same nodes, none smaller
-        # than the decision's, and both decide alike.
+        # The full fold reports every node but the edge inserts below the
+        # top of a run; the decision skips the unions directly under an
+        # edge insert too.  No decision table is larger than the full one
+        # at its node, and both decide alike.
         for seed in range(15):
             p = gen_random_program(4, 4, (0.25, 0.25, 0.25), seed)
             for expr in (trivial_expression(p), heuristic_expression(p)):
@@ -199,9 +214,11 @@ class TestBatchedEdgePath:
                 full = []
                 root = dp_asp(expr, trace=full)
                 assert [(n.index, n.op) for n in full] == \
-                    [(index, op) for index, op, _ in events]
-                assert all(len(n.pairs) <= len(f.pairs)
-                           for n, f in zip(trace, full))
+                    table_nodes(expr, fused=False)
+                assert [(index, op) for index, op, _ in events] == \
+                    table_nodes(expr, fused=True)
+                sizes = {n.index: len(n.pairs) for n in full}
+                assert all(size <= sizes[index] for index, _, size in events)
                 assert full[-1].pairs == root
                 assert trace[-1].pairs == _public(
                     *fold_tables(expr, _TABLES, forget=True))
@@ -262,7 +279,8 @@ class TestRefutation:
     def test_closed_subtrees_drop_refuted_pairs(self):
         # The decision without the floor keeps every refuted pair.
         no_floor = _TABLES._replace(
-            forget=lambda table, tf, u, floor: _TABLES.forget(table, tf, u, 0))
+            join=lambda left, right, run, w, tf, u, floor:
+                _TABLES.join(left, right, run, w, tf, u, 0))
         for seed in range(1, 4):
             expr = trivial_expression(
                 gen_random_program(10, 8, (0.2, 0.2, 0.2), seed))
@@ -332,6 +350,43 @@ class TestDomination:
                     assert dominators
                     dropped += 1
         assert dropped
+
+
+class TestEdgeOrientation:
+    """An edge insert is undirected: the fold hands each edge to the
+    solvers atom label first, whichever way round the expression names
+    it."""
+
+    @pytest.mark.parametrize("program_text,expr_text", RULE_FIRST)
+    def test_rule_label_first(self, program_text, expr_text):
+        program = parse_program(program_text)
+        expr = parse_expression(expr_text)
+        assert validate_against(expr, program) == []
+        assert enumerate_answer_sets(program)
+        assert has_answer_set_dp(expr) is True
+        assert has_model_dp(expr) is True
+        # Naming every edge atom label first changes no full table.
+        swapped = parse_expression(
+            re.sub(r"eta\((\w),(\d+),(\d+),", r"eta(\1,\3,\2,", expr_text))
+        assert swapped != expr
+        assert dp_asp(swapped) == dp_asp(expr)
+        assert dp_classical(swapped) == dp_classical(expr)
+
+    def test_atoms_first(self):
+        # Labels 1 and 3 hold atoms; 2 and 4 do not.
+        run = [("h", 2, 1), ("p", 1, 2), ("n", 4, 3), ("h", 2, 4),
+               ("p", 1, 3)]
+        assert atoms_first(run, 0b101) == [
+            ("h", 1, 2), ("p", 1, 2), ("n", 3, 4), ("h", 2, 4), ("p", 1, 3)]
+
+    def test_relabel_moves_the_atom_label(self):
+        # The atom moves from label 2 to label 3 and the rule from 1 to 2;
+        # the edge names the rule label first.
+        expr = parse_expression(
+            "eta(h,2,3,rho(1,2,rho(2,3,oplus(r(1,r1),a(2,a)))))")
+        assert validate_against(expr, parse_program("a.")) == []
+        assert has_answer_set_dp(expr) is True
+        assert has_model_dp(expr) is True
 
 
 class TestTrace:

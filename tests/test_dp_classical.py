@@ -5,14 +5,19 @@ from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_models
 from aspcw.program import parse_program
 from aspcw.tables import relabel_fn, unpack
-from conftest import pack, triple
+from conftest import FIG2_MODEL_EVENTS, label_mask, pack, triple
 
 import pytest
 
 
+def edge_run(table, run, w):
+    return _TABLES.join(table, _TABLES.unit, run, w, 0, 0, 0)
+
+
 class TestTripleOps:
     """The packed table operators the classical solver runs, on one-entry
-    tables read back through pack/unpack."""
+    tables read back through pack/unpack: a union is a join with an empty
+    run, and an edge run a join against the unit table."""
 
     W = 4
 
@@ -21,14 +26,15 @@ class TestTripleOps:
         return unpack(key, self.W)
 
     def union(self, a, b):
-        return self.one(_TABLES.union({pack(a, self.W)}, {pack(b, self.W)}))
+        return self.one(_TABLES.join({pack(a, self.W)}, {pack(b, self.W)},
+                                     [], self.W, 0, 0, 0))
 
     def relabel(self, q, old, new):
         return self.one(_TABLES.relabel({pack(q, self.W)},
                                         relabel_fn(old, new, self.W)))
 
     def edge(self, q, *run):
-        return self.one(_TABLES.edge({pack(q, self.W)}, list(run), self.W))
+        return self.one(edge_run({pack(q, self.W)}, list(run), self.W))
 
     def test_union(self):
         assert self.union(triple({1}, (), ()), triple((), (), {2})) == \
@@ -58,6 +64,22 @@ class TestTripleOps:
         assert self.edge(q2, ("h", 1, 2), ("p", 1, 3)) == triple((), {1}, {2})
         assert self.edge(q2, ("p", 1, 2), ("p", 1, 3)) == triple((), {1}, ())
 
+    def test_join_runs_then_forgets(self):
+        # Atom label 1 against rule labels 3 and 4: the h edge clears 3
+        # where 1 is true.  Labels 1 and 3 die, so the triple with 3 unmet
+        # goes and label 1's bits are cleared.
+        w = self.W
+        left = {pack(triple({1}, (), ()), w), pack(triple((), {1}, ()), w)}
+        right = {pack(triple((), (), {3, 4}), w)}
+        dead = label_mask({1, 3})
+        tf, u = dead | dead << w, dead << 2 * w
+        joined = _TABLES.join(left, right, [("h", 1, 3)], w, tf, u, 0)
+        assert {unpack(key, w) for key in joined} == {triple((), (), {4})}
+        # Under a closed subtree the triple whose U the run empties is
+        # accepted, and kept alone.
+        assert _TABLES.join(left, right, [("h", 1, 3), ("h", 1, 4)], w,
+                            tf, u, 1 << 2 * w) == {0}
+
     def test_edge_run_equals_single_edges(self):
         # Every triple with disjoint T and F over labels 1-2, and any U over
         # labels 3-4; entries merge as their U bits clear.
@@ -68,8 +90,8 @@ class TestTripleOps:
         run = [("h", 1, 3), ("p", 2, 4), ("n", 2, 3), ("p", 1, 4)]
         one_at_a_time = table
         for edge in run:
-            one_at_a_time = _TABLES.edge(one_at_a_time, [edge], self.W)
-        assert _TABLES.edge(table, run, self.W) == one_at_a_time
+            one_at_a_time = edge_run(one_at_a_time, [edge], self.W)
+        assert edge_run(table, run, self.W) == one_at_a_time
         assert len(one_at_a_time) < len(table)
 
 
@@ -111,10 +133,7 @@ class TestDecision:
     def test_node_callback(self, fig2):
         seen = []
         has_model_dp(fig2, on_node=lambda i, op, size: seen.append((i, op, size)))
-        assert len(seen) == 11
-        assert seen[0] == (1, "a(1,x)", 2)
-        assert seen[-1][1] == "eta(n,3,2)"
-        assert all(size <= 2 ** (3 * 3) for _, _, size in seen)
+        assert seen == FIG2_MODEL_EVENTS
 
     def test_closed_subtree_keeps_one_accepted_triple(self):
         # The edge satisfies the only rule where x is true, in two triples;

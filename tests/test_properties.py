@@ -1,7 +1,11 @@
 """Property tests: on small random programs, both builders give expressions
 that define the program's signed incidence graph, and both solvers decide
 on them what the brute-force oracle decides and what the root check decides
-on their full root tables; and the program text format round-trips."""
+on their full root tables; that both still decide like the oracle when the
+labels are permuted and edge inserts name their labels either way round;
+and the program text format round-trips."""
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +14,9 @@ from aspcw.dp_answersets import _TABLES as _ASP_TABLES
 from aspcw.dp_answersets import has_answer_set_dp
 from aspcw.dp_classical import _TABLES as _MODEL_TABLES
 from aspcw.dp_classical import has_model_dp
-from aspcw.expression import (heuristic_expression, trivial_expression,
-                              validate_against)
+from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
+                              fold, heuristic_expression, labels_used,
+                              trivial_expression, validate_against)
 from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_answer_sets, enumerate_models
 from aspcw.program import parse_program, serialize_program
@@ -46,6 +51,44 @@ def test_forgetting_decides_like_the_full_tables(program):
         expr = build(program)
         assert has_model_dp(expr) == full_root_accepts(expr, _MODEL_TABLES)
         assert has_answer_set_dp(expr) == full_root_accepts(expr, _ASP_TABLES)
+
+
+def scrambled(expr, rng):
+    """`expr` with its labels permuted at random and i and j swapped on
+    about half of its edge inserts: the same graph, under other labels."""
+    labels = sorted(labels_used(expr))
+    new = dict(zip(labels, rng.sample(labels, len(labels))))
+
+    def rebuild(node, *kids):
+        if isinstance(node, Introduce):
+            return Introduce(new[node.label], node.vertex, node.kind)
+        if isinstance(node, DisjointUnion):
+            return DisjointUnion(*kids)
+        if isinstance(node, Relabel):
+            return Relabel(new[node.old], new[node.new], *kids)
+        i, j = new[node.i], new[node.j]
+        if rng.random() < 0.5:
+            i, j = j, i
+        return EdgeInsert(node.sign, i, j, *kids)
+
+    return fold(expr, rebuild)
+
+
+def test_edge_inserts_decide_either_way_round():
+    # 600 builder expressions, each with its labels permuted and about half
+    # of its edge inserts naming the rule label first.
+    for seed in range(300):
+        rng = random.Random(seed)
+        program = gen_random_program(
+            rng.randint(1, 5), rng.randint(0, 5),
+            rng.choice([(0.25, 0.25, 0.25), (0.4, 0.2, 0.2)]), seed)
+        has_model = bool(enumerate_models(program))
+        has_answer_set = bool(enumerate_answer_sets(program))
+        for build in (trivial_expression, heuristic_expression):
+            expr = scrambled(build(program), rng)
+            assert validate_against(expr, program) == []
+            assert has_model_dp(expr) == has_model
+            assert has_answer_set_dp(expr) == has_answer_set
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

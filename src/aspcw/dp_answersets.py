@@ -51,15 +51,16 @@ def _join(left: set[PackedPair], right: set[PackedPair], run: list, w: int,
     # Q is gated by its own T and F bits.  A member of Gamma is gated by its
     # own bits for h and p edges, but by the outer Q's T bits for n edges:
     # once I hits the negative body, the rule vanishes from the reduct for
-    # all subsets J, whether or not J itself touches label i.
+    # all subsets J, whether or not J itself touches label i.  So Q loses
+    # what its bits clear through h and p edges, and n: what its T bits
+    # clear through n edges.
     #
     # Under a closed subtree (floor > 0) a Gamma member below the floor has
     # an empty U for good, so its pair is refuted: drop it.  Drop Gamma
     # members with a dead U bit, clear the dead T and F bits, and if any
     # label is dead, drop the dominated pairs.
-    own_gates = gates = n_gates = 0
+    gates = n_gates = 0
     if run:
-        own_gates, own = run_clear(run, w)
         gates, member = run_clear(run, w, "hp")
         n_gates, outer = run_clear(run, w, "n")
     keep = ~tf
@@ -69,13 +70,13 @@ def _join(left: set[PackedPair], right: set[PackedPair], run: list, w: int,
         subsets1 = (*g1, q1)
         for q2, subsets2 in right:
             q = q1 | q2
-            if own_gates:
-                q &= ~own[q & own_gates]
+            if (n := n_gates and outer[q & n_gates]) or gates:
+                q &= ~(member[q & gates] | n)
             if q & u:
                 continue
             gamma = [s1 | s2 for s1 in subsets1 for s2 in subsets2]
             gamma.pop()
-            if (n := n_gates and outer[q & n_gates]) or gates:
+            if n or gates:
                 gamma = [c & keep for s in gamma
                          if not (c := s & ~(member[s & gates] | n)) & u]
             elif u:

@@ -55,17 +55,7 @@ def relabel_fn(old: int, new: int, w: int):
     bit = 1 << (old - 1)
     mask3 = bit | bit << w | bit << 2 * w
     keep = ~mask3
-    shift = new - old
-
-    if shift > 0:
-        def move(key: int) -> int:
-            hit = key & mask3
-            return (key & keep) | hit << shift if hit else key
-    else:
-        def move(key: int) -> int:
-            hit = key & mask3
-            return (key & keep) | hit >> -shift if hit else key
-    return move
+    return lambda key: key & keep | (key & mask3) >> (old - 1) << (new - 1)
 
 
 class _RunClear(dict):
@@ -90,34 +80,32 @@ def run_clear(run: list[tuple[str, int, int]], w: int,
     in `signs`, as (gates, clear): entry `key` loses the U bits
     `clear[key & gates]`.
 
-    Edges i x j clear rule label j where the entry has label i true (h, n)
-    or false (p): the fold names each edge atom label first (see
-    `atoms_first`).  No edge insert changes a T or F bit, so a run commutes
-    and what it clears in an entry depends only on the entry's gate bits.
+    An edge insert is undirected, so each edge i x j is read both ways
+    round: label i's T bit (h, n) or F bit (p) clears label j's U bit, and
+    label j's bit clears label i's.  In the signed incidence graph every
+    edge joins an atom and a rule, so where an edge insert adds edges one
+    label holds only atoms (T and F bits) and the other only rules (U
+    bits), and one of the two readings clears nothing; a label that holds
+    both meets only empty labels, which have no bits.  No edge insert
+    changes a T or F bit, so a run commutes and what it clears in an entry
+    depends only on the entry's gate bits.
     """
-    edges = [(1 << (i - 1) << (w if sign == "p" else 0), 1 << (j - 1 + 2 * w))
-             for sign, i, j in run if sign in signs]
+    edges = [(1 << (a - 1) << (w if sign == "p" else 0), 1 << (b - 1 + 2 * w))
+             for sign, i, j in run if sign in signs
+             for a, b in ((i, j), (j, i))]
     gates = 0
     for gate, _ in edges:
         gates |= gate
     return gates, _RunClear(edges)
 
 
-def atoms_first(run: list[tuple[str, int, int]],
-                atoms: int) -> list[tuple[str, int, int]]:
-    """The run with each edge atom label first: an edge insert is
-    undirected, so (sign, i, j) becomes (sign, j, i) where label j holds
-    atoms (its bit of the mask `atoms` is 1) and label i does not (0)."""
-    return [(sign, j, i) if atoms >> (j - 1) & 1 > atoms >> (i - 1) & 1
-            else (sign, i, j) for sign, i, j in run]
-
-
 class TableOps(NamedTuple):
     """One solver's operators on tables of packed entries (field width w),
     its unit table and the one root entry its decision accepts.  `join`
-    ORs each pair of operand entries, applies the run's clears, drops an
-    entry with a dead U bit and clears the dead T and F bits: it is the
-    one operator for a union, an edge run and a forget."""
+    ORs each pair of operand entries, applies the run's clears (from
+    `run_clear`, each edge read both ways round), drops an entry with a
+    dead U bit and clears the dead T and F bits: it is the one operator
+    for a union, an edge run and a forget."""
     introduce: Callable[[str, int, int, int], set]  # (kind, T, F, U bit)
     # (left, right, run, w, dead T|F, dead U, floor)
     join: Callable[[set, set, list, int, int, int, int], set]
@@ -135,11 +123,9 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
     `ops` gives the solver's `introduce`, `join`, `unit`, `relabel`,
     `accepted` and `snapshot` (see TableOps).  A union is `ops.join` of its
     operands with an empty run.  A run of consecutive edge inserts is one
-    `ops.join` against `ops.unit` at its top edge insert.  An edge insert
-    is undirected; the fold hands each edge to `ops.join` atom label first
-    (see `atoms_first`), from the mask of labels that hold atoms that each
-    operand carries: an atom introduce sets its label's bit, a union ORs
-    the masks and a relabel moves the bit.
+    `ops.join` against `ops.unit` at its top edge insert; the fold hands
+    each edge over as the expression names it, and `run_clear` reads it
+    both ways round.
 
     `on_node(index, op, size)` and `trace` see the same events: each table
     the solver builds, in post-order.  A run's table carries the index and
@@ -193,11 +179,10 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
     dead = dies.get(0, 0)
 
     # The operands' tables, each with the dead labels forgotten in it, its
-    # forgotten labels, the count of rule introduces under it and the mask
-    # of its labels that hold atoms.
-    stack: list[tuple[set, int, int, int]] = []
+    # forgotten labels and the count of rule introduces under it.
+    stack: list[tuple[set, int, int]] = []
     run: list[tuple[str, int, int]] = []
-    deferred = None  # a union's operands and masks, for the run above
+    deferred = None  # a union's operands, for the run above
     # In post-order an edge insert or a union is followed by its parent, or
     # by an introduce if it is a left operand: so a run goes on above while
     # the next node is an edge insert, and a union is an edge insert's
@@ -213,30 +198,23 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
             if isinstance(above, EdgeInsert):
                 continue
             if deferred is not None:
-                (left, right, gone, held, atoms), deferred = deferred, None
+                (left, right, gone, held), deferred = deferred, None
             else:
-                (left, gone, held, atoms), right = stack.pop(), ops.unit
-            run = atoms_first(run, atoms)
+                (left, gone, held), right = stack.pop(), ops.unit
         elif isinstance(node, Introduce):
             bit = 1 << (node.label - 1)
             left = ops.introduce(node.kind, bit, bit << w, bit << 2 * w)
             gone, held = 0, node.kind == "rule"
-            atoms = 0 if held else bit
         elif isinstance(node, DisjointUnion):
-            (right, right_gone, right_held, right_atoms), \
-                (left, left_gone, left_held, left_atoms) = \
+            (right, right_gone, right_held), (left, left_gone, left_held) = \
                 stack.pop(), stack.pop()
             gone, held = left_gone & right_gone, left_held + right_held
-            atoms = left_atoms | right_atoms
             if forget and isinstance(above, EdgeInsert):
-                deferred = left, right, gone, held, atoms
+                deferred = left, right, gone, held
                 continue
         else:
-            left, gone, held, atoms = stack.pop()
+            left, gone, held = stack.pop()
             left = ops.relabel(left, relabel_fn(node.old, node.new, w))
-            old = 1 << (node.old - 1)
-            if atoms & old:
-                atoms = atoms & ~old | 1 << (node.new - 1)
         if dead & ~gone:
             table = ops.join(left, ops.unit if right is None else right, run,
                              w, dead | dead << w, dead << 2 * w,
@@ -252,7 +230,7 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
             on_node(index, op_label(node), len(table))
         if trace is not None:
             trace.append(ops.snapshot(index, op_label(node), table, w))
-        stack.append((table, gone, held, atoms))
+        stack.append((table, gone, held))
     return stack[0][0], w
 
 

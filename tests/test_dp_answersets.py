@@ -13,9 +13,9 @@ from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
                               heuristic_expression, parse_expression,
                               trivial_expression, validate_against)
 from aspcw.generators import gen_random_program
-from aspcw.oracle import enumerate_answer_sets
+from aspcw.oracle import enumerate_answer_sets, enumerate_models
 from aspcw.program import parse_program
-from aspcw.tables import KPair, atoms_first, decide, fold_tables, unpack
+from aspcw.tables import KPair, decide, fold_tables, run_clear, unpack
 from conftest import (RULE_FIRST, full_root_accepts, pack, table_nodes,
                       triple)
 
@@ -353,9 +353,9 @@ class TestDomination:
 
 
 class TestEdgeOrientation:
-    """An edge insert is undirected: the fold hands each edge to the
-    solvers atom label first, whichever way round the expression names
-    it."""
+    """An edge insert is undirected: `run_clear` reads each edge both ways
+    round, so the solvers decide alike whichever way round the expression
+    names it."""
 
     @pytest.mark.parametrize("program_text,expr_text", RULE_FIRST)
     def test_rule_label_first(self, program_text, expr_text):
@@ -372,12 +372,35 @@ class TestEdgeOrientation:
         assert dp_asp(swapped) == dp_asp(expr)
         assert dp_classical(swapped) == dp_classical(expr)
 
-    def test_atoms_first(self):
-        # Labels 1 and 3 hold atoms; 2 and 4 do not.
-        run = [("h", 2, 1), ("p", 1, 2), ("n", 4, 3), ("h", 2, 4),
-               ("p", 1, 3)]
-        assert atoms_first(run, 0b101) == [
-            ("h", 1, 2), ("p", 1, 2), ("n", 3, 4), ("h", 2, 4), ("p", 1, 3)]
+    @pytest.mark.parametrize("sign", ["h", "p", "n"])
+    def test_run_clear_reads_edges_both_ways(self, sign):
+        # Label 1 holds only atoms (T or F set) and label 3 only rules (U
+        # set); a p edge is gated on F, h and n edges on T.
+        w = 4
+        cleared = pack(triple((), (), {3}), w)
+        for q, gated in ((triple({1}, (), {3}), sign != "p"),
+                         (triple((), {1}, {3}), sign == "p")):
+            key = pack(q, w)
+            clears = []
+            for run in ([(sign, 1, 3)], [(sign, 3, 1)]):
+                gates, clear = run_clear(run, w)
+                clears.append(clear[key & gates])
+            assert clears == [cleared if gated else 0] * 2
+
+    def test_no_op_edge_at_a_mixed_label(self):
+        # After the relabel label 1 holds both x and r2, and label 4 is
+        # empty: the top edge insert adds no edge, so it must not clear
+        # r2's U bit, whichever way round the edge inserts name labels.
+        program = parse_program("x.\n:- x.\n")
+        assert not enumerate_models(program)
+        text = ("eta(h,1,4,rho(3,1,eta(p,1,3,eta(h,1,2,"
+                "oplus(oplus(r(2,r1),r(3,r2)),a(1,x))))))")
+        swapped = re.sub(r"eta\((\w),(\d+),(\d+),", r"eta(\1,\3,\2,", text)
+        for text in (text, swapped):
+            expr = parse_expression(text)
+            assert validate_against(expr, program) == []
+            assert has_model_dp(expr) is False
+            assert has_answer_set_dp(expr) is False
 
     def test_relabel_moves_the_atom_label(self):
         # The atom moves from label 2 to label 3 and the rule from 1 to 2;

@@ -52,6 +52,8 @@ class TestTripleOps:
             triple({4}, {1}, {3})
         q = triple({1}, (), ())
         assert self.relabel(q, 4, 2) == q
+        q = triple({2}, {1}, {2, 3})
+        assert self.relabel(q, 2, 2) == q
 
     def test_edge_update(self):
         q = triple({1}, (), {2})

@@ -23,10 +23,10 @@ from functools import partial
 from typing import Callable, TypeVar, Union
 
 from .errors import ExpressionError, ParseError, SignConflictError
-from .graphs import (ALPHA, SIGNS, LabeledSignedGraph, SignedGraph, edge_key,
-                     build_signed_incidence_graph, check_joinable,
-                     join_graph_signs)
-from .program import Program, _line_col
+from .graphs import (ALPHA, SIGNS, LabeledSignedGraph, SignedGraph,
+                     _incidence_vertices, build_signed_incidence_graph,
+                     check_joinable)
+from .program import AtomSet, Program, _line_col
 
 EDGE_SIGNS = SIGNS + (ALPHA,)
 
@@ -189,16 +189,15 @@ def evaluate(expr: Expr) -> LabeledSignedGraph:
                 target += members.pop(node.old)
                 target.sort(key=position.__getitem__)
             return members
+        sign, add = node.sign, edges.setdefault
         for u in members.get(node.i, ()):
             for v in members.get(node.j, ()):
-                key = edge_key(u, v)
-                existing = edges.get(key)
-                if existing is None:
-                    edges[key] = node.sign
-                elif existing != node.sign:
+                key = (u, v) if u <= v else (v, u)
+                existing = add(key, sign)
+                if existing != sign:
                     raise SignConflictError(
                         f"edge {key} already has sign {existing!r}, "
-                        f"insert of {node.sign!r} conflicts")
+                        f"insert of {sign!r} conflicts")
         return members
 
     root = fold(expr, visit)
@@ -207,29 +206,75 @@ def evaluate(expr: Expr) -> LabeledSignedGraph:
     return LabeledSignedGraph(tuple(position), kinds, edges, labels)
 
 
+def _edge_groups(program: Program, joined: frozenset[str] | set[str]):
+    """The edges of the program's signed incidence graph as (sign, keys)
+    groups, each edge in one group, with the signs in `joined` as alpha.
+
+    When no two rule parts name one edge, each nonempty part is a group.
+    A program that `validate_program` rejects may name an edge twice (a
+    repeated rule id, an atom in two parts, a rule id used as an atom);
+    then the groups are read off the graph, which keeps the last sign."""
+    rules = program.rules
+    ids = {r.id for r in rules}
+    if len(ids) == len(rules) and all(
+            r.head.isdisjoint(r.pos_body) and r.head.isdisjoint(r.neg_body)
+            and r.pos_body.isdisjoint(r.neg_body) and ids.isdisjoint(r.head)
+            and ids.isdisjoint(r.pos_body) and ids.isdisjoint(r.neg_body)
+            for r in rules):
+        for r in rules:
+            rule = r.id
+            for sign, part in zip(SIGNS, (r.head, r.pos_body, r.neg_body)):
+                if part:
+                    yield (ALPHA if sign in joined else sign,
+                           [(a, rule) if a <= rule else (rule, a) for a in part])
+    else:
+        groups: dict[str, list[tuple[str, str]]] = {}
+        for key, sign in build_signed_incidence_graph(program).edges.items():
+            groups.setdefault(ALPHA if sign in joined else sign, []).append(key)
+        yield from groups.items()
+
+
 def validate_against(expr: Expr, program: Program,
                      joined: frozenset[str] | set[str] = frozenset()) -> list[str]:
     """Compare the evaluated graph with the program's signed incidence graph
     (signs in `joined` collapsed to alpha).  Root labels are ignored; returns
-    a list of mismatches, empty on success."""
+    a list of mismatches, empty on success: missing, extra and wrongly kinded
+    vertices, then missing, extra and wrongly signed edges, each sorted.
+
+    One pass over the program's edges looks each up among the evaluated
+    ones.  When it finds fewer than the expression has, the program's edge
+    keys are gathered to name the extra edges."""
     got = evaluate(expr)
-    want = build_signed_incidence_graph(program)
+    _, want_vs = _incidence_vertices(program)
     if joined:
-        want = join_graph_signs(want, frozenset(joined))
-    vs, want_vs = got.kinds, want.kinds
-    es, want_es = got.edges, want.edges
+        check_joinable(joined)
+    vs, es = got.kinds, got.edges
     problems = [f"missing vertex {v}" for v in sorted(want_vs.keys() - vs.keys())]
     problems += [f"extra vertex {v}" for v in sorted(vs.keys() - want_vs.keys())]
     problems += [f"vertex {v}: kind {k}, expected {want_vs[v]}"
                  for v, k in sorted(vs.items() - want_vs.items()) if v in want_vs]
-    problems += [f"missing edge {u}--{v} ({want_es[u, v]})"
-                 for u, v in sorted(want_es.keys() - es.keys())]
-    # Edges the expression adds or signs differently, in key order.
-    changed = sorted(es.items() - want_es.items())
-    problems += [f"extra edge {u}--{v} ({s})"
-                 for (u, v), s in changed if (u, v) not in want_es]
-    problems += [f"edge {u}--{v}: sign {s}, expected {want_es[u, v]}"
-                 for (u, v), s in changed if (u, v) in want_es]
+    missing: list[tuple[tuple[str, str], str]] = []
+    wrong: list[tuple[tuple[str, str], str, str]] = []
+    found = 0  # program edges the expression has, whatever their sign
+    for sign, keys in _edge_groups(program, joined):
+        signs = list(map(es.get, keys))
+        hits = signs.count(sign)
+        found += hits
+        if hits < len(keys):
+            for key, s in zip(keys, signs):
+                if s is None:
+                    missing.append((key, sign))
+                elif s != sign:
+                    wrong.append((key, s, sign))
+                    found += 1
+    problems += [f"missing edge {u}--{v} ({s})" for (u, v), s in sorted(missing)]
+    if found < len(es):
+        want_es = {key for _, keys in _edge_groups(program, joined)
+                   for key in keys}
+        problems += [f"extra edge {u}--{v} ({es[u, v]})"
+                     for u, v in sorted(es.keys() - want_es)]
+    problems += [f"edge {u}--{v}: sign {s}, expected {want}"
+                 for (u, v), s, want in sorted(wrong)]
     return problems
 
 
@@ -272,22 +317,30 @@ def quotient_expression(graph: SignedGraph, label: dict[str, int]) -> Expr:
     in as early as both labels are complete, so a decision can forget a
     label once its last edge is in (see `tables.fold_tables`).
     """
-    if not graph.vertices:
-        raise ValueError("an empty graph has no expression")
-    order = sorted(graph.vertices, key=lambda v: graph.kinds[v] != "rule")
-    # The position in `order` of each label's last vertex.
-    complete = {label[v]: p for p, v in enumerate(order)}
     quotient: dict[tuple[int, int], str] = {}
     for (u, v), sign in graph.edges.items():
         i, j = label[u], label[v]
         quotient[(i, j) if i < j else (j, i)] = sign
+    return _labeled_expression(graph.vertices, graph.kinds, label, quotient)
+
+
+def _labeled_expression(vertices: tuple[str, ...], kinds: dict[str, str],
+                        label: dict[str, int],
+                        quotient: dict[tuple[int, int], str]) -> Expr:
+    """`quotient_expression` from the sign of each adjacent label pair
+    (i, j), i < j."""
+    if not vertices:
+        raise ValueError("an empty graph has no expression")
+    order = sorted(vertices, key=lambda v: kinds[v] != "rule")
+    # The position in `order` of each label's last vertex.
+    complete = {label[v]: p for p, v in enumerate(order)}
     runs: dict[int, list[tuple[str, int, int]]] = {}
     for (i, j), sign in sorted(quotient.items()):
         runs.setdefault(max(complete[i], complete[j]), []).append((sign, i, j))
     first, *rest = order
-    expr: Expr = Introduce(label[first], first, graph.kinds[first])
+    expr: Expr = Introduce(label[first], first, kinds[first])
     for p, v in enumerate(rest, 1):
-        expr = DisjointUnion(expr, Introduce(label[v], v, graph.kinds[v]))
+        expr = DisjointUnion(expr, Introduce(label[v], v, kinds[v]))
         for sign, i, j in runs.get(p, ()):
             expr = EdgeInsert(sign, i, j, expr)
     return expr
@@ -309,16 +362,43 @@ def heuristic_expression(program: Program) -> Expr:
     in order of first appearance among the vertices.  Twin classes are
     pairwise fully adjacent with a single sign or fully non-adjacent, as
     `quotient_expression` needs.
+
+    A rule's neighborhood is its three parts.  An atom in a part of one
+    rule of a class is in that part of every rule of the class, so an
+    atom's neighborhood is which parts of which rule classes hold it.  An
+    atom and a rule with no neighbors share a class.  The label pairs and
+    their signs are read off one rule of each class.
     """
-    sinc = build_signed_incidence_graph(program)
-    adj: dict[str, dict[str, str]] = {v: {} for v in sinc.vertices}
-    for (u, v), s in sinc.edges.items():
-        adj[u][v] = s
-        adj[v][u] = s
-    classes: dict[frozenset, int] = {}
-    label = {v: classes.setdefault(frozenset(adj[v].items()), len(classes) + 1)
-             for v in sinc.vertices}
-    return quotient_expression(sinc, label)
+    vertices, kinds = _incidence_vertices(program)
+    # Rule neighborhood -> a rule that has it, in order of first appearance.
+    twins: dict[tuple[AtomSet, AtomSet, AtomSet], str] = {}
+    key: dict[str, tuple] = {}  # vertex -> its neighborhood, () if none
+    for r in program.rules:
+        parts = h, p, n = r.head, r.pos_body, r.neg_body
+        if not (h.isdisjoint(p) and h.isdisjoint(n) and p.isdisjoint(n)):
+            # The graph keeps the last sign written to an edge.
+            parts = (h - p - n, p - n, n)
+        twins.setdefault(parts, r.id)
+        key[r.id] = parts if h or p or n else ()
+    # Atom -> 3 * (its rule class's position in twins) + part, ascending.
+    held: dict[str, list[int]] = {}
+    for t, parts in enumerate(twins):
+        for k, part in enumerate(parts, 3 * t):
+            for a in part:
+                held.setdefault(a, []).append(k)
+    for a, codes in held.items():
+        key[a] = tuple(codes)
+    classes: dict[tuple, int] = {}
+    label = {v: classes.setdefault(key.get(v, ()), len(classes) + 1)
+             for v in vertices}
+    quotient: dict[tuple[int, int], str] = {}
+    for parts, rule in twins.items():
+        j = label[rule]
+        for sign, part in zip(SIGNS, parts):
+            for a in part:
+                i = label[a]
+                quotient[(i, j) if i < j else (j, i)] = sign
+    return _labeled_expression(vertices, kinds, label, quotient)
 
 
 # ---------------------------------------------------------------------------

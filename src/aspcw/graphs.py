@@ -117,9 +117,10 @@ def build_signed_incidence_graph(program: Program) -> SignedGraph:
     vertices, kinds = _incidence_vertices(program)
     edges = {}
     for r in program.rules:
+        rule = r.id
         for sign, part in zip(SIGNS, (r.head, r.pos_body, r.neg_body)):
             for a in part:
-                edges[edge_key(a, r.id)] = sign
+                edges[(a, rule) if a <= rule else (rule, a)] = sign
     return SignedGraph(vertices, kinds, edges)
 
 

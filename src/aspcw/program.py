@@ -154,13 +154,23 @@ def parse_program(text: str) -> Program:
         rule_id = m["id"] or f"r{len(rules) + 1}"
         if rule_id in used_ids:
             raise ParseError(f"duplicate rule id {rule_id!r}", *_line_col(text, pos))
-        head = m["head"].replace("|", " ").split() if m["head"] else []
-        body = [lit.split() for lit in m["body"].split(",")] if m["body"] else []
+        head = (m["head"] or "").replace("|", " ").split()
+        # In a body that matched _RULE, the word "not" negates the word
+        # after it, and every other word is a positive literal.
+        words = (m["body"] or "").replace(",", " ").split()
         atoms.update(dict.fromkeys(head))
-        atoms.update(dict.fromkeys(lit[-1] for lit in body))
-        hs = frozenset(head)
-        ps = frozenset(lit[0] for lit in body if len(lit) == 1)
-        ns = frozenset(lit[1] for lit in body if len(lit) == 2)
+        atoms.update(dict.fromkeys(words))
+        positive, negated = words, []
+        if "not" in words:
+            del atoms["not"]  # no atom is named "not"
+            positive = []
+            tokens = iter(words)
+            for word in tokens:
+                if word == "not":
+                    negated.append(next(tokens))
+                else:
+                    positive.append(word)
+        hs, ps, ns = frozenset(head), frozenset(positive), frozenset(negated)
         overlap = (hs & ps) | (hs & ns) | (ps & ns)
         if overlap:
             raise NormalizationError(

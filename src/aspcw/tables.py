@@ -132,8 +132,9 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
     op of its top edge insert, and the root's index is the node count.
 
     With `forget`, each table drops its dead labels: the join that builds
-    it gets their masks, and an introduce or relabel table that has dead
-    labels is joined against `ops.unit` with them.  A label is dead after
+    it gets their masks, a relabel table that has dead labels is joined
+    against `ops.unit` with them, and so is an introduce table whose own
+    label is dead (it has no other label's bits).  A label is dead after
     the last edge insert or relabel that names it (in post-order, so every
     operator above the table comes later), and dead from the start if none
     names it.  No later operator reads a dead label's T or F bit or clears
@@ -204,7 +205,7 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
         elif isinstance(node, Introduce):
             bit = 1 << (node.label - 1)
             left = ops.introduce(node.kind, bit, bit << w, bit << 2 * w)
-            gone, held = 0, node.kind == "rule"
+            gone, held = dead & ~bit, node.kind == "rule"
         elif isinstance(node, DisjointUnion):
             (right, right_gone, right_held), (left, left_gone, left_held) = \
                 stack.pop(), stack.pop()

@@ -2,20 +2,25 @@
 small exists-forall formula used by the reduction tests; the unsigned
 incidence graph the graph, generator and acceptance tests compare against;
 triples built from label sets, packed entries, the root check on a full
-packed root table of either solver and the nodes the fold reports; and the
+packed root table of either solver and the nodes the fold reports; the
 brute-force triples of an interpretation that the oracle and acceptance
-tests compare the DP tables against."""
+tests compare the DP tables against; and whole-graph references for
+`parse_program`, `heuristic_expression` and `validate_against`, which read
+each program edge once or a few times."""
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import pytest
 
-from aspcw.expression import (DisjointUnion, EdgeInsert, fold, op_label,
-                              parse_expression)
+from aspcw.errors import NormalizationError, ParseError
+from aspcw.expression import (DisjointUnion, EdgeInsert, evaluate, fold,
+                              op_label, parse_expression, quotient_expression)
 from aspcw.generators import Literal, QbfEA
-from aspcw.graphs import build_signed_incidence_graph
-from aspcw.program import Program, Rule, is_model_of_rule, parse_program
+from aspcw.graphs import build_signed_incidence_graph, join_graph_signs
+from aspcw.program import (_COMMENT, _RULE, Program, Rule, _line_col,
+                           is_model_of_rule, parse_program)
 from aspcw.tables import KTriple, TableOps, fold_tables
 
 EXAMPLE1_TEXT = "x :- not y.\n:- x, not y.\n"
@@ -150,6 +155,78 @@ def reduct_interpretation_triple(program: Program, labeling: Mapping[str, int],
         )
     except KeyError as exc:
         raise KeyError(f"unlabeled vertex {exc.args[0]!r}") from None
+
+
+def reference_parse(text: str) -> Program:
+    """`parse_program` splitting each body literal into its words."""
+    text = _COMMENT.sub("", text)
+    atoms: dict[str, None] = {}
+    rules: list[Rule] = []
+    used_ids: set[str] = set()
+    pos = re.match(r"\s*", text).end()
+    while pos < len(text):
+        m = _RULE.match(text, pos)
+        if m is None:
+            end = text.find(".", pos)
+            rule = text[pos:] if end < 0 else text[pos:end + 1]
+            raise ParseError(f"malformed rule {rule[:60]!r}", *_line_col(text, pos))
+        rule_id = m["id"] or f"r{len(rules) + 1}"
+        if rule_id in used_ids:
+            raise ParseError(f"duplicate rule id {rule_id!r}", *_line_col(text, pos))
+        head = m["head"].replace("|", " ").split() if m["head"] else []
+        body = [lit.split() for lit in m["body"].split(",")] if m["body"] else []
+        atoms.update(dict.fromkeys(head))
+        atoms.update(dict.fromkeys(lit[-1] for lit in body))
+        hs = frozenset(head)
+        ps = frozenset(lit[0] for lit in body if len(lit) == 1)
+        ns = frozenset(lit[1] for lit in body if len(lit) == 2)
+        overlap = (hs & ps) | (hs & ns) | (ps & ns)
+        if overlap:
+            raise NormalizationError(
+                f"rule {rule_id} (line {_line_col(text, pos)[0]}): atoms "
+                f"{sorted(overlap)} occur in more than one part")
+        used_ids.add(rule_id)
+        rules.append(Rule(rule_id, hs, ps, ns))
+        pos = m.end()
+    return Program(tuple(atoms), tuple(rules))
+
+
+def reference_heuristic(program: Program):
+    """`heuristic_expression` with twin classes keyed by each vertex's
+    signed neighborhood in the incidence graph."""
+    sinc = build_signed_incidence_graph(program)
+    adj: dict[str, dict[str, str]] = {v: {} for v in sinc.vertices}
+    for (u, v), s in sinc.edges.items():
+        adj[u][v] = s
+        adj[v][u] = s
+    classes: dict[frozenset, int] = {}
+    label = {v: classes.setdefault(frozenset(adj[v].items()), len(classes) + 1)
+             for v in sinc.vertices}
+    return quotient_expression(sinc, label)
+
+
+def reference_validate(expr, program: Program,
+                       joined: frozenset[str] | set[str] = frozenset()) -> list[str]:
+    """`validate_against` by set differences between the evaluated graph
+    and the program's whole incidence graph."""
+    got = evaluate(expr)
+    want = build_signed_incidence_graph(program)
+    if joined:
+        want = join_graph_signs(want, frozenset(joined))
+    vs, want_vs = got.kinds, want.kinds
+    es, want_es = got.edges, want.edges
+    problems = [f"missing vertex {v}" for v in sorted(want_vs.keys() - vs.keys())]
+    problems += [f"extra vertex {v}" for v in sorted(vs.keys() - want_vs.keys())]
+    problems += [f"vertex {v}: kind {k}, expected {want_vs[v]}"
+                 for v, k in sorted(vs.items() - want_vs.items()) if v in want_vs]
+    problems += [f"missing edge {u}--{v} ({want_es[u, v]})"
+                 for u, v in sorted(want_es.keys() - es.keys())]
+    changed = sorted(es.items() - want_es.items())
+    problems += [f"extra edge {u}--{v} ({s})"
+                 for (u, v), s in changed if (u, v) not in want_es]
+    problems += [f"edge {u}--{v}: sign {s}, expected {want_es[u, v]}"
+                 for (u, v), s in changed if (u, v) in want_es]
+    return problems
 
 
 @pytest.fixture

@@ -1,0 +1,245 @@
+"""The program-size layers against whole-graph references (see conftest):
+`validate_against` gives the reference's mismatch lists, order included,
+`heuristic_expression` the reference's expression, and `parse_program` the
+reference's program or error, on random, mutated and dense inputs."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aspcw.errors import AspcwError
+from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
+                              fold, heuristic_expression, join_labels,
+                              labels_used, parse_expression,
+                              serialize_expression,
+                              trivial_expression, validate_against)
+from aspcw.generators import gen_random_program
+from aspcw.program import Program, make_rule, parse_program
+from conftest import reference_heuristic, reference_parse, reference_validate
+
+programs = st.builds(
+    gen_random_program,
+    num_atoms=st.integers(1, 6),
+    num_rules=st.integers(0, 6),
+    part_probabilities=st.sampled_from(
+        [(0.25, 0.25, 0.25), (0.4, 0.2, 0.2), (0.1, 0.3, 0.5), (0.1, 0.1, 0.1)]),
+    seed=st.integers(0, 2 ** 32 - 1))
+
+
+def dense_program(n: int) -> Program:
+    """n rules `h1 | ... | hn :- b1, ..., bn, not c1, ..., not cn`: every
+    rule a twin of every other, each atom class fully joined to the rules."""
+    def atoms(name):
+        return [f"{name}{j}" for j in range(1, n + 1)]
+    return Program(tuple(atoms("h") + atoms("b") + atoms("c")),
+                   tuple(make_rule(f"q{k}", atoms("h"), atoms("b"), atoms("c"))
+                         for k in range(1, n + 1)))
+
+
+def fixed_width(n: int) -> Program:
+    return parse_program(
+        (":- " + ", ".join(f"a{j}" for j in range(1, n + 1)) + ".\n") * n)
+
+
+DENSE = [fixed_width(1), fixed_width(2), fixed_width(30), dense_program(1),
+         dense_program(4), dense_program(15)]
+
+
+def outcome(f, *args, **kwargs):
+    """The result of the call, or the type and message of what it raised."""
+    try:
+        return f(*args, **kwargs)
+    except (AspcwError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def edited(expr, target, edit):
+    """`expr` with its node number `target` in post-order (from 1) replaced
+    by `edit(node, *operands)`."""
+    index = 0
+
+    def rebuild(node, *kids):
+        nonlocal index
+        index += 1
+        if index == target:
+            return edit(node, *kids)
+        if isinstance(node, Introduce):
+            return node
+        if isinstance(node, DisjointUnion):
+            return DisjointUnion(*kids)
+        if isinstance(node, Relabel):
+            return Relabel(node.old, node.new, *kids)
+        return EdgeInsert(node.sign, node.i, node.j, *kids)
+
+    return fold(expr, rebuild)
+
+
+def mutants(expr, other, rng):
+    """(expression, joined) pairs around a builder expression: as built,
+    another program's expression, one edge insert dropped, one re-signed,
+    an extra atom, an extra rule with edges, an introduce of the other kind,
+    and the signs p and n joined with and without the rewrite."""
+    nodes = []
+    fold(expr, lambda node, *_: nodes.append(node))
+    edges = [k for k, node in enumerate(nodes, 1) if isinstance(node, EdgeInsert)]
+    leaves = [k for k, node in enumerate(nodes, 1) if isinstance(node, Introduce)]
+    labels = sorted(labels_used(expr))
+    out = [(expr, frozenset()), (other, frozenset())]
+    if edges:
+        out.append((edited(expr, rng.choice(edges), lambda node, child: child),
+                    frozenset()))
+        out.append((edited(expr, rng.choice(edges), lambda node, child: EdgeInsert(
+            rng.choice([s for s in "hpn" if s != node.sign]), node.i, node.j,
+            child)), frozenset()))
+    kind = {"atom": "rule", "rule": "atom"}
+    out.append((edited(expr, rng.choice(leaves), lambda node: Introduce(
+        node.label, node.vertex, kind[node.kind])), frozenset()))
+    out.append((DisjointUnion(expr, Introduce(rng.choice(labels), "zz", "atom")),
+                frozenset()))
+    extra = max(labels) + 1
+    out.append((EdgeInsert(rng.choice("hpn"), rng.choice(labels), extra,
+                           DisjointUnion(expr, Introduce(extra, "rz", "rule"))),
+                frozenset()))
+    out.append((join_labels(expr, {"p", "n"}), frozenset({"p", "n"})))
+    out.append((expr, frozenset({"p", "n"})))
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(programs, programs, st.integers(0, 2 ** 32 - 1))
+def test_validate_lists_match_the_reference(program, other, seed):
+    rng = random.Random(seed)
+    for build in (trivial_expression, heuristic_expression):
+        for expr, joined in mutants(build(program), build(other), rng):
+            assert outcome(validate_against, expr, program, joined=joined) \
+                == outcome(reference_validate, expr, program, joined=joined)
+
+
+@pytest.mark.parametrize("program", DENSE)
+def test_validate_dense_matches_the_reference(program):
+    rng = random.Random(len(program.rules))
+    other = fixed_width(3)
+    for build in (trivial_expression, heuristic_expression):
+        expr = build(program)
+        assert validate_against(expr, program) == []
+        for expr, joined in mutants(expr, build(other), rng):
+            assert outcome(validate_against, expr, program, joined=joined) \
+                == outcome(reference_validate, expr, program, joined=joined)
+
+
+def test_validate_invalid_programs_match_the_reference():
+    # Programs that name an edge twice: an atom in two parts of a rule, a
+    # repeated rule id, rule ids used as atoms.  The graph keeps the last
+    # sign written, and so do both validations.
+    programs = [
+        Program(("a", "b"), (make_rule("r1", ["a"], ["a"], []),
+                             make_rule("r2", ["a"], [], ["b"]))),
+        Program(("a", "b"), (make_rule("r1", ["a"], []),
+                             make_rule("r1", [], ["a"], ["b"]))),
+        Program(("a",), (make_rule("r1", ["r2"]), make_rule("r2", ["r1"], ["a"]))),
+    ]
+    exprs = ["eta(h,1,2,oplus(a(1,a),r(2,r1)))",
+             "eta(p,1,2,oplus(a(1,a),r(2,r1)))",
+             "eta(h,1,3,eta(p,1,2,oplus(oplus(a(1,a),r(2,r1)),"
+             "oplus(a(4,b),r(3,r2)))))",
+             "eta(h,2,3,eta(h,1,4,oplus(oplus(r(1,r1),r(2,r2)),"
+             "oplus(a(3,a),a(4,b)))))",
+             "eta(h,1,2,eta(h,1,3,oplus(oplus(r(1,r1),r(2,r2)),a(3,a))))"]
+    for program in programs:
+        for text in exprs:
+            for joined in (frozenset(), frozenset({"h"})):
+                expr = parse_expression(text)
+                assert validate_against(expr, program, joined=joined) \
+                    == reference_validate(expr, program, joined=joined)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(programs)
+def test_heuristic_matches_the_reference(program):
+    assert serialize_expression(heuristic_expression(program)) \
+        == serialize_expression(reference_heuristic(program))
+
+
+@pytest.mark.parametrize("program", DENSE + [
+    # A bare `.` rule has no neighbors, like an atom in no rule: they share
+    # a class.
+    parse_program("a :- b.\n.\nc :- not a.\n."),
+    Program(("a", "b", "x"), (make_rule("r1", ["a"], ["b"]), make_rule("r2"))),
+    # An atom in two parts of a rule keeps the later part's sign.
+    Program(("a", "b"), (make_rule("r1", ["a"], ["a"]), make_rule("r2", [], ["a"]),
+                         make_rule("r3", ["b"], [], ["a"]))),
+])
+def test_heuristic_matches_the_reference_on(program):
+    assert serialize_expression(heuristic_expression(program)) \
+        == serialize_expression(reference_heuristic(program))
+
+
+NAMES = ["a", "b", "knot", "nota", "not_a", "notnot", "x1", "nOt", "cannot"]
+SPACE = ["", " ", "  ", "\t", "\n", "\n\t", " % not a, b.\n ", "%not x\n"]
+
+
+def random_text(rng):
+    """A program text, valid or not, with atoms that contain "not", `not`
+    literals, and whitespace and comments anywhere between tokens."""
+    def space():
+        return rng.choice(SPACE)
+
+    def literal():
+        atom = rng.choice(NAMES)
+        if rng.random() < 0.4:
+            return "not" + rng.choice([" ", "\t", "\n", " %c\n "]) + space() + atom
+        return atom
+
+    text = space()
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.2:
+            text += "@" + space() + rng.choice(["q", "r1", "r2"]) + space() \
+                + ":" + space()
+        if rng.random() < 0.6:
+            text += (space() + "|" + space()).join(
+                rng.choice(NAMES) for _ in range(rng.randint(1, 3))) + space()
+        if rng.random() < 0.7:
+            text += ":-" + space() + (space() + "," + space()).join(
+                literal() for _ in range(rng.randint(1, 5))) + space()
+        text += "." + space()
+    if rng.random() < 0.4:
+        cut = rng.randrange(len(text) + 1)
+        text = text[:cut] + rng.choice([",", "not", ".", "|", "not ,", "%", "A",
+                                        ""]) + text[cut + 1:]
+    return text
+
+
+def parsed(parse, text):
+    """The program with its atom order, or the error with its position."""
+    try:
+        return parse(text)
+    except AspcwError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), \
+            getattr(exc, "col", None)
+
+
+@pytest.mark.parametrize("text", [
+    "knot :- nota, not not_a, notnot.\n",
+    "a :- not\tknot,\n  not\n\tnota, % not b, c\n not_a.",
+    "x :- b, not b.",
+    "x :- not a, a.",
+    "knot :- not knot.",
+    "@s: a | knot :- not\n%c\nnota, b.\nnota.",
+])
+def test_parse_matches_the_reference_on(text):
+    assert parsed(parse_program, text) == parsed(reference_parse, text)
+
+
+def test_parse_matches_the_reference():
+    rng = random.Random(0)
+    outcomes = set()
+    for _ in range(3000):
+        text = random_text(rng)
+        # Program equality compares the atoms in order.
+        result = parsed(parse_program, text)
+        assert result == parsed(reference_parse, text)
+        outcomes.add("program" if isinstance(result, Program)
+                     else result[0].__name__)
+    assert outcomes == {"program", "ParseError", "NormalizationError"}

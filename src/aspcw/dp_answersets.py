@@ -118,9 +118,6 @@ _TABLES = TableOps(
     unit={(0, frozenset())},
     relabel=lambda table, move:
         {(move(q), frozenset(move(s) for s in g)) for q, g in table},
-    # At the root every field is cleared: Q is empty, and so is each Gamma
-    # member, which then has an empty U.
-    accepted=(0, frozenset()),
     snapshot=lambda index, op, table, w:
         TraceNode(index, op, _public(table, w)))
 

@@ -50,8 +50,6 @@ _TABLES = TableOps(
     join=_join,
     unit={0},
     relabel=lambda table, move: {move(key) for key in table},
-    # At the root every field is cleared.
-    accepted=0,
     snapshot=lambda index, op, table, w:
         TraceNode(index, op, _public(table, w)))
 

@@ -25,7 +25,7 @@ from typing import Callable, TypeVar, Union
 from .errors import ExpressionError, ParseError, SignConflictError
 from .graphs import (ALPHA, SIGNS, LabeledSignedGraph, SignedGraph,
                      _incidence_vertices, build_signed_incidence_graph,
-                     check_joinable)
+                     check_joinable, edge_groups)
 from .program import AtomSet, Program, _line_col
 
 EDGE_SIGNS = SIGNS + (ALPHA,)
@@ -206,34 +206,6 @@ def evaluate(expr: Expr) -> LabeledSignedGraph:
     return LabeledSignedGraph(tuple(position), kinds, edges, labels)
 
 
-def _edge_groups(program: Program, joined: frozenset[str] | set[str]):
-    """The edges of the program's signed incidence graph as (sign, keys)
-    groups, each edge in one group, with the signs in `joined` as alpha.
-
-    When no two rule parts name one edge, each nonempty part is a group.
-    A program that `validate_program` rejects may name an edge twice (a
-    repeated rule id, an atom in two parts, a rule id used as an atom);
-    then the groups are read off the graph, which keeps the last sign."""
-    rules = program.rules
-    ids = {r.id for r in rules}
-    if len(ids) == len(rules) and all(
-            r.head.isdisjoint(r.pos_body) and r.head.isdisjoint(r.neg_body)
-            and r.pos_body.isdisjoint(r.neg_body) and ids.isdisjoint(r.head)
-            and ids.isdisjoint(r.pos_body) and ids.isdisjoint(r.neg_body)
-            for r in rules):
-        for r in rules:
-            rule = r.id
-            for sign, part in zip(SIGNS, (r.head, r.pos_body, r.neg_body)):
-                if part:
-                    yield (ALPHA if sign in joined else sign,
-                           [(a, rule) if a <= rule else (rule, a) for a in part])
-    else:
-        groups: dict[str, list[tuple[str, str]]] = {}
-        for key, sign in build_signed_incidence_graph(program).edges.items():
-            groups.setdefault(ALPHA if sign in joined else sign, []).append(key)
-        yield from groups.items()
-
-
 def validate_against(expr: Expr, program: Program,
                      joined: frozenset[str] | set[str] = frozenset()) -> list[str]:
     """Compare the evaluated graph with the program's signed incidence graph
@@ -256,7 +228,9 @@ def validate_against(expr: Expr, program: Program,
     missing: list[tuple[tuple[str, str], str]] = []
     wrong: list[tuple[tuple[str, str], str, str]] = []
     found = 0  # program edges the expression has, whatever their sign
-    for sign, keys in _edge_groups(program, joined):
+    for rule, sign, part in edge_groups(program):
+        sign = ALPHA if sign in joined else sign
+        keys = [(a, rule) if a <= rule else (rule, a) for a in part]
         signs = list(map(es.get, keys))
         hits = signs.count(sign)
         found += hits
@@ -269,8 +243,8 @@ def validate_against(expr: Expr, program: Program,
                     found += 1
     problems += [f"missing edge {u}--{v} ({s})" for (u, v), s in sorted(missing)]
     if found < len(es):
-        want_es = {key for _, keys in _edge_groups(program, joined)
-                   for key in keys}
+        want_es = {(a, rule) if a <= rule else (rule, a)
+                   for rule, _, part in edge_groups(program) for a in part}
         problems += [f"extra edge {u}--{v} ({es[u, v]})"
                      for u, v in sorted(es.keys() - want_es)]
     problems += [f"edge {u}--{v}: sign {s}, expected {want}"
@@ -375,9 +349,6 @@ def heuristic_expression(program: Program) -> Expr:
     key: dict[str, tuple] = {}  # vertex -> its neighborhood, () if none
     for r in program.rules:
         parts = h, p, n = r.head, r.pos_body, r.neg_body
-        if not (h.isdisjoint(p) and h.isdisjoint(n) and p.isdisjoint(n)):
-            # The graph keeps the last sign written to an edge.
-            parts = (h - p - n, p - n, n)
         twins.setdefault(parts, r.id)
         key[r.id] = parts if h or p or n else ()
     # Atom -> 3 * (its rule class's position in twins) + part, ascending.

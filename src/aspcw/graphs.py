@@ -2,9 +2,13 @@
 
 Provides the dependency graph, the signed incidence graph, exact cycle-rank
 and a bounded decision variant, homogeneous orientations of the incidence
-graph, and a JSON reader for digraphs. A Digraph is its successor and
-predecessor bitmasks by vertex position; Digraph.from_arcs builds one from
-named arcs and checks them, and its arcs are read back from the masks.
+graph, and a JSON reader for digraphs. A program has a signed incidence
+graph when its vertex ids are distinct, no rule id names an atom, and each
+rule's three parts are disjoint and name only listed atoms; every entry
+point that reads the graph checks this with `_incidence_vertices`. A
+Digraph is its successor and predecessor bitmasks by vertex position;
+Digraph.from_arcs builds one from named arcs and checks them, and its arcs
+are read back from the masks.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import BoundExceededError
-from .program import Program
+from .program import AtomSet, Program
 
 SIGNS = ("h", "p", "n")
 ALPHA = "alpha"
@@ -102,25 +106,47 @@ def build_dependency_graph(program: Program) -> Digraph:
 
 
 def _incidence_vertices(program: Program) -> tuple[tuple[str, ...], dict[str, str]]:
+    """The signed incidence graph's vertices and their kinds.  The one check
+    that the program has that graph (see above): raises ValueError if not.
+    Besides the result it builds one set, of the atoms; the checks are
+    `isdisjoint` and `<=`, which allocate nothing."""
+    known = frozenset(program.atoms)
     rule_ids = tuple(r.id for r in program.rules)
-    clash = set(program.atoms) & set(rule_ids)
-    if clash:
+    if not known.isdisjoint(rule_ids):
         raise ValueError(
             f"atom names and rule ids must be disjoint for incidence graphs; "
-            f"clash on {sorted(clash)}")
-    kinds = {a: "atom" for a in program.atoms}
-    kinds.update({r: "rule" for r in rule_ids})
+            f"clash on {sorted(known.intersection(rule_ids))}")
+    kinds = dict.fromkeys(program.atoms, "atom")
+    kinds.update(dict.fromkeys(rule_ids, "rule"))
+    if len(kinds) != len(program.atoms) + len(rule_ids):
+        raise ValueError("duplicate vertex ids")
+    for r in program.rules:
+        h, p, n = r.head, r.pos_body, r.neg_body
+        if not (h.isdisjoint(p) and h.isdisjoint(n) and p.isdisjoint(n)):
+            raise ValueError(f"rule {r.id!r} names atoms "
+                             f"{sorted(h & p | h & n | p & n)} in two parts")
+        if not (h <= known and p <= known and n <= known):
+            raise ValueError(f"rule {r.id!r} names unknown vertex "
+                             f"{min(a for a in h | p | n if a not in known)!r}")
     return program.atoms + rule_ids, kinds
+
+
+def edge_groups(program: Program) -> Iterator[tuple[str, str, AtomSet]]:
+    """The signed incidence graph's edges as (rule id, sign, atoms), one
+    group per nonempty rule part, in program order.  On a program that
+    `_incidence_vertices` accepts, each edge is in exactly one group."""
+    for r in program.rules:
+        for sign, part in zip(SIGNS, (r.head, r.pos_body, r.neg_body)):
+            if part:
+                yield r.id, sign, part
 
 
 def build_signed_incidence_graph(program: Program) -> SignedGraph:
     vertices, kinds = _incidence_vertices(program)
     edges = {}
-    for r in program.rules:
-        rule = r.id
-        for sign, part in zip(SIGNS, (r.head, r.pos_body, r.neg_body)):
-            for a in part:
-                edges[(a, rule) if a <= rule else (rule, a)] = sign
+    for rule, sign, part in edge_groups(program):
+        for a in part:
+            edges[(a, rule) if a <= rule else (rule, a)] = sign
     return SignedGraph(vertices, kinds, edges)
 
 
@@ -293,31 +319,24 @@ def homogeneous_orientations(program: Program,
     yields seeded random samples. Bit i of an assignment points group i
     (in sorted (rule, sign) order) from its rule to its atoms. The first
     next() raises ValueError if samples < 1 or max_groups < 0, or if the
-    program repeats a vertex id or names an atom it does not list.
+    program has no signed incidence graph: it repeats a vertex id, names a
+    rule like an atom, names an atom it does not list, or names one atom in
+    two parts of a rule.
 
     Each orientation's masks are OR-ed from per-group masks built once.
     """
     if samples < 1 or max_groups < 0:
         raise ValueError("samples must be at least 1 and max_groups at least 0")
     vertices, _ = _incidence_vertices(program)
-    groups: dict[tuple[str, str], list[str]] = {}
-    for r in program.rules:
-        for sign, part in zip(SIGNS, (r.head, r.pos_body, r.neg_body)):
-            if part:
-                groups[(r.id, sign)] = sorted(part)
-    ordered = sorted(groups)
-    # Every orientation joins the same vertex pairs, so one check here raises
-    # what a check of each orientation would, and none is needed after it.
-    Digraph.from_arcs(vertices, ((atom, rule_id) for rule_id, sign in ordered
-                                 for atom in groups[rule_id, sign]))
     index = {v: i for i, v in enumerate(vertices)}
-    # Per group: its rule's index and bit, and its atoms' mask and indices.
+    # Per group, in (rule, sign) order: its rule's index and bit, and its
+    # atoms' mask and indices.
     per_group = []
-    for key in ordered:
-        rule = index[key[0]]
-        atoms = [index[atom] for atom in groups[key]]
+    for rule_id, _, part in sorted(edge_groups(program), key=lambda g: g[:2]):
+        rule = index[rule_id]
+        atoms = [index[atom] for atom in part]
         per_group.append((rule, 1 << rule, sum(1 << a for a in atoms), atoms))
-    g = len(ordered)
+    g = len(per_group)
 
     def orient(assignment: int) -> Digraph:
         succ = [0] * len(vertices)

@@ -5,9 +5,11 @@ A program is a set of named atoms plus rules of the form
     a1 | ... | al :- b1, ..., bm, not c1, ..., not cn.
 
 Atoms are plain strings.  Rules keep their head, positive body, and negative
-body as frozensets of atom names; the three parts must be pairwise disjoint
-(an atom occurring in two parts of one rule would need two signs on a single
-incidence edge, which the graph model does not support).
+body as frozensets of atom names.  A program has a signed incidence graph
+when its atom names and rule ids are all distinct and each rule's three
+parts are pairwise disjoint (an atom in two parts would need two signs on
+one edge) and name only listed atoms.  `parse_program` ensures all but that
+no rule id is an atom name; `graphs._incidence_vertices` checks them all.
 """
 
 from __future__ import annotations

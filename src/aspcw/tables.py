@@ -15,7 +15,7 @@ runs and forgets; `fold_tables` hands them ready-made bits and masks, and
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ExpressionError
 from .expression import (DisjointUnion, EdgeInsert, Expr, Introduce, Relabel,
@@ -100,18 +100,16 @@ def run_clear(run: list[tuple[str, int, int]], w: int,
 
 
 class TableOps(NamedTuple):
-    """One solver's operators on tables of packed entries (field width w),
-    its unit table and the one root entry its decision accepts.  `join`
-    ORs each pair of operand entries, applies the run's clears (from
-    `run_clear`, each edge read both ways round), drops an entry with a
-    dead U bit and clears the dead T and F bits: it is the one operator
-    for a union, an edge run and a forget."""
+    """One solver's operators on tables of packed entries (field width w)
+    and its unit table.  `join` ORs each pair of operand entries, applies
+    the run's clears (from `run_clear`, each edge read both ways round),
+    drops an entry with a dead U bit and clears the dead T and F bits: it
+    is the one operator for a union, an edge run and a forget."""
     introduce: Callable[[str, int, int, int], set]  # (kind, T, F, U bit)
     # (left, right, run, w, dead T|F, dead U, floor)
     join: Callable[[set, set, list, int, int, int, int], set]
     unit: set                                   # joins as the identity
     relabel: Callable[[set, Callable[[int], int]], set]  # (table, relabel_fn)
-    accepted: Hashable                          # the decision's root entry
     snapshot: Callable[[int, str, set, int], object]  # (index, op, table, w)
 
 
@@ -120,12 +118,12 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
                 forget: bool = False) -> tuple[set, int]:
     """Runs a solver bottom-up over `expr`; returns (packed root table, w).
 
-    `ops` gives the solver's `introduce`, `join`, `unit`, `relabel`,
-    `accepted` and `snapshot` (see TableOps).  A union is `ops.join` of its
-    operands with an empty run.  A run of consecutive edge inserts is one
-    `ops.join` against `ops.unit` at its top edge insert; the fold hands
-    each edge over as the expression names it, and `run_clear` reads it
-    both ways round.
+    `ops` gives the solver's `introduce`, `join`, `unit`, `relabel` and
+    `snapshot` (see TableOps).  A union is `ops.join` of its operands with
+    an empty run.  A run of consecutive edge inserts is one `ops.join`
+    against `ops.unit` at its top edge insert; the fold hands each edge
+    over as the expression names it, and `run_clear` reads it both ways
+    round.
 
     `on_node(index, op, size)` and `trace` see the same events: each table
     the solver builds, in post-order.  A run's table carries the index and
@@ -239,8 +237,10 @@ def decide(expr: Expr, ops: TableOps, on_node: OnNode | None = None,
            trace: list | None = None) -> bool:
     """The decision: the fold forgets dead labels, so `on_node` and `trace`
     see the smaller tables it builds.  Every label is dead at the root, so
-    the root table holds only entries with every field cleared, and the
-    decision is whether `ops.accepted` is among them."""
+    the root table holds only entries with every field cleared: the triple
+    0, or the pair with an empty Q and an empty Gamma (a Gamma member would
+    have an empty U and refute its pair).  That entry is the one member of
+    `ops.unit`, so the decision is whether the root table includes it."""
     table, _ = fold_tables(expr, ops, trace=trace, on_node=on_node,
                            forget=True)
-    return ops.accepted in table
+    return ops.unit <= table

@@ -6,6 +6,8 @@ import random
 import pytest
 
 from aspcw.errors import BoundExceededError
+from aspcw.expression import (heuristic_expression, parse_expression,
+                              trivial_expression, validate_against)
 from aspcw.generators import gen_random_program, gen_random_qbf, reduce_qbf_to_asp
 from aspcw import graphs
 from aspcw.graphs import (Digraph, _cyclic_components,
@@ -115,6 +117,37 @@ class TestProgramGraphs:
     def test_join_graph_signs(self, example1):
         g = join_graph_signs(build_signed_incidence_graph(example1), {"p", "n"})
         assert sorted(g.edges.values()) == ["alpha", "alpha", "alpha", "h"]
+
+
+# Programs without a signed incidence graph, which parse_program never
+# gives: every graph-layer entry point raises ValueError on each, so none
+# raises a KeyError or builds an expression with a rule-rule edge or a
+# vertex introduced twice.
+MALFORMED = {
+    "atom-in-two-parts": Program(("a", "b"), (make_rule("r1", ["a"], ["a"]),)),
+    "repeated-rule-id": Program(("a", "b"), (
+        make_rule("r1", ["a"]), make_rule("r1", [], ["a"], ["b"]))),
+    "rule-id-as-atom": Program(("a",), (
+        make_rule("r1", ["r2"]), make_rule("r2", ["a"]))),
+    "unlisted-atom": Program(("a",), (make_rule("r1", ["a"], ["b"]),)),
+}
+FACT = "eta(h,1,2,oplus(r(1,r1),a(2,a)))"
+ENTRY_POINTS = {
+    "incidence-graph": build_signed_incidence_graph,
+    "trivial": trivial_expression,
+    "heuristic": heuristic_expression,
+    "validate": lambda p: validate_against(parse_expression(FACT), p),
+    "validate-joined": lambda p: validate_against(
+        parse_expression(FACT), p, joined=frozenset({"p", "n"})),
+    "orientations": lambda p: next(homogeneous_orientations(p)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("shape", MALFORMED)
+def test_program_without_incidence_graph_rejected(shape, entry):
+    with pytest.raises(ValueError):
+        ENTRY_POINTS[entry](MALFORMED[shape])
 
 
 class TestClosures:
@@ -402,21 +435,13 @@ def group_masks(program):
 
 class TestCarriedMasks:
     # Each orientation's OR-ed masks against the same digraph built from
-    # its named arcs. The running example (enumerated), a sampled QBF
-    # reduction (over 14 groups), and rules where one atom is in two of a
-    # rule's groups, which parse_program rejects: a :- a.  and
-    # a | b :- a, not b.
-    @pytest.fixture(params=["example1", "qbf", "a-head-and-body",
-                            "a-and-b-twice"])
+    # its named arcs: the running example (enumerated) and a sampled QBF
+    # reduction (over 14 groups).
+    @pytest.fixture(params=["example1", "qbf"])
     def program(self, request, example1):
         return {
             "example1": lambda: example1,
             "qbf": lambda: reduce_qbf_to_asp(gen_random_qbf(6, 6, 6, 1)),
-            "a-head-and-body": lambda: Program(
-                ("a",), (make_rule("r1", head=["a"], pos_body=["a"]),)),
-            "a-and-b-twice": lambda: Program(
-                ("a", "b"), (make_rule("r1", head=["a", "b"], pos_body=["a"],
-                                       neg_body=["b"]),)),
         }[request.param]()
 
     def test_masks_match_rebuilt_digraph(self, program):

@@ -433,18 +433,45 @@ def group_masks(program):
     return masks
 
 
+# Rules where one atom is in two of the rule's groups, which
+# parse_program rejects: a :- a.  and  a | b :- a, not b.  Such a program
+# has no signed incidence graph, so it has no orientations either.
+TWO_PARTS = {
+    "a-head-and-body": Program(
+        ("a",), (make_rule("r1", head=["a"], pos_body=["a"]),)),
+    "a-and-b-twice": Program(
+        ("a", "b"), (make_rule("r1", head=["a", "b"], pos_body=["a"],
+                               neg_body=["b"]),)),
+}
+
+
+def rejected_in_two_parts(program):
+    """True, after checking that the first next() raises, for a program
+    of TWO_PARTS; False for any other."""
+    if program not in TWO_PARTS.values():
+        return False
+    orientations = homogeneous_orientations(program)
+    with pytest.raises(ValueError, match="in two parts"):
+        next(orientations)
+    assert next(orientations, None) is None
+    return True
+
+
 class TestCarriedMasks:
     # Each orientation's OR-ed masks against the same digraph built from
     # its named arcs: the running example (enumerated) and a sampled QBF
-    # reduction (over 14 groups).
-    @pytest.fixture(params=["example1", "qbf"])
+    # reduction (over 14 groups). The programs of TWO_PARTS are rejected.
+    @pytest.fixture(params=["example1", "qbf", *TWO_PARTS])
     def program(self, request, example1):
         return {
             "example1": lambda: example1,
             "qbf": lambda: reduce_qbf_to_asp(gen_random_qbf(6, 6, 6, 1)),
+            **{name: lambda p=p: p for name, p in TWO_PARTS.items()},
         }[request.param]()
 
     def test_masks_match_rebuilt_digraph(self, program):
+        if rejected_in_two_parts(program):
+            return
         orientations = list(homogeneous_orientations(program))
         assert orientations
         for o in orientations:
@@ -456,6 +483,8 @@ class TestCarriedMasks:
         # The vertices with both a successor and a predecessor: those where
         # the assignment points some, but not all, of their groups away
         # from their rule.
+        if rejected_in_two_parts(program):
+            return
         masks = group_masks(program)
         g = max(masks).bit_length()
         rng = random.Random(0)

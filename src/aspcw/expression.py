@@ -20,12 +20,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Callable, TypeVar, Union
 
 from .errors import ExpressionError, ParseError, SignConflictError
 from .graphs import (ALPHA, SIGNS, LabeledSignedGraph, SignedGraph,
-                     _incidence_vertices, build_signed_incidence_graph,
-                     check_joinable, edge_groups)
+                     _incidence_vertices, bits, build_signed_incidence_graph,
+                     check_joinable, edge_groups, edge_key)
 from .program import AtomSet, Program, _line_col
 
 EDGE_SIGNS = SIGNS + (ALPHA,)
@@ -108,16 +109,17 @@ def fold(expr: Expr, visit: Callable[..., T]) -> T:
     stack: list = [expr]
     while stack:
         node = stack.pop()
-        if type(node) is tuple:  # (node,): its operands are folded
+        kind = type(node)  # the node classes have no subclasses
+        if kind is tuple:  # (node,): its operands are folded
             node = node[0]
-            if isinstance(node, DisjointUnion):
+            if type(node) is DisjointUnion:
                 right = results.pop()
                 results[-1] = visit(node, results[-1], right)
             else:
                 results[-1] = visit(node, results[-1])
-        elif isinstance(node, Introduce):
+        elif kind is Introduce:
             results.append(visit(node))
-        elif isinstance(node, DisjointUnion):
+        elif kind is DisjointUnion:
             stack += ((node,), node.right, node.left)
         else:
             stack += ((node,), node.child)
@@ -157,53 +159,101 @@ def node_count(expr: Expr) -> int:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(expr: Expr) -> LabeledSignedGraph:
-    """Bottom-up semantics.  A relabel or edge insert acts on the vertices of
-    its own subexpression.  Repeated identical edge inserts are idempotent;
-    an insert that would re-sign an existing pair raises SignConflictError."""
-    kinds: dict[str, str] = {}
-    position: dict[str, int] = {}
-    edges: dict[tuple[str, str], str] = {}
+def _graph_masks(expr: Expr) -> tuple[dict[str, str], dict[int, int],
+                                     list[tuple[str, int, int]],
+                                     list[list[int]]]:
+    """The fold under `evaluate` and `validate_against`: the evaluated graph
+    in vertex bitmasks, bit p for the p-th vertex introduced.
 
-    # Each node's result maps a label to the vertices of its subexpression
-    # that carry it, first introduced first; edge inserts walk these lists,
-    # so SignConflictError names the same pair on every run.
-    def visit(node: Expr, *parts: dict[int, list[str]]) -> dict[int, list[str]]:
-        if isinstance(node, Introduce):
+    Returns the kinds (vertex -> 'atom' or 'rule', in introduce order), the
+    root's label masks, each edge insert that adds edges as a biclique
+    (sign, A, B) in post-order, and by vertex its row: its neighbours by
+    each sign of EDGE_SIGNS, then by any sign.  An insert ORs B into the
+    rows of A's vertices and A into those of B's: |A| + |B| ORs, whatever
+    its edge count.  A repeated vertex, or a pair given a second sign,
+    raises at its node, so the first error in post-order is raised."""
+    kinds: dict[str, str] = {}
+    rows: list[list[int]] = []
+    inserts: list[tuple[str, int, int]] = []
+
+    # Each node's result maps a label to the mask of its subexpression's
+    # vertices that carry it.
+    def visit(node: Expr, *parts: dict[int, int]) -> dict[int, int]:
+        kind = type(node)
+        if kind is Introduce:
             if node.vertex in kinds:
                 raise ExpressionError(
                     f"vertex {node.vertex!r} introduced more than once")
+            bit = 1 << len(kinds)
             kinds[node.vertex] = node.kind
-            position[node.vertex] = len(position)
-            return {node.label: [node.vertex]}
-        if isinstance(node, DisjointUnion):
-            left, right = parts
+            rows.append([0] * 5)
+            return {node.label: bit}
+        if kind is DisjointUnion:
             small, big = sorted(parts, key=len)
-            for label, vs in small.items():
-                big[label] = left[label] + right[label] if label in big else vs
+            for label, mask in small.items():
+                big[label] = big.get(label, 0) | mask
             return big
         (members,) = parts
-        if isinstance(node, Relabel):
+        if kind is Relabel:
             if node.old != node.new and node.old in members:
-                target = members.setdefault(node.new, [])
-                target += members.pop(node.old)
-                target.sort(key=position.__getitem__)
+                members[node.new] = members.get(node.new, 0) | members.pop(node.old)
             return members
-        sign, add = node.sign, edges.setdefault
-        for u in members.get(node.i, ()):
-            for v in members.get(node.j, ()):
-                key = (u, v) if u <= v else (v, u)
-                existing = add(key, sign)
-                if existing != sign:
+        a, b = members.get(node.i, 0), members.get(node.j, 0)
+        if a and b:
+            k = EDGE_SIGNS.index(node.sign)
+            # bits() without a generator for the common single vertex.
+            for u in bits(a) if a & (a - 1) else (a.bit_length() - 1,):
+                row = rows[u]
+                if row[4] & b and (clash := (row[4] ^ row[k]) & b):
+                    # Name the clash's lowest vertex, as a walk over the
+                    # pairs in introduce order would.
+                    v, names = (clash & -clash).bit_length() - 1, tuple(kinds)
+                    old = next(s for s, m in zip(EDGE_SIGNS, row) if m >> v & 1)
                     raise SignConflictError(
-                        f"edge {key} already has sign {existing!r}, "
-                        f"insert of {sign!r} conflicts")
+                        f"edge {edge_key(names[u], names[v])} already has "
+                        f"sign {old!r}, insert of {node.sign!r} conflicts")
+                row[k] |= b
+                row[4] |= b
+            for v in bits(b) if b & (b - 1) else (b.bit_length() - 1,):
+                row = rows[v]
+                row[k] |= a
+                row[4] |= a
+            inserts.append((node.sign, a, b))
         return members
 
     root = fold(expr, visit)
-    label_of = {v: label for label, vs in root.items() for v in vs}
-    labels = {v: label_of[v] for v in position}
-    return LabeledSignedGraph(tuple(position), kinds, edges, labels)
+    return kinds, root, inserts, rows
+
+
+def _edges(names: tuple[str, ...],
+           inserts: list[tuple[str, int, int]]) -> dict[tuple[str, str], str]:
+    """The bicliques' edges by sorted vertex pair, in insert order and, in
+    each insert, by introduce order of the A and then the B vertex."""
+    edges: dict[tuple[str, str], str] = {}
+    add = edges.setdefault
+    for sign, a, b in inserts:
+        targets = [names[v] for v in bits(b)]
+        for u in bits(a):
+            u = names[u]
+            for v in targets:
+                add((u, v) if u <= v else (v, u), sign)
+    return edges
+
+
+def evaluate(expr: Expr) -> LabeledSignedGraph:
+    """Bottom-up semantics.  A relabel or edge insert acts on the vertices of
+    its own subexpression.  Repeated identical edge inserts are idempotent;
+    an insert that would re-sign an existing pair raises SignConflictError,
+    naming the first such pair in introduce order.  The vertices are in
+    introduce order, and the edges in the order their inserts add them."""
+    kinds, root, inserts, _ = _graph_masks(expr)
+    names = tuple(kinds)
+    label = [0] * len(names)
+    for lab, mask in root.items():
+        for p in bits(mask):
+            label[p] = lab
+    return LabeledSignedGraph(names, kinds, _edges(names, inserts),
+                              dict(zip(names, label)))
 
 
 def validate_against(expr: Expr, program: Program,
@@ -213,36 +263,51 @@ def validate_against(expr: Expr, program: Program,
     a list of mismatches, empty on success: missing, extra and wrongly kinded
     vertices, then missing, extra and wrongly signed edges, each sorted.
 
-    One pass over the program's edges looks each up among the evaluated
-    ones.  When it finds fewer than the expression has, the program's edge
-    keys are gathered to name the extra edges."""
-    got = evaluate(expr)
+    Works on `_graph_masks`' neighbour rows and never lists the expression's
+    edges on success: each rule part is one test that the rule's row for
+    its sign holds the part's atom mask, and the edges found are counted
+    against the expression's, half the bits of all rows.  Only a part that
+    fails is looked at atom by atom, and only a count that falls short
+    lists the expression's edges, to name the extra ones."""
+    kinds, _, inserts, rows = _graph_masks(expr)
     _, want_vs = _incidence_vertices(program)
     if joined:
         check_joinable(joined)
-    vs, es = got.kinds, got.edges
-    problems = [f"missing vertex {v}" for v in sorted(want_vs.keys() - vs.keys())]
-    problems += [f"extra vertex {v}" for v in sorted(vs.keys() - want_vs.keys())]
+    problems = [f"missing vertex {v}" for v in sorted(want_vs.keys() - kinds.keys())]
+    problems += [f"extra vertex {v}" for v in sorted(kinds.keys() - want_vs.keys())]
     problems += [f"vertex {v}: kind {k}, expected {want_vs[v]}"
-                 for v, k in sorted(vs.items() - want_vs.items()) if v in want_vs]
+                 for v, k in sorted(kinds.items() - want_vs.items()) if v in want_vs]
+    bit = {v: 1 << p for p, v in enumerate(kinds)}
+    row_of = dict(zip(kinds, rows))
+    # Each atom the expression lacks adds a bit past every vertex to its
+    # part's mask, which so is in no row.
+    absent = repeat(1 << len(kinds))
+    masks: dict[AtomSet, int] = {}  # part -> its atoms' mask
     missing: list[tuple[tuple[str, str], str]] = []
     wrong: list[tuple[tuple[str, str], str, str]] = []
     found = 0  # program edges the expression has, whatever their sign
     for rule, sign, part in edge_groups(program):
         sign = ALPHA if sign in joined else sign
-        keys = [(a, rule) if a <= rule else (rule, a) for a in part]
-        signs = list(map(es.get, keys))
-        hits = signs.count(sign)
-        found += hits
-        if hits < len(keys):
-            for key, s in zip(keys, signs):
-                if s is None:
-                    missing.append((key, sign))
-                elif s != sign:
+        want = masks.get(part)
+        if want is None:
+            want = masks[part] = sum(map(bit.get, part, absent))
+        row = row_of.get(rule)
+        if row is not None and row[EDGE_SIGNS.index(sign)] & want == want:
+            found += len(part)
+            continue
+        for a in part:
+            key = (a, rule) if a <= rule else (rule, a)
+            s = None if row is None or a not in bit else next(
+                (s for s, mask in zip(EDGE_SIGNS, row) if mask & bit[a]), None)
+            if s is None:
+                missing.append((key, sign))
+            else:
+                found += 1
+                if s != sign:
                     wrong.append((key, s, sign))
-                    found += 1
     problems += [f"missing edge {u}--{v} ({s})" for (u, v), s in sorted(missing)]
-    if found < len(es):
+    if found < sum(row[4].bit_count() for row in rows) // 2:
+        es = _edges(tuple(kinds), inserts)
         want_es = {(a, rule) if a <= rule else (rule, a)
                    for rule, _, part in edge_groups(program) for a in part}
         problems += [f"extra edge {u}--{v} ({es[u, v]})"

@@ -8,14 +8,15 @@ Atoms are plain strings.  Rules keep their head, positive body, and negative
 body as frozensets of atom names.  A program has a signed incidence graph
 when its atom names and rule ids are all distinct and each rule's three
 parts are pairwise disjoint (an atom in two parts would need two signs on
-one edge) and name only listed atoms.  `parse_program` ensures all but that
-no rule id is an atom name; `graphs._incidence_vertices` checks them all.
+one edge) and name only listed atoms.  `parse_program` ensures all of them;
+for a `Program` built by hand, `graphs._incidence_vertices` checks them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable
 
 from .errors import NormalizationError, ParseError
@@ -86,6 +87,8 @@ def validate_program(program: Program) -> list[str]:
     for r in program.rules:
         if r.id in seen_ids:
             problems.append(f"duplicate rule id {r.id!r}")
+        if r.id in known:
+            problems.append(f"rule id {r.id!r} is also an atom name")
         seen_ids.add(r.id)
         for part_name, part in (("head", r.head), ("pos_body", r.pos_body),
                                 ("neg_body", r.neg_body)):
@@ -137,15 +140,18 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
 def parse_program(text: str) -> Program:
     """Parse program text; atoms are kept in first-occurrence order.
 
-    Unnamed rules get ids r1, r2, ... by position in the file.  A syntax
-    error names the line and column where the failing rule starts.
+    Once the whole text is read, an unnamed rule gets the id r<k> for its
+    position k in the file, or, if an atom or a `@` id has that name, the
+    next of r<n+1>, r<n+2>, ... (n rules) that none has.  A syntax error,
+    a repeated `@` id and a `@` id that names an atom are ParseErrors that
+    name the line and column where the rule starts.
     """
     # A comment runs to the end of its line, so dropping it keeps every
     # other character on its line and column.
     text = _COMMENT.sub("", text)
     atoms: dict[str, None] = {}
-    rules: list[Rule] = []
-    used_ids: set[str] = set()
+    rules: list[tuple[str | None, AtomSet, AtomSet, AtomSet]] = []
+    named: dict[str, int] = {}  # `@` id -> where its rule starts
     pos = re.match(r"\s*", text).end()
     while pos < len(text):
         m = _RULE.match(text, pos)
@@ -153,8 +159,8 @@ def parse_program(text: str) -> Program:
             end = text.find(".", pos)
             rule = text[pos:] if end < 0 else text[pos:end + 1]
             raise ParseError(f"malformed rule {rule[:60]!r}", *_line_col(text, pos))
-        rule_id = m["id"] or f"r{len(rules) + 1}"
-        if rule_id in used_ids:
+        rule_id = m["id"]
+        if rule_id in named:
             raise ParseError(f"duplicate rule id {rule_id!r}", *_line_col(text, pos))
         head = (m["head"] or "").replace("|", " ").split()
         # In a body that matched _RULE, the word "not" negates the word
@@ -176,12 +182,27 @@ def parse_program(text: str) -> Program:
         overlap = (hs & ps) | (hs & ns) | (ps & ns)
         if overlap:
             raise NormalizationError(
-                f"rule {rule_id} (line {_line_col(text, pos)[0]}): atoms "
-                f"{sorted(overlap)} occur in more than one part")
-        used_ids.add(rule_id)
-        rules.append(Rule(rule_id, hs, ps, ns))
+                f"rule {rule_id or f'r{len(rules) + 1}'} (line "
+                f"{_line_col(text, pos)[0]}): atoms {sorted(overlap)} occur "
+                f"in more than one part")
+        if rule_id:
+            named[rule_id] = pos
+        rules.append((rule_id, hs, ps, ns))
         pos = m.end()
-    return Program(tuple(atoms), tuple(rules))
+    for rule_id, start in named.items():
+        if rule_id in atoms:
+            raise ParseError(f"rule id {rule_id!r} is also an atom name",
+                             *_line_col(text, start))
+    fresh = (f"r{n}" for n in count(len(rules) + 1)
+             if f"r{n}" not in atoms and f"r{n}" not in named)
+    with_ids = []
+    for k, (rule_id, hs, ps, ns) in enumerate(rules, 1):
+        if rule_id is None:
+            rule_id = f"r{k}"
+            if rule_id in atoms or rule_id in named:
+                rule_id = next(fresh)
+        with_ids.append(Rule(rule_id, hs, ps, ns))
+    return Program(tuple(atoms), tuple(with_ids))
 
 
 def serialize_program(program: Program) -> str:

@@ -158,11 +158,11 @@ def reduct_interpretation_triple(program: Program, labeling: Mapping[str, int],
 
 
 def reference_parse(text: str) -> Program:
-    """`parse_program` splitting each body literal into its words."""
+    """`parse_program` splitting each body literal into its words, and
+    naming the unnamed rules in a second pass over the rules read."""
     text = _COMMENT.sub("", text)
     atoms: dict[str, None] = {}
-    rules: list[Rule] = []
-    used_ids: set[str] = set()
+    rules: list[tuple] = []
     pos = re.match(r"\s*", text).end()
     while pos < len(text):
         m = _RULE.match(text, pos)
@@ -170,8 +170,8 @@ def reference_parse(text: str) -> Program:
             end = text.find(".", pos)
             rule = text[pos:] if end < 0 else text[pos:end + 1]
             raise ParseError(f"malformed rule {rule[:60]!r}", *_line_col(text, pos))
-        rule_id = m["id"] or f"r{len(rules) + 1}"
-        if rule_id in used_ids:
+        rule_id = m["id"]
+        if rule_id is not None and any(rule_id == r[0] for r in rules):
             raise ParseError(f"duplicate rule id {rule_id!r}", *_line_col(text, pos))
         head = m["head"].replace("|", " ").split() if m["head"] else []
         body = [lit.split() for lit in m["body"].split(",")] if m["body"] else []
@@ -183,12 +183,26 @@ def reference_parse(text: str) -> Program:
         overlap = (hs & ps) | (hs & ns) | (ps & ns)
         if overlap:
             raise NormalizationError(
-                f"rule {rule_id} (line {_line_col(text, pos)[0]}): atoms "
-                f"{sorted(overlap)} occur in more than one part")
-        used_ids.add(rule_id)
-        rules.append(Rule(rule_id, hs, ps, ns))
+                f"rule {rule_id or f'r{len(rules) + 1}'} (line "
+                f"{_line_col(text, pos)[0]}): atoms {sorted(overlap)} occur "
+                f"in more than one part")
+        rules.append((rule_id, pos, hs, ps, ns))
         pos = m.end()
-    return Program(tuple(atoms), tuple(rules))
+    for rule_id, start, *_ in rules:
+        if rule_id in atoms:
+            raise ParseError(f"rule id {rule_id!r} is also an atom name",
+                             *_line_col(text, start))
+    taken = set(atoms) | {r[0] for r in rules}
+    last = len(rules)
+    named = []
+    for k, (rule_id, _, hs, ps, ns) in enumerate(rules, 1):
+        if rule_id is None:
+            rule_id = f"r{k}"
+            while rule_id in taken:
+                last += 1
+                rule_id = f"r{last}"
+        named.append(Rule(rule_id, hs, ps, ns))
+    return Program(tuple(atoms), tuple(named))
 
 
 def reference_heuristic(program: Program):

@@ -111,6 +111,34 @@ class TestEvaluate:
         with pytest.raises(SignConflictError):
             evaluate(EdgeInsert("p", 1, 2, EdgeInsert("h", 1, 2, base)))
 
+    # The first error in post-order is raised, by evaluate and by
+    # validate_against alike; a conflict names the first clashing pair in
+    # introduce order (u over the insert's first label, then v), not in
+    # name order.
+    X, R = Introduce(1, "x", "atom"), Introduce(2, "r", "rule")
+    BICLIQUE = ("rho(3,1,rho(4,1,rho(5,1,rho(6,2,rho(7,2,eta(n,5,6,eta(n,4,6,"
+                "eta(h,4,7,oplus(oplus(oplus(a(3,c),a(4,b)),a(5,a)),"
+                "oplus(r(6,s),r(7,q)))))))))))")
+
+    @pytest.mark.parametrize("expr, error, message", [
+        (DisjointUnion(EdgeInsert("p", 1, 2, EdgeInsert(
+            "h", 1, 2, DisjointUnion(X, R))), Introduce(3, "x", "atom")),
+         SignConflictError,
+         "edge ('r', 'x') already has sign 'h', insert of 'p' conflicts"),
+        (EdgeInsert("p", 1, 2, EdgeInsert("h", 1, 2, DisjointUnion(
+            DisjointUnion(X, R), Introduce(3, "x", "atom")))),
+         ExpressionError, "vertex 'x' introduced more than once"),
+        (parse_expression(f"eta(p,1,2,{BICLIQUE})"), SignConflictError,
+         "edge ('b', 's') already has sign 'n', insert of 'p' conflicts"),
+        (parse_expression(f"eta(p,2,1,{BICLIQUE})"), SignConflictError,
+         "edge ('b', 's') already has sign 'n', insert of 'p' conflicts"),
+    ], ids=["conflict-first", "repeat-first", "biclique", "biclique-rules-first"])
+    def test_first_error_in_post_order(self, expr, error, message):
+        for check in (evaluate, lambda e: validate_against(e, Program((), ()))):
+            with pytest.raises(error) as err:
+                check(expr)
+            assert type(err.value) is error and str(err.value) == message
+
     def test_repeated_insert_idempotent(self):
         base = DisjointUnion(Introduce(1, "x", "atom"), Introduce(2, "r", "rule"))
         once = evaluate(EdgeInsert("h", 1, 2, base))

@@ -46,6 +46,30 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_program("@s: a.\n@s: b.")
 
+    @pytest.mark.parametrize("text, ids", [
+        # r1 is an atom, so the rule takes the first free id past the last rule.
+        ("r1.", ["r2"]),
+        ("r1.\nr2 :- r3.\n@r4: x.", ["r5", "r6", "r4"]),
+        # A `@` id, before or after, makes an unnamed rule skip its name.
+        ("@r2: a.\nb.", ["r2", "r3"]),
+        ("a.\n@r1: b.", ["r3", "r1"]),
+        ("@q: a.\nb.", ["q", "r2"]),
+    ])
+    def test_default_ids_skip_atoms_and_named_rules(self, text, ids):
+        p = parse_program(text)
+        assert [r.id for r in p.rules] == ids
+        assert validate_program(p) == []
+        assert parse_program(serialize_program(p)) == p
+
+    @pytest.mark.parametrize("text, line, col", [
+        ("@x: a.\nx.", 1, 1),
+        ("a.\n  @a: b.", 2, 3),
+    ])
+    def test_named_rule_naming_an_atom_rejected(self, text, line, col):
+        with pytest.raises(ParseError, match="rule id .* is also an atom name") as err:
+            parse_program(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
     def test_atom_in_two_parts_rejected(self):
         with pytest.raises(NormalizationError):
             parse_program("a :- a.")
@@ -187,6 +211,10 @@ class TestValidate:
     def test_bad_atom_name_flagged(self, name):
         p = Program((name,), ())
         assert any("bad atom name" in msg for msg in validate_program(p))
+
+    def test_rule_id_naming_an_atom_flagged(self):
+        p = Program(("x", "a"), (make_rule("x", head=["a"]),))
+        assert validate_program(p) == ["rule id 'x' is also an atom name"]
 
     def test_unknown_atom_flagged(self):
         p = Program(("a",), (make_rule("r1", head=["b"]),))

@@ -42,8 +42,10 @@ def fixed_width(n: int) -> Program:
         (":- " + ", ".join(f"a{j}" for j in range(1, n + 1)) + ".\n") * n)
 
 
+# The last two have masks that span many machine words.
 DENSE = [fixed_width(1), fixed_width(2), fixed_width(30), dense_program(1),
-         dense_program(4), dense_program(15)]
+         dense_program(4), dense_program(15), fixed_width(120),
+         dense_program(40)]
 
 
 def outcome(f, *args, **kwargs):
@@ -146,13 +148,14 @@ def test_heuristic_matches_the_reference_on(program):
         == serialize_expression(reference_heuristic(program))
 
 
-NAMES = ["a", "b", "knot", "nota", "not_a", "notnot", "x1", "nOt", "cannot"]
+NAMES = ["a", "b", "knot", "nota", "not_a", "notnot", "x1", "nOt", "cannot", "r2"]
 SPACE = ["", " ", "  ", "\t", "\n", "\n\t", " % not a, b.\n ", "%not x\n"]
 
 
 def random_text(rng):
     """A program text, valid or not, with atoms that contain "not", `not`
-    literals, and whitespace and comments anywhere between tokens."""
+    literals, an atom named like a rule id, and whitespace and comments
+    anywhere between tokens."""
     def space():
         return rng.choice(SPACE)
 

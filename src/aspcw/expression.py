@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Callable, TypeVar, Union
+from typing import Callable, Iterable, TypeVar, Union
 
 from .errors import ExpressionError, ParseError, SignConflictError
 from .graphs import (ALPHA, SIGNS, LabeledSignedGraph, SignedGraph,
@@ -159,65 +159,111 @@ def node_count(expr: Expr) -> int:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _graph_masks(expr: Expr) -> tuple[dict[str, str], dict[int, int],
-                                     list[tuple[str, int, int]],
-                                     list[list[int]]]:
+# A vertex set is kept from its lowest vertex, as (low, mask >> low): bit p
+# of the mask is the vertex at position low + p in introduce order.  Its int
+# is as wide as the set's span, not as its highest position: one vertex is
+# one bit wherever it is, and the rows of a cycle written in order span a
+# few bits.  A set of vertices introduced far apart is as wide as their
+# distance.
+Mask = tuple[int, int]
+
+
+def _union(x: Mask, y: Mask) -> Mask:
+    (lx, mx), (ly, my) = x, y
+    if lx <= ly:
+        return lx, mx | my << (ly - lx)
+    return ly, my | mx << (lx - ly)
+
+
+def _positions(x: Mask) -> Iterable[int]:
+    low, mask = x
+    # No generator for the common single vertex.
+    return (low,) if mask == 1 else map(low.__add__, bits(mask))
+
+
+# A row is a vertex's neighbours: [base, h, p, n, alpha, any], the masks by
+# each sign of EDGE_SIGNS and by any sign, with bit p for the vertex at
+# position base + p.  The base is the lowest neighbour's position; a vertex
+# without neighbours has no row.
+
+def _sign_at(row: list[int], p: int) -> str | None:
+    """The sign of row's edge to the vertex at position p, if it has one."""
+    d = p - row[0]
+    if d < 0 or not row[5] >> d & 1:
+        return None
+    return next(s for s, m in zip(EDGE_SIGNS, row[1:]) if m >> d & 1)
+
+
+def _graph_masks(expr: Expr) -> tuple[dict[str, str], dict[int, Mask],
+                                     list[tuple[str, Mask, Mask]],
+                                     list[list[int] | None]]:
     """The fold under `evaluate` and `validate_against`: the evaluated graph
-    in vertex bitmasks, bit p for the p-th vertex introduced.
+    as vertex sets kept from their lowest vertex (see Mask).
 
     Returns the kinds (vertex -> 'atom' or 'rule', in introduce order), the
-    root's label masks, each edge insert that adds edges as a biclique
-    (sign, A, B) in post-order, and by vertex its row: its neighbours by
-    each sign of EDGE_SIGNS, then by any sign.  An insert ORs B into the
-    rows of A's vertices and A into those of B's: |A| + |B| ORs, whatever
-    its edge count.  A repeated vertex, or a pair given a second sign,
-    raises at its node, so the first error in post-order is raised."""
+    root's label sets, each edge insert that adds edges as a biclique
+    (sign, A, B) in post-order, and by vertex position its row (see
+    above) or None.  An insert ORs B into the rows of A's vertices and A
+    into those of B's: |A| + |B| ORs, whatever its edge count.  A repeated
+    vertex, or a pair given a second sign, raises at its node, so the first
+    error in post-order is raised."""
     kinds: dict[str, str] = {}
-    rows: list[list[int]] = []
-    inserts: list[tuple[str, int, int]] = []
+    rows: list[list[int] | None] = []
+    inserts: list[tuple[str, Mask, Mask]] = []
 
-    # Each node's result maps a label to the mask of its subexpression's
+    # Each node's result maps a label to the set of its subexpression's
     # vertices that carry it.
-    def visit(node: Expr, *parts: dict[int, int]) -> dict[int, int]:
+    def visit(node: Expr, *parts: dict[int, Mask]) -> dict[int, Mask]:
         kind = type(node)
         if kind is Introduce:
             if node.vertex in kinds:
                 raise ExpressionError(
                     f"vertex {node.vertex!r} introduced more than once")
-            bit = 1 << len(kinds)
+            rows.append(None)
             kinds[node.vertex] = node.kind
-            rows.append([0] * 5)
-            return {node.label: bit}
+            return {node.label: (len(rows) - 1, 1)}
         if kind is DisjointUnion:
-            small, big = sorted(parts, key=len)
-            for label, mask in small.items():
-                big[label] = big.get(label, 0) | mask
+            small, big = parts
+            if len(small) > len(big):
+                small, big = big, small
+            for label, x in small.items():
+                big[label] = _union(big[label], x) if label in big else x
             return big
         (members,) = parts
         if kind is Relabel:
             if node.old != node.new and node.old in members:
-                members[node.new] = members.get(node.new, 0) | members.pop(node.old)
+                x = members.pop(node.old)
+                members[node.new] = (_union(members[node.new], x)
+                                     if node.new in members else x)
             return members
-        a, b = members.get(node.i, 0), members.get(node.j, 0)
+        a, b = members.get(node.i), members.get(node.j)
         if a and b:
-            k = EDGE_SIGNS.index(node.sign)
-            # bits() without a generator for the common single vertex.
-            for u in bits(a) if a & (a - 1) else (a.bit_length() - 1,):
-                row = rows[u]
-                if row[4] & b and (clash := (row[4] ^ row[k]) & b):
-                    # Name the clash's lowest vertex, as a walk over the
-                    # pairs in introduce order would.
-                    v, names = (clash & -clash).bit_length() - 1, tuple(kinds)
-                    old = next(s for s, m in zip(EDGE_SIGNS, row) if m >> v & 1)
-                    raise SignConflictError(
-                        f"edge {edge_key(names[u], names[v])} already has "
-                        f"sign {old!r}, insert of {node.sign!r} conflicts")
-                row[k] |= b
-                row[4] |= b
-            for v in bits(b) if b & (b - 1) else (b.bit_length() - 1,):
-                row = rows[v]
-                row[k] |= a
-                row[4] |= a
+            k = EDGE_SIGNS.index(node.sign) + 1
+            # B into A's rows, then A into B's.  Edges are symmetric, so a
+            # clash shows on A's side first.
+            for side, (low, mask) in (a, b), (b, a):
+                # _positions(side), without the call for a single vertex.
+                for u in (side[0],) if side[1] == 1 else _positions(side):
+                    row = rows[u]
+                    if row is None:
+                        rows[u] = row = [low, 0, 0, 0, 0, mask]
+                        row[k] = mask
+                        continue
+                    if low < row[0]:
+                        row[1:] = [m << (row[0] - low) for m in row[1:]]
+                        row[0] = low
+                    m = mask << (low - row[0])
+                    if row[5] & m and (clash := (row[5] ^ row[k]) & m):
+                        # Name the clash's lowest vertex, as a walk over
+                        # the pairs in introduce order would.
+                        names = tuple(kinds)
+                        v = row[0] + (clash & -clash).bit_length() - 1
+                        raise SignConflictError(
+                            f"edge {edge_key(names[u], names[v])} already has "
+                            f"sign {_sign_at(row, v)!r}, insert of "
+                            f"{node.sign!r} conflicts")
+                    row[k] |= m
+                    row[5] |= m
             inserts.append((node.sign, a, b))
         return members
 
@@ -226,14 +272,14 @@ def _graph_masks(expr: Expr) -> tuple[dict[str, str], dict[int, int],
 
 
 def _edges(names: tuple[str, ...],
-           inserts: list[tuple[str, int, int]]) -> dict[tuple[str, str], str]:
+           inserts: list[tuple[str, Mask, Mask]]) -> dict[tuple[str, str], str]:
     """The bicliques' edges by sorted vertex pair, in insert order and, in
     each insert, by introduce order of the A and then the B vertex."""
     edges: dict[tuple[str, str], str] = {}
     add = edges.setdefault
     for sign, a, b in inserts:
-        targets = [names[v] for v in bits(b)]
-        for u in bits(a):
+        targets = [names[v] for v in _positions(b)]
+        for u in _positions(a):
             u = names[u]
             for v in targets:
                 add((u, v) if u <= v else (v, u), sign)
@@ -249,8 +295,8 @@ def evaluate(expr: Expr) -> LabeledSignedGraph:
     kinds, root, inserts, _ = _graph_masks(expr)
     names = tuple(kinds)
     label = [0] * len(names)
-    for lab, mask in root.items():
-        for p in bits(mask):
+    for lab, x in root.items():
+        for p in _positions(x):
             label[p] = lab
     return LabeledSignedGraph(names, kinds, _edges(names, inserts),
                               dict(zip(names, label)))
@@ -265,7 +311,7 @@ def validate_against(expr: Expr, program: Program,
 
     Works on `_graph_masks`' neighbour rows and never lists the expression's
     edges on success: each rule part is one test that the rule's row for
-    its sign holds the part's atom mask, and the edges found are counted
+    its sign holds the part's atom set, and the edges found are counted
     against the expression's, half the bits of all rows.  Only a part that
     fails is looked at atom by atom, and only a count that falls short
     lists the expression's edges, to name the extra ones."""
@@ -273,40 +319,58 @@ def validate_against(expr: Expr, program: Program,
     _, want_vs = _incidence_vertices(program)
     if joined:
         check_joinable(joined)
-    problems = [f"missing vertex {v}" for v in sorted(want_vs.keys() - kinds.keys())]
-    problems += [f"extra vertex {v}" for v in sorted(kinds.keys() - want_vs.keys())]
-    problems += [f"vertex {v}: kind {k}, expected {want_vs[v]}"
-                 for v, k in sorted(kinds.items() - want_vs.items()) if v in want_vs]
-    bit = {v: 1 << p for p, v in enumerate(kinds)}
+    problems = []
+    if kinds != want_vs:
+        problems += [f"missing vertex {v}"
+                     for v in sorted(want_vs.keys() - kinds.keys())]
+        problems += [f"extra vertex {v}"
+                     for v in sorted(kinds.keys() - want_vs.keys())]
+        problems += [f"vertex {v}: kind {k}, expected {want_vs[v]}"
+                     for v, k in sorted(kinds.items() - want_vs.items())
+                     if v in want_vs]
+    at = {v: p for p, v in enumerate(kinds)}
     row_of = dict(zip(kinds, rows))
-    # Each atom the expression lacks adds a bit past every vertex to its
-    # part's mask, which so is in no row.
-    absent = repeat(1 << len(kinds))
-    masks: dict[AtomSet, int] = {}  # part -> its atoms' mask
+    # Part -> its atoms' set; twin rules of a parsed program share their
+    # parts, so a repeated part is found by identity.  An atom the
+    # expression lacks is at -1, below every row's base, so a part that
+    # holds one fails its test.
+    sets: dict[AtomSet, Mask] = {}
+    absent = repeat(-1)
     missing: list[tuple[tuple[str, str], str]] = []
     wrong: list[tuple[tuple[str, str], str, str]] = []
     found = 0  # program edges the expression has, whatever their sign
-    for rule, sign, part in edge_groups(program):
-        sign = ALPHA if sign in joined else sign
-        want = masks.get(part)
-        if want is None:
-            want = masks[part] = sum(map(bit.get, part, absent))
-        row = row_of.get(rule)
-        if row is not None and row[EDGE_SIGNS.index(sign)] & want == want:
-            found += len(part)
-            continue
-        for a in part:
-            key = (a, rule) if a <= rule else (rule, a)
-            s = None if row is None or a not in bit else next(
-                (s for s, mask in zip(EDGE_SIGNS, row) if mask & bit[a]), None)
-            if s is None:
-                missing.append((key, sign))
-            else:
-                found += 1
-                if s != sign:
-                    wrong.append((key, s, sign))
+    # Each sign's slot in a row: alpha's for a joined sign.
+    slots = [EDGE_SIGNS.index(ALPHA if s in joined else s) + 1 for s in SIGNS]
+    for r in program.rules:
+        rule, row = r.id, row_of.get(r.id)
+        for slot, part in zip(slots, (r.head, r.pos_body, r.neg_body)):
+            if not part:
+                continue
+            want = sets.get(part)
+            if want is None:
+                ps = list(map(at.get, part, absent))
+                low, mask = min(ps), 0
+                for p in ps if low >= 0 else ():
+                    mask |= 1 << (p - low)
+                want = sets[part] = low, mask
+            if row is not None:
+                low, mask = want
+                d = low - row[0]
+                if d >= 0 and (row[slot] >> d) & mask == mask:
+                    found += len(part)
+                    continue
+            sign = EDGE_SIGNS[slot - 1]
+            for a in part:
+                key = (a, rule) if a <= rule else (rule, a)
+                s = None if row is None or a not in at else _sign_at(row, at[a])
+                if s is None:
+                    missing.append((key, sign))
+                else:
+                    found += 1
+                    if s != sign:
+                        wrong.append((key, s, sign))
     problems += [f"missing edge {u}--{v} ({s})" for (u, v), s in sorted(missing)]
-    if found < sum(row[4].bit_count() for row in rows) // 2:
+    if found < sum(row[5].bit_count() for row in rows if row) // 2:
         es = _edges(tuple(kinds), inserts)
         want_es = {(a, rule) if a <= rule else (rule, a)
                    for rule, _, part in edge_groups(program) for a in part}

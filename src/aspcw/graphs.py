@@ -108,8 +108,10 @@ def build_dependency_graph(program: Program) -> Digraph:
 def _incidence_vertices(program: Program) -> tuple[tuple[str, ...], dict[str, str]]:
     """The signed incidence graph's vertices and their kinds.  The one check
     that the program has that graph (see above): raises ValueError if not.
-    Besides the result it builds one set, of the atoms; the checks are
-    `isdisjoint` and `<=`, which allocate nothing."""
+    Besides the result it builds a set of the atoms and one of the distinct
+    rule part triples, each checked once; the checks are `isdisjoint` and
+    `<=`, which allocate nothing.  Twin rules of a parsed program share
+    their parts, so they hit the second set by identity."""
     known = frozenset(program.atoms)
     rule_ids = tuple(r.id for r in program.rules)
     if not known.isdisjoint(rule_ids):
@@ -120,8 +122,12 @@ def _incidence_vertices(program: Program) -> tuple[tuple[str, ...], dict[str, st
     kinds.update(dict.fromkeys(rule_ids, "rule"))
     if len(kinds) != len(program.atoms) + len(rule_ids):
         raise ValueError("duplicate vertex ids")
+    checked: set[tuple[AtomSet, AtomSet, AtomSet]] = set()
     for r in program.rules:
-        h, p, n = r.head, r.pos_body, r.neg_body
+        parts = h, p, n = r.head, r.pos_body, r.neg_body
+        if parts in checked:
+            continue
+        checked.add(parts)
         if not (h.isdisjoint(p) and h.isdisjoint(n) and p.isdisjoint(n)):
             raise ValueError(f"rule {r.id!r} names atoms "
                              f"{sorted(h & p | h & n | p & n)} in two parts")

@@ -5,11 +5,14 @@ A program is a set of named atoms plus rules of the form
     a1 | ... | al :- b1, ..., bm, not c1, ..., not cn.
 
 Atoms are plain strings.  Rules keep their head, positive body, and negative
-body as frozensets of atom names.  A program has a signed incidence graph
-when its atom names and rule ids are all distinct and each rule's three
-parts are pairwise disjoint (an atom in two parts would need two signs on
-one edge) and name only listed atoms.  `parse_program` ensures all of them;
-for a `Program` built by hand, `graphs._incidence_vertices` checks them.
+body as frozensets of atom names.  In a parsed program, rules whose head
+and body are written the same way share their three frozensets, so a dict
+keyed on parts finds twin rules by identity.  A program has a signed
+incidence graph when its atom names and rule ids are all distinct and each
+rule's three parts are pairwise disjoint (an atom in two parts would need
+two signs on one edge) and name only listed atoms.  `parse_program` ensures
+all of them; for a `Program` built by hand, `graphs._incidence_vertices`
+checks them.
 """
 
 from __future__ import annotations
@@ -150,8 +153,12 @@ def parse_program(text: str) -> Program:
     # other character on its line and column.
     text = _COMMENT.sub("", text)
     atoms: dict[str, None] = {}
-    rules: list[tuple[str | None, AtomSet, AtomSet, AtomSet]] = []
+    rules: list[tuple[str | None, tuple[AtomSet, AtomSet, AtomSet]]] = []
     named: dict[str, int] = {}  # `@` id -> where its rule starts
+    # Head and body text -> the rule's parts.  The same text always gives
+    # the same atoms, parts and overlap check, so a rule written like an
+    # earlier one reuses that rule's frozensets and skips all three.
+    parts: dict[tuple[str | None, str | None], tuple[AtomSet, AtomSet, AtomSet]] = {}
     pos = re.match(r"\s*", text).end()
     while pos < len(text):
         m = _RULE.match(text, pos)
@@ -162,32 +169,36 @@ def parse_program(text: str) -> Program:
         rule_id = m["id"]
         if rule_id in named:
             raise ParseError(f"duplicate rule id {rule_id!r}", *_line_col(text, pos))
-        head = (m["head"] or "").replace("|", " ").split()
-        # In a body that matched _RULE, the word "not" negates the word
-        # after it, and every other word is a positive literal.
-        words = (m["body"] or "").replace(",", " ").split()
-        atoms.update(dict.fromkeys(head))
-        atoms.update(dict.fromkeys(words))
-        positive, negated = words, []
-        if "not" in words:
-            del atoms["not"]  # no atom is named "not"
-            positive = []
-            tokens = iter(words)
-            for word in tokens:
-                if word == "not":
-                    negated.append(next(tokens))
-                else:
-                    positive.append(word)
-        hs, ps, ns = frozenset(head), frozenset(positive), frozenset(negated)
-        overlap = (hs & ps) | (hs & ns) | (ps & ns)
-        if overlap:
-            raise NormalizationError(
-                f"rule {rule_id or f'r{len(rules) + 1}'} (line "
-                f"{_line_col(text, pos)[0]}): atoms {sorted(overlap)} occur "
-                f"in more than one part")
+        key = m.group("head", "body")
+        got = parts.get(key)
+        if got is None:
+            head = (key[0] or "").replace("|", " ").split()
+            # In a body that matched _RULE, the word "not" negates the word
+            # after it, and every other word is a positive literal.
+            words = (key[1] or "").replace(",", " ").split()
+            atoms.update(dict.fromkeys(head))
+            atoms.update(dict.fromkeys(words))
+            positive, negated = words, []
+            if "not" in words:
+                del atoms["not"]  # no atom is named "not"
+                positive = []
+                tokens = iter(words)
+                for word in tokens:
+                    if word == "not":
+                        negated.append(next(tokens))
+                    else:
+                        positive.append(word)
+            hs, ps, ns = frozenset(head), frozenset(positive), frozenset(negated)
+            overlap = (hs & ps) | (hs & ns) | (ps & ns)
+            if overlap:
+                raise NormalizationError(
+                    f"rule {rule_id or f'r{len(rules) + 1}'} (line "
+                    f"{_line_col(text, pos)[0]}): atoms {sorted(overlap)} occur "
+                    f"in more than one part")
+            got = parts[key] = hs, ps, ns
         if rule_id:
             named[rule_id] = pos
-        rules.append((rule_id, hs, ps, ns))
+        rules.append((rule_id, got))
         pos = m.end()
     for rule_id, start in named.items():
         if rule_id in atoms:
@@ -196,7 +207,7 @@ def parse_program(text: str) -> Program:
     fresh = (f"r{n}" for n in count(len(rules) + 1)
              if f"r{n}" not in atoms and f"r{n}" not in named)
     with_ids = []
-    for k, (rule_id, hs, ps, ns) in enumerate(rules, 1):
+    for k, (rule_id, (hs, ps, ns)) in enumerate(rules, 1):
         if rule_id is None:
             rule_id = f"r{k}"
             if rule_id in atoms or rule_id in named:

@@ -7,8 +7,11 @@ both solvers must work without recursion.  Its width grows with the
 program, but a decision forgets each label after its last edge insert, so
 on a cycle its tables stay small however long the cycle is."""
 
+import gc
 import json
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -104,6 +107,55 @@ def test_cycles_past_the_oracle(n, negative):
     assert decision is (not negative or n % 2 == 0)
     assert max(sizes) <= 16
     assert has_model_dp(expr) is True
+
+
+def cycle(n):
+    """a(i+1) :- a(i) for i < n - 1, closed by a0 :- a(n-1)."""
+    return parse_program("".join(f"a{i + 1} :- a{i}.\n" for i in range(n - 1))
+                         + f"a0 :- a{n - 1}.\n")
+
+
+def test_validation_memory_within_its_inputs():
+    # A 20,000-atom cycle through both builders.  Validation keeps each
+    # vertex set from its lowest vertex, so a cycle vertex's row spans a few
+    # bits, and checking takes less memory than the program and expression
+    # it reads: about 20 MB against 32 MB.  Sets as wide as their highest
+    # vertex took over 600 MB here.
+    tracemalloc.start()
+    try:
+        program = cycle(20000)
+        for build in (trivial_expression, heuristic_expression):
+            expr = build(program)
+            inputs = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert validate_against(expr, program) == []
+            peak = tracemalloc.get_traced_memory()[1] - inputs
+            assert peak <= inputs, (build.__name__, peak, inputs)
+            del expr
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", [trivial_expression, heuristic_expression])
+def test_validation_time_linear_in_a_cycle(build):
+    # Best of three, without the cyclic garbage collector, whose passes
+    # depend on what else the process holds.
+    def per_atom(n):
+        program = cycle(n)
+        expr = build(program)
+        times = []
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                start = time.perf_counter()
+                assert validate_against(expr, program) == []
+                times.append(time.perf_counter() - start)
+        finally:
+            gc.enable()
+        return min(times) / n
+
+    assert per_atom(20000) <= 3 * per_atom(2000)
 
 
 def test_qbf_reductions_decide_like_qbf_is_valid():

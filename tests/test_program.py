@@ -76,6 +76,27 @@ class TestParse:
         with pytest.raises(NormalizationError):
             parse_program(":- a, not a.")
 
+    def test_twin_rules_share_parts(self):
+        p = parse_program("a | b :- c, not d.\n@s: a | b :- c, not d.\n"
+                          "a | b :- c.\na|b :- c, not d.")
+        r1, r2, r3, r4 = p.rules
+        assert r1.head is r2.head
+        assert r1.pos_body is r2.pos_body
+        assert r1.neg_body is r2.neg_body
+        # Other text gives other objects, whatever the parts are equal.
+        assert r3.pos_body == r1.pos_body and r3.pos_body is not r1.pos_body
+        assert r4.head == r1.head and r4.head is not r1.head
+
+    def test_parses_share_nothing(self):
+        text = ":- a, b.\n:- a, b.\n"
+        first, second = parse_program(text), parse_program(text)
+        assert first == second
+        assert first.rules[0].pos_body is not second.rules[0].pos_body
+
+    def test_repeated_overlapping_rule_rejected_at_its_first_line(self):
+        with pytest.raises(NormalizationError, match=r"rule r1 \(line 1\)"):
+            parse_program("a :- a.\na :- a.\n")
+
     def test_comments_ignored(self):
         p = parse_program("% leading comment\na. % trailing\n")
         assert p.atoms == ("a",)

@@ -4,6 +4,7 @@
 reference's program or error, on random, mutated and dense inputs."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -216,3 +217,29 @@ def test_parse_matches_the_reference():
         outcomes.add("program" if isinstance(result, Program)
                      else result[0].__name__)
     assert outcomes == {"program", "ParseError", "NormalizationError"}
+
+
+@pytest.mark.parametrize("text", [
+    "a :- b, not c.\na :- b, not c.\na:-b,not c.\na :- b,\n  not   c.\n",
+    "@s: x | y :- z.\nx | y :- z.\nx|y :- z.\n:- x.\n:- x.\n",
+    ":- a1, a2, a3.\n" * 5,
+    "a :- a.\na :- a.\n",
+    "a.\nb :- not a.\na.\n@a: b :- not a.\n",
+])
+def test_parse_matches_the_reference_on_repeated_rules(text):
+    assert parsed(parse_program, text) == parsed(reference_parse, text)
+
+
+def test_parse_matches_the_reference_on_random_repeats():
+    # Each text again as written and with its whitespace runs redrawn, so
+    # that rules recur alike and differing only in whitespace.
+    rng = random.Random(1)
+    programs = 0
+    for _ in range(1000):
+        text = random_text(rng)
+        respaced = re.sub(r"\s+", lambda m: rng.choice([" ", "\n", "\t "]), text)
+        text = "\n".join([text, respaced, text])
+        result = parsed(parse_program, text)
+        assert result == parsed(reference_parse, text)
+        programs += isinstance(result, Program) and len(result.rules) > 1
+    assert programs > 30

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from operator import xor
 from typing import Iterable, Iterator
 
 from .errors import BoundExceededError
@@ -227,8 +228,8 @@ def cycle_rank(d: Digraph, max_vertices: int = 16) -> int:
     """Exact cycle-rank: 0 on DAGs, 1 + best single-vertex deletion on
     strongly connected digraphs, component maximum otherwise.
 
-    Memoized over vertex bitmasks; deletions are tried in ascending vertex
-    order for reproducible traces.
+    Memoized over vertex bitmasks. The minimum covers every deletion, so
+    their order does not matter.
     """
     if len(d.vertices) > max_vertices:
         raise BoundExceededError(
@@ -258,12 +259,19 @@ def undirected_cycle_rank(d: Digraph, max_vertices: int = 16) -> int:
 def is_cycle_rank_at_most(d: Digraph, width: int) -> bool:
     """Branch-and-bound variant of cycle_rank with no vertex-count bound.
 
-    With one deletion left, a component is tried only at vertices that may
-    lie on all of its cycles (see one_cut). The search starts from the
-    vertices with both a successor and a predecessor: no other vertex lies
-    on a cycle."""
+    With two or more deletions left, a component tries its vertices by
+    descending (successors in it) x (predecessors in it), ties lowest
+    first: a vertex on many cycles is likelier to cut them. With one
+    deletion left, a component is tried only at vertices that may lie on
+    all of its cycles (see one_cut). The search starts from the vertices
+    with both a successor and a predecessor: no other vertex lies on a
+    cycle."""
     succ, pred = d.succ, d.pred
     memo: dict[tuple[int, int], bool] = {}
+
+    def by_degree(s: int) -> list[int]:
+        return sorted(bits(s), key=lambda v: -(succ[v] & s).bit_count()
+                      * (pred[v] & s).bit_count())
 
     def one_cut(s: int) -> bool:
         """Whether deleting one vertex leaves the component s acyclic.
@@ -296,7 +304,7 @@ def is_cycle_rank_at_most(d: Digraph, width: int) -> bool:
             result = all(map(one_cut, cyclic))
         else:
             result = all(
-                any(at_most(s & ~(1 << v), w - 1) for v in bits(s))
+                any(at_most(s & ~(1 << v), w - 1) for v in by_degree(s))
                 for s in cyclic)
         memo[key] = result
         return result
@@ -329,35 +337,38 @@ def homogeneous_orientations(program: Program,
     rule like an atom, names an atom it does not list, or names one atom in
     two parts of a rule.
 
-    Each orientation's masks are OR-ed from per-group masks built once.
+    Each orientation's successor masks are OR-ed from per-group masks
+    built once. Every incidence edge is in one group and points one way,
+    so a vertex's predecessors are its neighbours less its successors.
     """
     if samples < 1 or max_groups < 0:
         raise ValueError("samples must be at least 1 and max_groups at least 0")
     vertices, _ = _incidence_vertices(program)
     index = {v: i for i, v in enumerate(vertices)}
     # Per group, in (rule, sign) order: its rule's index and bit, and its
-    # atoms' mask and indices.
+    # atoms' mask and indices; per vertex, its incidence neighbours.
     per_group = []
+    nbr = [0] * len(vertices)
     for rule_id, _, part in sorted(edge_groups(program), key=lambda g: g[:2]):
         rule = index[rule_id]
         atoms = [index[atom] for atom in part]
-        per_group.append((rule, 1 << rule, sum(1 << a for a in atoms), atoms))
+        atom_mask = sum(1 << a for a in atoms)
+        per_group.append((rule, 1 << rule, atom_mask, atoms))
+        nbr[rule] |= atom_mask
+        for a in atoms:
+            nbr[a] |= 1 << rule
     g = len(per_group)
 
     def orient(assignment: int) -> Digraph:
         succ = [0] * len(vertices)
-        pred = [0] * len(vertices)
         for rule, rule_bit, atom_mask, atoms in per_group:
             if assignment & 1:
                 succ[rule] |= atom_mask
-                for a in atoms:
-                    pred[a] |= rule_bit
             else:
-                pred[rule] |= atom_mask
                 for a in atoms:
                     succ[a] |= rule_bit
             assignment >>= 1
-        return Digraph(vertices, tuple(succ), tuple(pred))
+        return Digraph(vertices, tuple(succ), tuple(map(xor, nbr, succ)))
 
     if g <= max_groups:
         for assignment in range(1 << g):

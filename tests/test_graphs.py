@@ -241,6 +241,19 @@ class TestCycleRank:
             for w in range(-1, 4):
                 assert is_cycle_rank_at_most(d, w) == (exact <= w), (d, w)
 
+    @pytest.mark.parametrize("density", [0.12, 0.3, 0.6])
+    def test_bounded_variant_matches_exact_on_symmetric_closures(self,
+                                                                 density):
+        # Undirected graphs are where the most-connected-first deletion
+        # order changes the search most.
+        rng = random.Random(int(density * 100) + 7)
+        for _ in range(40):
+            d = symmetric_closure(
+                random_digraph(rng, rng.randint(1, 12), density))
+            exact = cycle_rank(d)
+            for w in range(-1, 4):
+                assert is_cycle_rank_at_most(d, w) == (exact <= w), (d, w)
+
     def test_figure_eight_cut_at_highest_vertex(self):
         d = figure_eight(3)
         assert cycle_rank(d) == 1
@@ -295,6 +308,18 @@ class TestOneDeletionPruning:
         # the b loop left by deleting a0 and the a loop left by deleting
         # b0; deleting x leaves nothing to search.
         assert len(reaches) == 6
+
+
+class TestDeletionOrder:
+    # With two or more deletions left, the most-connected vertex is tried
+    # first: in the symmetric closure of a QBF reduction's dependency
+    # graph that is the saturation atom w, adjacent to every atom.
+    def test_qbf_closure_cut_at_saturation_atom_first(self, monkeypatch):
+        d = symmetric_closure(build_dependency_graph(
+            reduce_qbf_to_asp(gen_random_qbf(6, 6, 6, 1))))
+        calls = count_calls(monkeypatch, "_cyclic_components", limit=40)
+        assert is_cycle_rank_at_most(d, 2) is True
+        assert len(calls) <= 40
 
 
 class TestStrongComponents:
@@ -459,13 +484,18 @@ def rejected_in_two_parts(program):
 
 class TestCarriedMasks:
     # Each orientation's OR-ed masks against the same digraph built from
-    # its named arcs: the running example (enumerated) and a sampled QBF
-    # reduction (over 14 groups). The programs of TWO_PARTS are rejected.
-    @pytest.fixture(params=["example1", "qbf", *TWO_PARTS])
+    # its named arcs: the running example (enumerated), a sampled QBF
+    # reduction (over 14 groups), and a program whose every atom has edges
+    # in three or four groups, so that most orientations point some of an
+    # atom's edges each way. The programs of TWO_PARTS are rejected.
+    @pytest.fixture(params=["example1", "qbf", "several-groups", *TWO_PARTS])
     def program(self, request, example1):
         return {
             "example1": lambda: example1,
             "qbf": lambda: reduce_qbf_to_asp(gen_random_qbf(6, 6, 6, 1)),
+            "several-groups": lambda: parse_program(
+                "a | b :- c, not d.\nc :- a, not b.\n"
+                "d :- not a, b.\nb :- c, d."),
             **{name: lambda p=p: p for name, p in TWO_PARTS.items()},
         }[request.param]()
 

@@ -297,8 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     except (AspcwError, ValueError, OSError) as exc:
         print(f"aspcw: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (MemoryError, RecursionError) as exc:
-        # Their message is often empty, so the type names the cause.
+    except (MemoryError, OverflowError, RecursionError) as exc:
+        # Their message is often empty, so the type names the cause.  An
+        # OverflowError comes from a label too large for the table ints.
         print(f"aspcw: out of resources ({type(exc).__name__})", file=sys.stderr)
         return EXIT_INVALID
 

@@ -24,9 +24,8 @@ from itertools import repeat
 from typing import Callable, Iterable, TypeVar, Union
 
 from .errors import ExpressionError, ParseError, SignConflictError
-from .graphs import (ALPHA, SIGNS, LabeledSignedGraph, SignedGraph,
-                     _incidence_vertices, bits, build_signed_incidence_graph,
-                     check_joinable, edge_groups, edge_key)
+from .graphs import (ALPHA, SIGNS, LabeledSignedGraph, _incidence_vertices,
+                     bits, check_joinable, edge_groups, edge_key)
 from .program import AtomSet, Program, _line_col
 
 EDGE_SIGNS = SIGNS + (ALPHA,)
@@ -404,36 +403,37 @@ def join_labels(expr: Expr, joined: frozenset[str] | set[str]) -> Expr:
 # Builders
 # ---------------------------------------------------------------------------
 
-def quotient_expression(graph: SignedGraph, label: dict[str, int]) -> Expr:
-    """Introduce every vertex of `graph` under its label and union them;
-    insert one edge per pair of adjacent labels, with the graph's sign on
-    that pair, directly above the union that brings in the last vertex of
-    the later of its two labels.  Each such run of edge inserts goes in
-    (min, max) label order.
+def labeled_expression(program: Program, label: dict[str, int],
+                       joined: frozenset[str] | set[str] = frozenset()) -> Expr:
+    """Introduce every vertex of the program's signed incidence graph under
+    its label and union them; insert one edge per pair of adjacent labels,
+    with that pair's sign (alpha for a sign in `joined`), directly above
+    the union that brings in the last vertex of the later of its two
+    labels.  Each such run of edge inserts goes in (min, max) label order.
 
     Precondition: every two labels are joined by all of their vertex pairs
-    or by none, always with one sign.  The introduces are unioned left-deep,
-    every rule before every atom, each group in `graph.vertices` order: a
-    union costs the product of its operands' tables, and a subexpression of
-    rules without edges has one table entry, so rules unioned after the
-    atoms would each copy the atoms' whole table to set one U bit.  Edges go
-    in as early as both labels are complete, so a decision can forget a
-    label once its last edge is in (see `tables.fold_tables`).
+    or by none, always with one sign.  So a pair's sign is read off one
+    rule per distinct label and parts: twin rules under one label cost one
+    read.  The introduces are unioned left-deep, every rule before every
+    atom, each group in program order: a union costs the product of its
+    operands' tables, and a subexpression of rules without edges has one
+    table entry, so rules unioned after the atoms would each copy the
+    atoms' whole table to set one U bit.  Edges go in as early as both
+    labels are complete, so a decision can forget a label once its last
+    edge is in (see `tables.fold_tables`).
     """
-    quotient: dict[tuple[int, int], str] = {}
-    for (u, v), sign in graph.edges.items():
-        i, j = label[u], label[v]
-        quotient[(i, j) if i < j else (j, i)] = sign
-    return _labeled_expression(graph.vertices, graph.kinds, label, quotient)
-
-
-def _labeled_expression(vertices: tuple[str, ...], kinds: dict[str, str],
-                        label: dict[str, int],
-                        quotient: dict[tuple[int, int], str]) -> Expr:
-    """`quotient_expression` from the sign of each adjacent label pair
-    (i, j), i < j."""
+    vertices, kinds = _incidence_vertices(program)
     if not vertices:
         raise ValueError("an empty graph has no expression")
+    check_joinable(joined)
+    signs = [ALPHA if s in joined else s for s in SIGNS]
+    quotient: dict[tuple[int, int], str] = {}
+    for j, *parts in dict.fromkeys((label[r.id], r.head, r.pos_body,
+                                    r.neg_body) for r in program.rules):
+        for sign, part in zip(signs, parts):
+            for a in part:
+                i = label[a]
+                quotient[(i, j) if i < j else (j, i)] = sign
     order = sorted(vertices, key=lambda v: kinds[v] != "rule")
     # The position in `order` of each label's last vertex.
     complete = {label[v]: p for p, v in enumerate(order)}
@@ -449,14 +449,17 @@ def _labeled_expression(vertices: tuple[str, ...], kinds: dict[str, str],
     return expr
 
 
+def _vertex_ids(program: Program) -> tuple[str, ...]:
+    return (*program.atoms, *(r.id for r in program.rules))
+
+
 def trivial_expression(program: Program) -> Expr:
     """One distinct label per vertex: its position in the signed incidence
     graph's vertex order, plus one.  Width is |atoms| + |rules|; always
     validates against the program.
     """
-    sinc = build_signed_incidence_graph(program)
-    return quotient_expression(
-        sinc, {v: i + 1 for i, v in enumerate(sinc.vertices)})
+    return labeled_expression(
+        program, {v: i for i, v in enumerate(_vertex_ids(program), 1)})
 
 
 def heuristic_expression(program: Program) -> Expr:
@@ -464,41 +467,30 @@ def heuristic_expression(program: Program) -> Expr:
     identical signed neighborhoods share one label, and classes are numbered
     in order of first appearance among the vertices.  Twin classes are
     pairwise fully adjacent with a single sign or fully non-adjacent, as
-    `quotient_expression` needs.
+    `labeled_expression` needs.
 
     A rule's neighborhood is its three parts.  An atom in a part of one
     rule of a class is in that part of every rule of the class, so an
     atom's neighborhood is which parts of which rule classes hold it.  An
-    atom and a rule with no neighbors share a class.  The label pairs and
-    their signs are read off one rule of each class.
+    atom and a rule with no neighbors share a class.
     """
-    vertices, kinds = _incidence_vertices(program)
-    # Rule neighborhood -> a rule that has it, in order of first appearance.
-    twins: dict[tuple[AtomSet, AtomSet, AtomSet], str] = {}
     key: dict[str, tuple] = {}  # vertex -> its neighborhood, () if none
     for r in program.rules:
         parts = h, p, n = r.head, r.pos_body, r.neg_body
-        twins.setdefault(parts, r.id)
         key[r.id] = parts if h or p or n else ()
-    # Atom -> 3 * (its rule class's position in twins) + part, ascending.
+    # Atom -> 3 * (its rule class's position among the distinct rule
+    # neighborhoods) + part, ascending.
     held: dict[str, list[int]] = {}
-    for t, parts in enumerate(twins):
+    for t, parts in enumerate(dict.fromkeys(key.values())):
         for k, part in enumerate(parts, 3 * t):
             for a in part:
                 held.setdefault(a, []).append(k)
     for a, codes in held.items():
         key[a] = tuple(codes)
     classes: dict[tuple, int] = {}
-    label = {v: classes.setdefault(key.get(v, ()), len(classes) + 1)
-             for v in vertices}
-    quotient: dict[tuple[int, int], str] = {}
-    for parts, rule in twins.items():
-        j = label[rule]
-        for sign, part in zip(SIGNS, parts):
-            for a in part:
-                i = label[a]
-                quotient[(i, j) if i < j else (j, i)] = sign
-    return _labeled_expression(vertices, kinds, label, quotient)
+    return labeled_expression(program, {
+        v: classes.setdefault(key.get(v, ()), len(classes) + 1)
+        for v in _vertex_ids(program)})
 
 
 # ---------------------------------------------------------------------------

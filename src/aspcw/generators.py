@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BoundExceededError, ParseError
-from .expression import Expr, quotient_expression
-from .graphs import build_signed_incidence_graph, edge_key, join_graph_signs
+from .expression import Expr, labeled_expression
+from .graphs import edge_key
 from .program import Program, Rule, make_rule
 
 
@@ -271,8 +271,7 @@ def reduce_pclique_to_asp(g: KPartiteGraph) -> tuple[Program, Expr]:
                                            neg_body=others))
                     label[f"ne_{u}_{v}"] = 2 * k + k * (j1 - 1) + j2
     program = Program(atoms, tuple(rules))
-    graph = join_graph_signs(build_signed_incidence_graph(program), {"p", "n"})
-    return program, quotient_expression(graph, label)
+    return program, labeled_expression(program, label, {"p", "n"})
 
 
 def pclique_to_json(g: KPartiteGraph) -> str:

@@ -163,12 +163,6 @@ def check_joinable(joined: frozenset[str] | set[str]) -> None:
         raise ValueError(f"cannot join non-signs {sorted(bad)}")
 
 
-def join_graph_signs(graph: SignedGraph, joined: frozenset[str] | set[str]) -> SignedGraph:
-    check_joinable(joined)
-    edges = {e: (ALPHA if s in joined else s) for e, s in graph.edges.items()}
-    return SignedGraph(graph.vertices, dict(graph.kinds), edges)
-
-
 # ---------------------------------------------------------------------------
 # Closures and cycle-rank
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ import pytest
 
 from aspcw.errors import NormalizationError, ParseError
 from aspcw.expression import (DisjointUnion, EdgeInsert, evaluate, fold,
-                              op_label, parse_expression, quotient_expression)
+                              labeled_expression, op_label, parse_expression)
 from aspcw.generators import Literal, QbfEA
-from aspcw.graphs import build_signed_incidence_graph, join_graph_signs
+from aspcw.graphs import ALPHA, build_signed_incidence_graph
 from aspcw.program import (_COMMENT, _RULE, Program, Rule, _line_col,
                            is_model_of_rule, parse_program)
 from aspcw.tables import KTriple, TableOps, fold_tables
@@ -216,7 +216,7 @@ def reference_heuristic(program: Program):
     classes: dict[frozenset, int] = {}
     label = {v: classes.setdefault(frozenset(adj[v].items()), len(classes) + 1)
              for v in sinc.vertices}
-    return quotient_expression(sinc, label)
+    return labeled_expression(program, label)
 
 
 def reference_validate(expr, program: Program,
@@ -225,10 +225,9 @@ def reference_validate(expr, program: Program,
     and the program's whole incidence graph."""
     got = evaluate(expr)
     want = build_signed_incidence_graph(program)
-    if joined:
-        want = join_graph_signs(want, frozenset(joined))
     vs, want_vs = got.kinds, want.kinds
-    es, want_es = got.edges, want.edges
+    es = got.edges
+    want_es = {e: ALPHA if s in joined else s for e, s in want.edges.items()}
     problems = [f"missing vertex {v}" for v in sorted(want_vs.keys() - vs.keys())]
     problems += [f"extra vertex {v}" for v in sorted(vs.keys() - want_vs.keys())]
     problems += [f"vertex {v}: kind {k}, expected {want_vs[v]}"

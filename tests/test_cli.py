@@ -355,7 +355,8 @@ class TestErrors:
         assert code == 3 and out == ""
         assert err.startswith("aspcw: ") and "samples" in err
 
-    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    @pytest.mark.parametrize("error", [MemoryError, OverflowError,
+                                       RecursionError])
     def test_resource_error(self, capsys, monkeypatch, example1_file,
                             fig2_file, error):
         def decide(expr, on_node=None, trace=None):
@@ -366,3 +367,14 @@ class TestErrors:
                              "--program", example1_file, "--expr", fig2_file)
         assert code == 3 and out == ""
         assert err == f"aspcw: out of resources ({error.__name__})\n"
+
+    def test_huge_label_exits_3(self, capsys, tmp_path):
+        # The table ints would need 2 * 4e19 bits.
+        big = 40000000000000000000
+        code, out, err = run(
+            capsys, "solve", "--mode", "asp",
+            "--program", write(tmp_path, "x.lp", "x.\n"),
+            "--expr", write(tmp_path, "big.expr",
+                            f"eta(h,{big},2,oplus(r(2,r1),a({big},x)))"))
+        assert code == 3 and out == ""
+        assert err == "aspcw: out of resources (OverflowError)\n"

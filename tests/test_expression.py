@@ -5,14 +5,13 @@ from aspcw.dp_classical import dp_classical, has_model_dp
 from aspcw.errors import ExpressionError, ParseError, SignConflictError
 from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
                               evaluate, fold, heuristic_expression,
-                              join_labels, node_count, op_label,
-                              parse_expression, quotient_expression,
+                              join_labels, labeled_expression, node_count,
+                              op_label, parse_expression,
                               serialize_expression, trivial_expression,
                               validate_against, width)
 from aspcw.generators import (gen_pclique, gen_random_program,
                               reduce_pclique_to_asp)
-from aspcw.graphs import (SignedGraph, build_signed_incidence_graph, edge_key,
-                          join_graph_signs)
+from aspcw.graphs import ALPHA, build_signed_incidence_graph, edge_key
 from aspcw.program import Program, parse_program
 from conftest import EXAMPLE1_LABELING, EXAMPLE1_TEXT, FIG2_TEXT
 
@@ -386,32 +385,41 @@ def assert_edges_placed_early(expr, graph):
 
 
 class TestQuotientExpression:
+    """`labeled_expression`: the quotient of the signed incidence graph by
+    a label map, one edge insert per adjacent label pair."""
     # Atoms a1, a2 are twins (head of r1, negative body of r2); so are
     # atoms b1, b2 (positive body of r2).
-    GRAPH = SignedGraph(
-        ("a1", "a2", "b1", "b2", "r1", "r2"),
-        {"a1": "atom", "a2": "atom", "b1": "atom", "b2": "atom",
-         "r1": "rule", "r2": "rule"},
-        {edge_key("a1", "r1"): "h", edge_key("a2", "r1"): "h",
-         edge_key("a1", "r2"): "n", edge_key("a2", "r2"): "n",
-         edge_key("b1", "r2"): "p", edge_key("b2", "r2"): "p"})
+    PROGRAM = parse_program("a1 | a2.\n:- b1, b2, not a1, not a2.\n")
+    GRAPH = build_signed_incidence_graph(PROGRAM)
     LABEL = {"a1": 3, "a2": 3, "b1": 1, "b2": 1, "r1": 4, "r2": 2}
 
     def test_twin_labels_rebuild_the_graph(self):
-        got = evaluate(quotient_expression(self.GRAPH, self.LABEL))
-        assert set(got.vertices) == set(self.GRAPH.vertices)
+        got = evaluate(labeled_expression(self.PROGRAM, self.LABEL))
+        assert set(got.vertices) == {"a1", "a2", "b1", "b2", "r1", "r2"}
         assert got.kinds == self.GRAPH.kinds
-        assert got.edges == self.GRAPH.edges
+        assert got.edges == self.GRAPH.edges == {
+            edge_key("a1", "r1"): "h", edge_key("a2", "r1"): "h",
+            edge_key("a1", "r2"): "n", edge_key("a2", "r2"): "n",
+            edge_key("b1", "r2"): "p", edge_key("b2", "r2"): "p"}
         assert got.labels == self.LABEL
 
     def test_one_edge_insert_per_quotient_pair(self):
         # Rules r1, r2 come first, then a1, a2, b1, b2: labels 3 and 4 are
         # complete once a2 is in (4 introduces), label 1 once b2 is (6).
-        expr = quotient_expression(self.GRAPH, self.LABEL)
+        expr = labeled_expression(self.PROGRAM, self.LABEL)
         assert edge_runs(expr) == {4: [(2, 3, "n"), (3, 4, "h")],
                                    6: [(1, 2, "p")]}
         assert_edges_placed_early(expr, self.GRAPH)
         assert width(expr) == 4
+
+    def test_twin_rules_are_read_under_each_label(self):
+        # Three twin rules: under three labels each gives its own two edge
+        # inserts; under one label they give one between the two classes.
+        p = parse_program(":- a, b.\n" * 3)
+        trivial, heuristic = trivial_expression(p), heuristic_expression(p)
+        assert validate_against(trivial, p) == validate_against(heuristic, p) == []
+        inserts = [sum(map(len, edge_runs(e).values())) for e in (trivial, heuristic)]
+        assert inserts == [6, 1] and width(heuristic) == 2
 
     @pytest.mark.parametrize("build", [trivial_expression, heuristic_expression])
     def test_builders_insert_the_sorted_quotient_pairs(self, build):
@@ -421,13 +429,14 @@ class TestQuotientExpression:
 
     def test_pclique_inserts_the_sorted_quotient_pairs(self):
         for program, expr in PCLIQUE_REDUCTIONS:
-            joined = join_graph_signs(
-                build_signed_incidence_graph(program), {"p", "n"})
+            joined = build_signed_incidence_graph(program)
+            joined.edges = {e: ALPHA if s in {"p", "n"} else s
+                            for e, s in joined.edges.items()}
             assert_edges_placed_early(expr, joined)
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            quotient_expression(SignedGraph((), {}, {}), {})
+        with pytest.raises(ValueError, match="empty graph"):
+            labeled_expression(Program((), ()), {})
 
 
 class TestBuilderLabels:

@@ -15,7 +15,7 @@ from aspcw.graphs import (Digraph, _cyclic_components,
                           build_signed_incidence_graph, cycle_rank,
                           digraph_from_json, edge_key,
                           homogeneous_orientations, is_cycle_rank_at_most,
-                          join_graph_signs, symmetric_closure,
+                          symmetric_closure,
                           undirected_cycle_rank)
 from aspcw.program import Program, make_rule, parse_program
 from conftest import UGraph, build_incidence_graph
@@ -113,10 +113,6 @@ class TestProgramGraphs:
         p = Program(("r1",), (make_rule("r1", head=["r1"]),))
         with pytest.raises(ValueError):
             build_signed_incidence_graph(p)
-
-    def test_join_graph_signs(self, example1):
-        g = join_graph_signs(build_signed_incidence_graph(example1), {"p", "n"})
-        assert sorted(g.edges.values()) == ["alpha", "alpha", "alpha", "h"]
 
 
 # Programs without a signed incidence graph, which parse_program never

@@ -1,25 +1,25 @@
 """Exhaustive ground-truth semantics: the trusted slow path.
 
 Everything here is deliberately brute force; it exists to cross-check the
-decomposition-based solvers on small instances.
+decomposition-based solvers on small instances.  Every interpretation is
+checked for a model, and every proper subset of a model for a model of its
+reduct, until one is found.
+
+An interpretation is an int: atom i of `program.atoms` is bit i.  An atom
+that a rule names but the program does not list gets the bit one past the
+last atom, which no interpretation sets, so it is false in all of them.
+Each rule becomes its (head, pos, neg) masks once, and a frozenset is built
+only for an interpretation that is returned.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .errors import BoundExceededError
-from .program import Program, is_model, reduct
+from .program import Program
 
 DEFAULT_ENUMERATION_BOUND = 20
 
-
-def _subsets(atoms: tuple[str, ...]) -> Iterator[frozenset[str]]:
-    # Binary counting with the first atom as the least significant bit;
-    # fixed so outputs are deterministic and diffable.
-    n = len(atoms)
-    for m in range(1 << n):
-        yield frozenset(atoms[i] for i in range(n) if m >> i & 1)
+Masks = tuple[int, int, int]
 
 
 def _check_bound(program: Program, bound: int) -> None:
@@ -28,30 +28,107 @@ def _check_bound(program: Program, bound: int) -> None:
             f"{len(program.atoms)} atoms exceeds enumeration bound {bound}")
 
 
+def _atom_bits(atoms: tuple[str, ...]) -> dict[str, int]:
+    bits: dict[str, int] = {}
+    for a in atoms:
+        if a in bits:
+            raise ValueError(f"duplicate atom {a!r}")
+        bits[a] = 1 << len(bits)
+    return bits
+
+
+def _rule_masks(program: Program, bits: dict[str, int]) -> list[Masks]:
+    unlisted = 1 << len(bits)
+
+    def mask(part) -> int:
+        m = 0
+        for a in part:
+            m |= bits.get(a, unlisted)
+        return m
+
+    return [(mask(r.head), mask(r.pos_body), mask(r.neg_body))
+            for r in program.rules]
+
+
+def _violated(m: int, checks: list[tuple[int, int]]) -> bool:
+    """Whether some (care, pos) has `m & care == pos`: the rule's positive
+    body is true in `m` and all of its other atoms are false."""
+    for care, pos in checks:
+        if m & care == pos:
+            return True
+    return False
+
+
+def _model_checks(rules: list[Masks]) -> list[tuple[int, int]]:
+    # A rule is violated exactly when none of pos & ~m, neg & m and head & m
+    # is set, that is when m & (head | pos | neg) == pos.
+    return [(h | p | n, p) for h, p, n in rules]
+
+
+def _is_minimal(m: int, rules: list[Masks]) -> bool:
+    """Whether no proper submask of the model `m` is a model of the reduct:
+    the rules with `neg & m == 0`, without their negative bodies."""
+    reduct = [(h | p, p) for h, p, n in rules if not n & m]
+    j = m
+    while j:
+        j = (j - 1) & m
+        if not _violated(j, reduct):
+            return False
+    return True
+
+
+def _model_masks(n: int, rules: list[Masks]) -> list[int]:
+    # Binary counting with the first atom as the least significant bit;
+    # fixed so outputs are deterministic and diffable.
+    checks = _model_checks(rules)
+    return [m for m in range(1 << n) if not _violated(m, checks)]
+
+
+def _subset_table(atoms: tuple[str, ...]) -> list[frozenset[str]]:
+    """Entry k is the set of the atoms whose bits are set in k."""
+    table = [frozenset()]
+    for a in atoms:
+        table += [s | {a} for s in table]
+    return table
+
+
+def _as_sets(atoms: tuple[str, ...], masks: list[int]) -> list[frozenset[str]]:
+    # Two tables of 2^(n/2) entries each, one per half of the bits.
+    half = len(atoms) // 2
+    low = (1 << half) - 1
+    lo, hi = _subset_table(atoms[:half]), _subset_table(atoms[half:])
+    return [lo[m & low] | hi[m >> half] for m in masks]
+
+
 def enumerate_models(program: Program,
                      bound: int = DEFAULT_ENUMERATION_BOUND) -> list[frozenset[str]]:
     _check_bound(program, bound)
-    return [i for i in _subsets(program.atoms) if is_model(program, i)]
+    rules = _rule_masks(program, _atom_bits(program.atoms))
+    return _as_sets(program.atoms, _model_masks(len(program.atoms), rules))
 
 
 def is_answer_set(program: Program, candidate: frozenset[str] | set[str]) -> bool:
     """Model of the program with no proper subset modeling the reduct.
 
     The minimality check enumerates proper subsets directly, with no pruning.
+    An atom of the candidate that the program does not list is true, with a
+    bit of its own.
     """
     candidate = frozenset(candidate)
-    if not is_model(program, candidate):
-        return False
-    red = reduct(program, candidate)
-    ordered = tuple(sorted(candidate))
-    for sub in _subsets(ordered):
-        if sub != candidate and is_model(red, sub):
-            return False
-    return True
+    bits = _atom_bits(program.atoms)
+    for a in candidate.difference(bits):
+        bits[a] = 1 << len(bits)
+    rules = _rule_masks(program, bits)
+    m = 0
+    for a in candidate:
+        m |= bits[a]
+    return not _violated(m, _model_checks(rules)) and _is_minimal(m, rules)
 
 
 def enumerate_answer_sets(program: Program,
                           bound: int = DEFAULT_ENUMERATION_BOUND) -> list[frozenset[str]]:
     _check_bound(program, bound)
-    return [m for m in enumerate_models(program, bound)
-            if is_answer_set(program, m)]
+    rules = _rule_masks(program, _atom_bits(program.atoms))
+    return _as_sets(program.atoms,
+                    [m for m in _model_masks(len(program.atoms), rules)
+                     if _is_minimal(m, rules)])

@@ -4,23 +4,25 @@ incidence graph the graph, generator and acceptance tests compare against;
 triples built from label sets, packed entries, the root check on a full
 packed root table of either solver and the nodes the fold reports; the
 brute-force triples of an interpretation that the oracle and acceptance
-tests compare the DP tables against; and whole-graph references for
+tests compare the DP tables against; whole-graph references for
 `parse_program`, `heuristic_expression` and `validate_against`, which read
-each program edge once or a few times."""
+each program edge once or a few times; and the oracle over frozensets, one
+built per subset and each rule checked with set algebra."""
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import pytest
 
-from aspcw.errors import NormalizationError, ParseError
+from aspcw.errors import BoundExceededError, NormalizationError, ParseError
 from aspcw.expression import (DisjointUnion, EdgeInsert, evaluate, fold,
                               labeled_expression, op_label, parse_expression)
 from aspcw.generators import Literal, QbfEA
 from aspcw.graphs import ALPHA, build_signed_incidence_graph
-from aspcw.program import (_COMMENT, _RULE, Program, Rule, _line_col,
-                           is_model_of_rule, parse_program)
+from aspcw.oracle import DEFAULT_ENUMERATION_BOUND
+from aspcw.program import (_COMMENT, _RULE, Program, Rule, _line_col, is_model,
+                           is_model_of_rule, parse_program, reduct)
 from aspcw.tables import KTriple, TableOps, fold_tables
 
 EXAMPLE1_TEXT = "x :- not y.\n:- x, not y.\n"
@@ -240,6 +242,52 @@ def reference_validate(expr, program: Program,
     problems += [f"edge {u}--{v}: sign {s}, expected {want_es[u, v]}"
                  for (u, v), s in changed if (u, v) in want_es]
     return problems
+
+
+def _subsets(atoms: tuple[str, ...]) -> Iterator[frozenset[str]]:
+    # Binary counting with the first atom as the least significant bit;
+    # fixed so outputs are deterministic and diffable.
+    n = len(atoms)
+    for m in range(1 << n):
+        yield frozenset(atoms[i] for i in range(n) if m >> i & 1)
+
+
+def _check_bound(program: Program, bound: int) -> None:
+    if len(program.atoms) > bound:
+        raise BoundExceededError(
+            f"{len(program.atoms)} atoms exceeds enumeration bound {bound}")
+
+
+def reference_enumerate_models(
+        program: Program,
+        bound: int = DEFAULT_ENUMERATION_BOUND) -> list[frozenset[str]]:
+    _check_bound(program, bound)
+    return [i for i in _subsets(program.atoms) if is_model(program, i)]
+
+
+def reference_is_answer_set(program: Program,
+                            candidate: frozenset[str] | set[str]) -> bool:
+    """Model of the program with no proper subset modeling the reduct.
+
+    The minimality check enumerates proper subsets directly, with no pruning.
+    """
+    candidate = frozenset(candidate)
+    if not is_model(program, candidate):
+        return False
+    red = reduct(program, candidate)
+    ordered = tuple(sorted(candidate))
+    for sub in _subsets(ordered):
+        if sub != candidate and is_model(red, sub):
+            return False
+    return True
+
+
+def reference_enumerate_answer_sets(
+        program: Program,
+        bound: int = DEFAULT_ENUMERATION_BOUND) -> list[frozenset[str]]:
+    _check_bound(program, bound)
+    return [m for m in reference_enumerate_models(program, bound)
+            if reference_is_answer_set(program, m)]
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from aspcw.errors import BoundExceededError
 from aspcw.generators import gen_random_program
 from aspcw.oracle import (enumerate_answer_sets, enumerate_models,
                           is_answer_set)
-from aspcw.program import Program, parse_program, reduct
+from aspcw.program import Program, make_rule, parse_program, reduct
 from conftest import (EXAMPLE1_LABELING, interpretation_triple,
                       reduct_interpretation_triple, triple)
 
@@ -31,8 +31,42 @@ class TestModels:
 
     def test_bound(self):
         p = Program(tuple(f"a{i}" for i in range(25)), ())
-        with pytest.raises(BoundExceededError):
-            enumerate_models(p)
+        for enumerate_ in (enumerate_models, enumerate_answer_sets):
+            with pytest.raises(BoundExceededError):
+                enumerate_(p)
+            # The bound is checked before anything else, repeated atoms too.
+            with pytest.raises(BoundExceededError):
+                enumerate_(Program(("a",) * 25, ()))
+
+    @pytest.mark.parametrize("call", [
+        enumerate_models, enumerate_answer_sets,
+        lambda p: is_answer_set(p, {"a"})],
+        ids=["enumerate_models", "enumerate_answer_sets", "is_answer_set"])
+    def test_repeated_atom_is_refused(self, call):
+        with pytest.raises(ValueError, match="duplicate atom 'a'"):
+            call(Program(("a", "a"), ()))
+        with pytest.raises(ValueError, match="duplicate atom 'a'"):
+            call(Program(("b", "a", "a"), (make_rule("r1", ["a"]),)))
+
+    def test_unlisted_atom_is_false(self):
+        # z is named by the rules but not listed: false in every
+        # interpretation, so `a :- z.` always holds, `:- not z.` never does
+        # and `a :- not z.` forces a.
+        assert enumerate_models(Program(("a",), (
+            make_rule("r1", ["a"], ["z"]),))) == [frozenset(), frozenset({"a"})]
+        assert enumerate_models(Program(("a",), (
+            make_rule("r1", [], [], ["z"]),))) == []
+        p = Program(("a",), (make_rule("r1", ["a"], [], ["z"]),))
+        assert enumerate_models(p) == [frozenset({"a"})]
+        assert enumerate_answer_sets(p) == [frozenset({"a"})]
+
+    def test_unlisted_candidate_atom(self):
+        # An unlisted atom of the candidate is true: with no rule naming it,
+        # dropping it leaves a smaller model of the reduct; the fact `z.`
+        # supports it.
+        assert is_answer_set(Program(("a",), ()), {"z"}) is False
+        assert is_answer_set(Program((), (make_rule("r1", ["z"]),)), {"z"}) \
+            is True
 
 
 class TestAnswerSets:

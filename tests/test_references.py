@@ -1,7 +1,10 @@
 """The program-size layers against whole-graph references (see conftest):
 `validate_against` gives the reference's mismatch lists, order included,
 `heuristic_expression` the reference's expression, and `parse_program` the
-reference's program or error, on random, mutated and dense inputs."""
+reference's program or error, on random, mutated and dense inputs.  The
+oracle gives the frozenset oracle's lists, order included, and its answers
+on models and non-models, on random programs and the reductions of
+criteria 6 and 7."""
 
 import random
 import re
@@ -15,9 +18,15 @@ from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
                               fold, heuristic_expression, join_labels,
                               labels_used, serialize_expression,
                               trivial_expression, validate_against)
-from aspcw.generators import gen_random_program
+from aspcw.generators import (KPartiteGraph, gen_pclique, gen_random_program,
+                              gen_random_qbf, reduce_pclique_to_asp,
+                              reduce_qbf_to_asp)
+from aspcw.oracle import enumerate_answer_sets, enumerate_models, is_answer_set
 from aspcw.program import Program, make_rule, parse_program
-from conftest import reference_heuristic, reference_parse, reference_validate
+from conftest import (reference_enumerate_answer_sets,
+                      reference_enumerate_models, reference_heuristic,
+                      reference_is_answer_set, reference_parse,
+                      reference_validate)
 
 programs = st.builds(
     gen_random_program,
@@ -243,3 +252,83 @@ def test_parse_matches_the_reference_on_random_repeats():
         assert result == parsed(reference_parse, text)
         programs += isinstance(result, Program) and len(result.rules) > 1
     assert programs > 30
+
+
+MIXES = [(0.2, 0.2, 0.2), (0.3, 0.3, 0.3), (0.15, 0.35, 0.25),
+         (0.4, 0.1, 0.1), (0.1, 0.4, 0.4), (0.0, 0.5, 0.0)]
+
+
+def random_oracle_programs():
+    """Seeded random programs with 0-10 atoms and 0-10 rules over the part
+    mixes above; every fourth lists all atoms but its last, which its rules
+    may still name."""
+    rng = random.Random(3)
+    out = [Program((), ()), Program((), (make_rule("r1"),)),
+           Program((), (make_rule("r1", ["z"]),))]
+    for k in range(240):
+        p = gen_random_program(rng.randint(1, 10), rng.randint(0, 10),
+                               MIXES[k % len(MIXES)], rng.randrange(1 << 32))
+        out.append(Program(p.atoms[:-1], p.rules) if k % 4 == 3 else p)
+    return out
+
+
+def qbf_reductions():
+    """Criterion 6's 200 QBF reductions."""
+    return [reduce_qbf_to_asp(gen_random_qbf(
+        seed % 3 + 1, (seed // 3) % 3 + 1, seed % 4 + 1, seed))
+        for seed in range(200)]
+
+
+def pclique_reductions():
+    """Criterion 7's 36 partitioned-clique reductions."""
+    parts = (("v1_1", "v2_1"), ("v1_2", "v2_2"))
+    crossing = [(u, v) if u <= v else (v, u)
+                for u in parts[0] for v in parts[1]]
+    graphs = [KPartiteGraph(parts, frozenset(
+        e for i, e in enumerate(crossing) if mask >> i & 1))
+        for mask in range(16)]
+    graphs += [gen_pclique(3, 2, (seed % 5) * 0.2 + 0.1, seed)
+               for seed in range(20)]
+    return [reduce_pclique_to_asp(g)[0] for g in graphs]
+
+
+def non_models(program, models, rng):
+    """Up to three interpretations that are not models, and a model and a
+    non-model each with an atom the program does not list (named by a rule
+    when the program has one)."""
+    atoms = program.atoms
+    known = set(models)
+    out = []
+    for _ in range(20):
+        interp = frozenset(a for a in atoms if rng.random() < 0.5)
+        if interp not in known:
+            out.append(interp)
+        if len(out) == 3:
+            break
+    named = {a for r in program.rules
+             for a in r.head | r.pos_body | r.neg_body} - set(atoms)
+    extra = min(named, default="zz")
+    if models:
+        out.append(rng.choice(models) | {extra})
+    return out + [interp | {extra} for interp in out[:1]]
+
+
+@pytest.mark.parametrize("family", [random_oracle_programs, qbf_reductions,
+                                    pclique_reductions])
+def test_oracle_matches_the_reference(family):
+    rng = random.Random(4)
+    answered = 0
+    for program in family():
+        models = enumerate_models(program)
+        assert models == reference_enumerate_models(program)
+        answer_sets = enumerate_answer_sets(program)
+        assert answer_sets == reference_enumerate_answer_sets(program)
+        answered += bool(answer_sets)
+        # The reference lists exactly the models its is_answer_set accepts.
+        listed = set(answer_sets)
+        for m in models:
+            assert is_answer_set(program, m) == (m in listed)
+        for interp in non_models(program, models, rng):
+            assert is_answer_set(program, interp) \
+                == reference_is_answer_set(program, interp)
+    assert answered

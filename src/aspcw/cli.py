@@ -19,6 +19,7 @@ from .dp_answersets import has_answer_set_dp
 from .dp_classical import has_model_dp
 from .errors import AspcwError
 from .program import parse_program, serialize_program
+from .tables import trace_json
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -45,16 +46,6 @@ def _load_expression(path: str):
     return expression.parse_expression(Path(path).read_text())
 
 
-def _triple_json(t):
-    # `bits` yields the lowest bit first, so each label list comes out sorted.
-    return [[b + 1 for b in graphs.bits(mask)] for mask in t]
-
-
-def _pair_json(p):
-    return {"q": _triple_json(p.q),
-            "gamma": [_triple_json(s) for s in sorted(p.gamma)]}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -74,11 +65,9 @@ def _cmd_solve(args) -> int:
         return EXIT_INVALID
 
     if args.mode == "classical":
-        decide, field, entry_json = has_model_dp, "triples", _triple_json
-        order = None
+        decide, field = has_model_dp, "triples"
     else:
-        decide, field, entry_json = has_answer_set_dp, "pairs", _pair_json
-        order = lambda p: (p.q, sorted(p.gamma))
+        decide, field = has_answer_set_dp, "pairs"
     sizes = {"node_count": 0, "max_table": 0}
 
     def on_node(index, op, size):
@@ -86,16 +75,16 @@ def _cmd_solve(args) -> int:
         sizes["max_table"] = max(sizes["max_table"], size)
 
     # A trace records the tables the decision builds; it does not change
-    # the path, so the payload is the same with and without it.
-    trace = [] if args.trace else None
-    decision = decide(expr, on_node=on_node, trace=trace)
-    if trace is not None:
-        # Tables are sets; the file lists their entries in sorted order.
-        nodes = [{"index": n.index, "op": n.op,
-                  field: [entry_json(e)
-                          for e in sorted(getattr(n, field), key=order)]}
-                 for n in trace]
-        Path(args.trace).write_text(json.dumps({"nodes": nodes}, sort_keys=True))
+    # the path, so the payload is the same with and without it.  The file
+    # is opened first, so a path that cannot be written fails before the
+    # decision, and a decision that fails leaves it empty.
+    if args.trace:
+        with open(args.trace, "w") as out:
+            trace = []
+            decision = decide(expr, on_node=on_node, trace=trace)
+            out.write(trace_json(trace, field))
+    else:
+        decision = decide(expr, on_node=on_node)
     _emit({"decision": decision, "width": expression.width(expr),
            "table_sizes": sizes})
     return EXIT_OK if decision else EXIT_NEGATIVE

@@ -36,9 +36,18 @@ PackedPair = tuple[int, frozenset[int]]
 
 @dataclass(frozen=True)
 class TraceNode:
+    """One table the fold built: its post-order index and op, and the
+    table itself, packed with field width w.  The fold never changes a
+    table after its event, so the node keeps it as it is; `pairs` unpacks
+    it on each access."""
     index: int
     op: str
-    pairs: frozenset[KPair]
+    table: set[PackedPair]
+    w: int
+
+    @property
+    def pairs(self) -> frozenset[KPair]:
+        return _public(self.table, self.w)
 
 
 def _join(left: set[PackedPair], right: set[PackedPair], run: list, w: int,
@@ -118,8 +127,7 @@ _TABLES = TableOps(
     unit={(0, frozenset())},
     relabel=lambda table, move:
         {(move(q), frozenset(move(s) for s in g)) for q, g in table},
-    snapshot=lambda index, op, table, w:
-        TraceNode(index, op, _public(table, w)))
+    snapshot=TraceNode)
 
 
 def dp_asp(expr: Expr, trace: list[TraceNode] | None = None) -> frozenset[KPair]:

@@ -17,9 +17,18 @@ from .tables import (KTriple, OnNode, TableOps, decide, fold_tables,
 
 @dataclass(frozen=True)
 class TraceNode:
+    """One table the fold built: its post-order index and op, and the
+    table itself, packed with field width w.  The fold never changes a
+    table after its event, so the node keeps it as it is; `triples` unpacks
+    it on each access."""
     index: int
     op: str
-    triples: frozenset[KTriple]
+    table: set[int]
+    w: int
+
+    @property
+    def triples(self) -> frozenset[KTriple]:
+        return _public(self.table, self.w)
 
 
 def _public(table: set[int], w: int) -> frozenset[KTriple]:
@@ -50,8 +59,7 @@ _TABLES = TableOps(
     join=_join,
     unit={0},
     relabel=lambda table, move: {move(key) for key in table},
-    snapshot=lambda index, op, table, w:
-        TraceNode(index, op, _public(table, w)))
+    snapshot=TraceNode)
 
 
 def dp_classical(expr: Expr,

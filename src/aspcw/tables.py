@@ -10,11 +10,13 @@ fields, T | F << w | U << 2w: unions become bitwise or, and relabels and edge
 runs become shifted mask operations.  Only this module reads those fields.
 A solver gives its operators as a TableOps, with one `join` for unions, edge
 runs and forgets; `fold_tables` hands them ready-made bits and masks, and
-`unpack` reads an entry back as a KTriple.
+`unpack` reads an entry back as a KTriple.  A trace keeps each table packed,
+and `trace_json` writes the trace file straight from the packed entries.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Callable, NamedTuple
 
 from .errors import ExpressionError
@@ -110,7 +112,8 @@ class TableOps(NamedTuple):
     join: Callable[[set, set, list, int, int, int, int], set]
     unit: set                                   # joins as the identity
     relabel: Callable[[set, Callable[[int], int]], set]  # (table, relabel_fn)
-    snapshot: Callable[[int, str, set, int], object]  # (index, op, table, w)
+    # (index, op, table, w): the trace node, which keeps the table packed
+    snapshot: Callable[[int, str, set, int], object]
 
 
 def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
@@ -225,10 +228,12 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
             table = left
         if run:
             run = []
-        if on_node is not None:
-            on_node(index, op_label(node), len(table))
-        if trace is not None:
-            trace.append(ops.snapshot(index, op_label(node), table, w))
+        if on_node is not None or trace is not None:
+            op = op_label(node)
+            if on_node is not None:
+                on_node(index, op, len(table))
+            if trace is not None:
+                trace.append(ops.snapshot(index, op, table, w))
         stack.append((table, gone, held))
     return stack[0][0], w
 
@@ -244,3 +249,44 @@ def decide(expr: Expr, ops: TableOps, on_node: OnNode | None = None,
     table, _ = fold_tables(expr, ops, trace=trace, on_node=on_node,
                            forget=True)
     return ops.unit <= table
+
+
+def trace_json(trace: list, field: str) -> str:
+    """The text of a trace file: {"nodes": [...]} with each node's index, op
+    and table under `field` ("triples" or "pairs"), as `json.dumps` with
+    sorted keys writes it.  A table lists its entries sorted: triples in
+    KTriple order, pairs by Q and then by their sorted Gamma, each Gamma in
+    KTriple order; a triple is its three label lists, a pair {"gamma",
+    "q"}.  Every node of a trace has the same field width, so each distinct
+    mask's label list and each distinct packed triple is rendered once per
+    trace."""
+    w = trace[0].w
+    mask = (1 << w) - 1
+    labels: dict[int, str] = {}  # mask -> its label list, lowest first
+    # packed triple -> (the KTriple's fields, to sort by; its text)
+    triples: dict[int, tuple[tuple[int, int, int], str]] = {}
+
+    def render(key: int) -> tuple[tuple[int, int, int], str]:
+        if key not in triples:
+            fields = key & mask, key >> w & mask, key >> 2 * w
+            for m in fields:
+                if m not in labels:
+                    labels[m] = \
+                        "[" + ", ".join([str(b + 1) for b in bits(m)]) + "]"
+            triples[key] = \
+                fields, "[" + ", ".join([labels[m] for m in fields]) + "]"
+        return triples[key]
+
+    nodes = []
+    for node in trace:
+        if field == "pairs":
+            # A rendered triple sorts by its fields, which fix its text.
+            rows = sorted((render(q), sorted(map(render, g)))
+                          for q, g in node.table)
+            entries = ['{"gamma": [' + ", ".join([s for _, s in gamma])
+                       + '], "q": ' + q + "}" for (_, q), gamma in rows]
+        else:
+            entries = [text for _, text in sorted(map(render, node.table))]
+        nodes.append(f'{{"index": {node.index}, "op": {json.dumps(node.op)}, '
+                     f'"{field}": [{", ".join(entries)}]}}')
+    return '{"nodes": [' + ", ".join(nodes) + "]}"

@@ -2,13 +2,16 @@
 small exists-forall formula used by the reduction tests; the unsigned
 incidence graph the graph, generator and acceptance tests compare against;
 triples built from label sets, packed entries, the root check on a full
-packed root table of either solver and the nodes the fold reports; the
-brute-force triples of an interpretation that the oracle and acceptance
-tests compare the DP tables against; whole-graph references for
-`parse_program`, `heuristic_expression` and `validate_against`, which read
-each program edge once or a few times; and the oracle over frozensets, one
-built per subset and each rule checked with set algebra."""
+packed root table of either solver and the nodes the fold reports; traces
+with each table unpacked at its event, and the trace file as it was
+written from those public entries; the brute-force triples of an
+interpretation that the oracle and acceptance tests compare the DP tables
+against; whole-graph references for `parse_program`,
+`heuristic_expression` and `validate_against`, which read each program
+edge once or a few times; and the oracle over frozensets, one built per
+subset and each rule checked with set algebra."""
 
+import json
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -19,11 +22,11 @@ from aspcw.errors import BoundExceededError, NormalizationError, ParseError
 from aspcw.expression import (DisjointUnion, EdgeInsert, evaluate, fold,
                               labeled_expression, op_label, parse_expression)
 from aspcw.generators import Literal, QbfEA
-from aspcw.graphs import ALPHA, build_signed_incidence_graph
+from aspcw.graphs import ALPHA, bits, build_signed_incidence_graph
 from aspcw.oracle import DEFAULT_ENUMERATION_BOUND
 from aspcw.program import (_COMMENT, _RULE, Program, Rule, _line_col, is_model,
                            is_model_of_rule, parse_program, reduct)
-from aspcw.tables import KTriple, TableOps, fold_tables
+from aspcw.tables import KPair, KTriple, TableOps, fold_tables, unpack
 
 EXAMPLE1_TEXT = "x :- not y.\n:- x, not y.\n"
 
@@ -96,6 +99,48 @@ def table_nodes(expr, fused: bool) -> list[tuple[int, str]]:
     return [(index, op_label(node)) for index, node in enumerate(nodes, 1)
             if not (isinstance(node, skipped) and index < len(nodes)
                     and isinstance(nodes[index], EdgeInsert))]
+
+
+def eager_trace(expr, ops: TableOps, forget: bool) -> list[tuple]:
+    """The fold's trace as (index, op, table), each table unpacked into
+    public entries (KTriples, or KPairs for the answer-set solver) at its
+    event."""
+    def public(entry, w):
+        if type(entry) is tuple:
+            q, g = entry
+            return KPair(unpack(q, w), frozenset(unpack(s, w) for s in g))
+        return unpack(entry, w)
+
+    trace = []
+    fold_tables(expr, ops._replace(
+        snapshot=lambda index, op, table, w:
+            (index, op, frozenset(public(e, w) for e in table))),
+        trace=trace, forget=forget)
+    return trace
+
+
+def _triple_json(t):
+    # `bits` yields the lowest bit first, so each label list comes out sorted.
+    return [[b + 1 for b in bits(mask)] for mask in t]
+
+
+def _pair_json(p):
+    return {"q": _triple_json(p.q),
+            "gamma": [_triple_json(s) for s in sorted(p.gamma)]}
+
+
+def reference_trace_json(trace: list[tuple], field: str) -> str:
+    """The trace file written from public entries, (index, op, table) per
+    node: each table's entries sorted (pairs by Q, then by their sorted
+    Gamma) as nested lists, and `json.dumps` with sorted keys."""
+    if field == "triples":
+        entry_json, order = _triple_json, None
+    else:
+        entry_json, order = _pair_json, lambda p: (p.q, sorted(p.gamma))
+    nodes = [{"index": index, "op": op,
+              field: [entry_json(e) for e in sorted(table, key=order)]}
+             for index, op, table in trace]
+    return json.dumps({"nodes": nodes}, sort_keys=True)
 
 
 @dataclass(frozen=True)

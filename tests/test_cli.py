@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from aspcw.cli import _triple_json, main
+from aspcw.cli import main
 from aspcw.dp_answersets import has_answer_set_dp
+from aspcw.dp_classical import TraceNode
 from aspcw.expression import trivial_expression
 from aspcw.program import parse_program
+from aspcw.tables import trace_json
 from conftest import (EXAMPLE1_TEXT, FIG2_MODEL_EVENTS, FIG2_TEXT,
-                      RULE_FIRST, triple)
+                      RULE_FIRST, pack, reference_trace_json, triple)
 
 
 def run(capsys, *argv):
@@ -136,8 +138,39 @@ class TestSolve:
         for _ in range(300):
             fields = [rng.sample([1, 2, 3, 63, 64, 65, 200],
                                  rng.randint(0, 4)) for _ in range(3)]
-            assert _triple_json(triple(*fields)) == \
-                [sorted(labels) for labels in fields]
+            q = triple(*fields)
+            text = trace_json([TraceNode(1, "a(1,x)", {pack(q, 200)}, 200)],
+                              "triples")
+            assert json.loads(text)["nodes"][0]["triples"] == \
+                [[sorted(labels) for labels in fields]]
+            assert text == reference_trace_json([(1, "a(1,x)", {q})],
+                                                "triples")
+
+    def test_unwritable_trace_fails_before_decision(self, capsys, monkeypatch,
+                                                    tmp_path, example1_file,
+                                                    fig2_file):
+        calls = []
+        monkeypatch.setattr("aspcw.cli.has_model_dp",
+                            lambda *args, **kwargs: calls.append(args))
+        code, out, err = run(capsys, "solve", "--mode", "classical",
+                             "--program", example1_file, "--expr", fig2_file,
+                             "--trace", str(tmp_path / "nodir" / "t.json"))
+        assert code == 3 and out == "" and calls == []
+        assert err.startswith("aspcw: [Errno 2]")
+
+    def test_failed_decision_leaves_trace_empty(self, capsys, monkeypatch,
+                                                tmp_path, example1_file,
+                                                fig2_file):
+        def decide(expr, on_node=None, trace=None):
+            raise MemoryError()
+
+        monkeypatch.setattr("aspcw.cli.has_model_dp", decide)
+        trace = tmp_path / "t.json"
+        trace.write_text("old")
+        code, out, _ = run(capsys, "solve", "--mode", "classical",
+                           "--program", example1_file, "--expr", fig2_file,
+                           "--trace", str(trace))
+        assert code == 3 and out == "" and trace.read_text() == ""
 
 
 class TestOracle:

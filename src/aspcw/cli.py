@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -77,12 +78,21 @@ def _cmd_solve(args) -> int:
     # A trace records the tables the decision builds; it does not change
     # the path, so the payload is the same with and without it.  The file
     # is opened first, so a path that cannot be written fails before the
-    # decision, and a decision that fails leaves it empty.
+    # decision.  It is written over in place and then cut at the new end,
+    # which costs less than cutting it to nothing first, and a decision
+    # that fails leaves it empty.  A device or a pipe has no size to cut.
     if args.trace:
-        with open(args.trace, "w") as out:
-            trace = []
-            decision = decide(expr, on_node=on_node, trace=trace)
-            out.write(trace_json(trace, field))
+        fd = os.open(args.trace, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as out:
+            old, text = os.fstat(fd).st_size, b""
+            try:
+                trace = []
+                decision = decide(expr, on_node=on_node, trace=trace)
+                text = trace_json(trace, field).encode()
+            finally:
+                out.write(text)
+                if old > len(text):
+                    out.truncate(len(text))
     else:
         decision = decide(expr, on_node=on_node)
     _emit({"decision": decision, "width": expression.width(expr),
@@ -287,8 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"aspcw: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (MemoryError, OverflowError, RecursionError) as exc:
-        # Their message is often empty, so the type names the cause.  An
-        # OverflowError comes from a label too large for the table ints.
+        # Their message is often empty, so the type names the cause.
         print(f"aspcw: out of resources ({type(exc).__name__})", file=sys.stderr)
         return EXIT_INVALID
 

@@ -37,17 +37,19 @@ PackedPair = tuple[int, frozenset[int]]
 @dataclass(frozen=True)
 class TraceNode:
     """One table the fold built: its post-order index and op, and the
-    table itself, packed with field width w.  The fold never changes a
+    table itself, packed with field width w and, for sparse labels, the
+    label of each bit (see `tables.fold_tables`).  The fold never changes a
     table after its event, so the node keeps it as it is; `pairs` unpacks
     it on each access."""
     index: int
     op: str
     table: set[PackedPair]
     w: int
+    names: tuple[int, ...] | None = None
 
     @property
     def pairs(self) -> frozenset[KPair]:
-        return _public(self.table, self.w)
+        return _public(self.table, self.w, self.names)
 
 
 def _join(left: set[PackedPair], right: set[PackedPair], run: list, w: int,
@@ -114,8 +116,10 @@ def _undominated(table: set[PackedPair]) -> set[PackedPair]:
     return kept
 
 
-def _public(table: set[PackedPair], w: int) -> frozenset[KPair]:
-    return frozenset(KPair(unpack(q, w), frozenset([unpack(s, w) for s in g]))
+def _public(table: set[PackedPair], w: int,
+            names: tuple[int, ...] | None = None) -> frozenset[KPair]:
+    return frozenset(KPair(unpack(q, w, names),
+                           frozenset([unpack(s, w, names) for s in g]))
                      for q, g in table)
 
 

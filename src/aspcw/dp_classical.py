@@ -18,21 +18,24 @@ from .tables import (KTriple, OnNode, TableOps, decide, fold_tables,
 @dataclass(frozen=True)
 class TraceNode:
     """One table the fold built: its post-order index and op, and the
-    table itself, packed with field width w.  The fold never changes a
+    table itself, packed with field width w and, for sparse labels, the
+    label of each bit (see `tables.fold_tables`).  The fold never changes a
     table after its event, so the node keeps it as it is; `triples` unpacks
     it on each access."""
     index: int
     op: str
     table: set[int]
     w: int
+    names: tuple[int, ...] | None = None
 
     @property
     def triples(self) -> frozenset[KTriple]:
-        return _public(self.table, self.w)
+        return _public(self.table, self.w, self.names)
 
 
-def _public(table: set[int], w: int) -> frozenset[KTriple]:
-    return frozenset([unpack(key, w) for key in table])
+def _public(table: set[int], w: int,
+            names: tuple[int, ...] | None = None) -> frozenset[KTriple]:
+    return frozenset([unpack(key, w, names) for key in table])
 
 
 def _join(left: set[int], right: set[int], run: list, w: int, tf: int,

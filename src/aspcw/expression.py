@@ -18,36 +18,36 @@ with sign in {h, p, n, alpha}.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from typing import Callable, Iterable, TypeVar, Union
 
 from .errors import ExpressionError, ParseError, SignConflictError
 from .graphs import (ALPHA, SIGNS, LabeledSignedGraph, _incidence_vertices,
                      bits, check_joinable, edge_groups, edge_key)
-from .program import AtomSet, Program, _line_col
+from .program import AtomSet, Program, Record, _line_col
 
 EDGE_SIGNS = SIGNS + (ALPHA,)
 
 
-@dataclass(frozen=True)
-class Introduce:
-    label: int
-    vertex: str
-    kind: str  # 'atom' or 'rule'
+class Introduce(Record):
+    __slots__ = ("label", "vertex", "kind")  # kind: 'atom' or 'rule'
 
-    def __post_init__(self):
-        if self.label < 1:
-            raise ExpressionError(f"labels are positive integers, got {self.label}")
-        if self.kind not in ("atom", "rule"):
-            raise ExpressionError(f"bad vertex kind {self.kind!r}")
+    def __init__(self, label: int, vertex: str, kind: str):
+        if label < 1:
+            raise ExpressionError(f"labels are positive integers, got {label}")
+        if kind not in ("atom", "rule"):
+            raise ExpressionError(f"bad vertex kind {kind!r}")
+        _introduce_label(self, label)
+        _introduce_vertex(self, vertex)
+        _introduce_kind(self, kind)
 
 
-class _Compound:
-    """Equality, hashing and repr for the nodes with operands.  The ones a
-    dataclass generates recurse, which fails on deep expressions; these run
-    on `fold`.  The post-order sequence of operators fixes the tree."""
+class _Compound(Record):
+    """Equality, hashing and repr for the nodes with operands.  Field-wise
+    ones would recurse, which fails on deep expressions; these run on
+    `postorder`.  The post-order sequence of operators fixes the tree."""
+
+    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (Introduce, _Compound)):
@@ -61,38 +61,45 @@ class _Compound:
         return f"parse_expression({serialize_expression(self)!r})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class DisjointUnion(_Compound):
-    left: "Expr"
-    right: "Expr"
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Expr", right: "Expr"):
+        _union_left(self, left)
+        _union_right(self, right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Relabel(_Compound):
-    old: int
-    new: int
-    child: "Expr"
+    __slots__ = ("old", "new", "child")
 
-    def __post_init__(self):
-        if self.old < 1 or self.new < 1:
+    def __init__(self, old: int, new: int, child: "Expr"):
+        if old < 1 or new < 1:
             raise ExpressionError("labels are positive integers")
+        _relabel_old(self, old)
+        _relabel_new(self, new)
+        _relabel_child(self, child)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class EdgeInsert(_Compound):
-    sign: str
-    i: int
-    j: int
-    child: "Expr"
+    __slots__ = ("sign", "i", "j", "child")
 
-    def __post_init__(self):
-        if self.sign not in EDGE_SIGNS:
-            raise ExpressionError(f"bad edge sign {self.sign!r}")
-        if self.i == self.j:
+    def __init__(self, sign: str, i: int, j: int, child: "Expr"):
+        if sign not in EDGE_SIGNS:
+            raise ExpressionError(f"bad edge sign {sign!r}")
+        if i == j:
             raise ExpressionError("edge insertion needs two distinct labels")
-        if self.i < 1 or self.j < 1:
+        if i < 1 or j < 1:
             raise ExpressionError("labels are positive integers")
+        _edge_sign(self, sign)
+        _edge_i(self, i)
+        _edge_j(self, j)
+        _edge_child(self, child)
 
+
+_introduce_label, _introduce_vertex, _introduce_kind = Introduce.setters()
+_union_left, _union_right = DisjointUnion.setters()
+_relabel_old, _relabel_new, _relabel_child = Relabel.setters()
+_edge_sign, _edge_i, _edge_j, _edge_child = EdgeInsert.setters()
 
 Expr = Union[Introduce, DisjointUnion, Relabel, EdgeInsert]
 
@@ -100,49 +107,55 @@ Expr = Union[Introduce, DisjointUnion, Relabel, EdgeInsert]
 T = TypeVar("T")
 
 
-def fold(expr: Expr, visit: Callable[..., T]) -> T:
-    """The one tree traversal: a post-order fold with an explicit stack, so
-    any depth that fits in memory works.  `visit(node, *results)` gets the
-    results of node's children, left before right, and returns node's."""
-    results: list = []
-    stack: list = [expr]
+def postorder(expr: Expr) -> list[Expr]:
+    """The one tree traversal: expr's nodes in post-order, each node's
+    operands left before right.  It is the reverse of a pre-order that takes
+    the right operand first, built on an explicit stack, so any depth that
+    fits in memory works."""
+    out: list[Expr] = []
+    stack: list[Expr] = [expr]
     while stack:
         node = stack.pop()
+        out.append(node)
         kind = type(node)  # the node classes have no subclasses
-        if kind is tuple:  # (node,): its operands are folded
-            node = node[0]
-            if type(node) is DisjointUnion:
-                right = results.pop()
-                results[-1] = visit(node, results[-1], right)
-            else:
-                results[-1] = visit(node, results[-1])
-        elif kind is Introduce:
+        if kind is DisjointUnion:
+            stack += (node.left, node.right)
+        elif kind is not Introduce:
+            stack.append(node.child)
+    out.reverse()
+    return out
+
+
+def fold(expr: Expr, visit: Callable[..., T]) -> T:
+    """A post-order fold over `postorder`: `visit(node, *results)` gets the
+    results of node's operands, left before right, and returns node's."""
+    results: list = []
+    for node in postorder(expr):
+        kind = type(node)
+        if kind is Introduce:
             results.append(visit(node))
         elif kind is DisjointUnion:
-            stack += ((node,), node.right, node.left)
+            right = results.pop()
+            results[-1] = visit(node, results[-1], right)
         else:
-            stack += ((node,), node.child)
+            results[-1] = visit(node, results[-1])
     return results[0]
 
 
 def _postorder(expr: Expr) -> list[str]:
-    out: list[str] = []
-    fold(expr, lambda node, *_: out.append(op_label(node)))
-    return out
+    return list(map(op_label, postorder(expr)))
 
 
 def labels_used(expr: Expr) -> frozenset[int]:
     out: set[int] = set()
-
-    def visit(node: Expr, *_) -> None:
-        if isinstance(node, Introduce):
+    for node in postorder(expr):
+        kind = type(node)
+        if kind is Introduce:
             out.add(node.label)
-        elif isinstance(node, Relabel):
+        elif kind is Relabel:
             out.update((node.old, node.new))
-        elif isinstance(node, EdgeInsert):
+        elif kind is EdgeInsert:
             out.update((node.i, node.j))
-
-    fold(expr, visit)
     return frozenset(out)
 
 
@@ -151,7 +164,7 @@ def width(expr: Expr) -> int:
 
 
 def node_count(expr: Expr) -> int:
-    return fold(expr, lambda node, *counts: 1 + sum(counts))
+    return len(postorder(expr))
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +507,19 @@ def heuristic_expression(program: Program) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Text form: one pattern per operator head of the grammar above, each taking
-# the whitespace after it.  An operator with operands is read up to its first
-# operand; the separators after each operand are read by _SEPARATOR.
+# Text form: one pattern reads any operator head of the grammar above and the
+# whitespace after it; which head matched shows in the last group it sets.
+# An operator with operands is read up to its first operand; the separators
+# after each operand are read by _SEPARATOR.
 # ---------------------------------------------------------------------------
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _LABEL = r"\s*(\d+)\s*"
-_INTRODUCE = re.compile(rf"([ar])\s*\({_LABEL},\s*({_NAME}|\d+)\s*\)\s*")
-_UNION = re.compile(r"oplus\s*\(\s*")
-_RELABEL = re.compile(rf"rho\s*\({_LABEL},{_LABEL},\s*")
-_EDGE = re.compile(rf"eta\s*\(\s*({_NAME})\s*,{_LABEL},{_LABEL},\s*")
+_HEAD = re.compile(rf"""([ar])\s*\({_LABEL},\s*({_NAME}|\d+)\s*\)\s*  # groups 1-3
+    | oplus\s*\(\s*                                         # none
+    | rho\s*\({_LABEL},{_LABEL},\s*                          # groups 4-5
+    | eta\s*\(\s*({_NAME})\s*,{_LABEL},{_LABEL},\s*         # groups 6-8""",
+                   re.VERBOSE)
 _SEPARATOR = re.compile(r"([,)])\s*")
 
 
@@ -517,47 +532,51 @@ def parse_expression(text: str) -> Expr:
     """Parse the text form.  A syntax error names its line and column; an
     invalid node (a repeated vertex, a bad label or sign) names those of
     its operator."""
-    # Operators whose operands are still being read, innermost last:
-    # (constructor, number of operands, operands read so far, start).
-    pending: list[tuple[Callable[..., Expr], int, list[Expr], int]] = []
+    # Operators whose operands are still being read, innermost last, each
+    # [constructor, start, operands still to read, arguments so far].
+    pending: list[list] = []
     seen: set[str] = set()
+    match_head, match_separator = _HEAD.match, _SEPARATOR.match
     pos = re.match(r"\s*", text).end()
     try:
         while True:
             # Where the node being built starts, for the except clause; the
             # loop that finishes an operator sets it to that operator's start.
             at = pos
-            if m := _INTRODUCE.match(text, pos):
-                if m[3] in seen:
-                    raise ExpressionError(
-                        f"vertex {m[3]!r} introduced more than once")
-                seen.add(m[3])
-                node = Introduce(int(m[2]), m[3], "atom" if m[1] == "a" else "rule")
-            elif m := _UNION.match(text, pos):
-                pending.append((DisjointUnion, 2, [], at))
-            elif m := _RELABEL.match(text, pos):
-                pending.append((partial(Relabel, int(m[1]), int(m[2])), 1, [], at))
-            elif m := _EDGE.match(text, pos):
-                pending.append((partial(EdgeInsert, m[1], int(m[2]), int(m[3])),
-                                1, [], at))
-            else:
+            m = match_head(text, pos)
+            if m is None:
                 raise _syntax_error(text, pos, "an expression")
             pos = m.end()
-            if m.re is not _INTRODUCE:
+            head = m.lastindex
+            if head is None:
+                pending.append([DisjointUnion, at, 2])
                 continue
+            if head == 5:
+                pending.append([Relabel, at, 1, int(m[4]), int(m[5])])
+                continue
+            if head == 8:
+                pending.append([EdgeInsert, at, 1, m[6], int(m[7]), int(m[8])])
+                continue
+            if m[3] in seen:
+                raise ExpressionError(
+                    f"vertex {m[3]!r} introduced more than once")
+            seen.add(m[3])
+            node = Introduce(int(m[2]), m[3], "atom" if m[1] == "a" else "rule")
             # A complete subexpression: hand it to the operators waiting.
             while pending:
-                make, arity, operands, at = pending[-1]
-                operands.append(node)
-                want = "," if len(operands) < arity else ")"
-                sep = _SEPARATOR.match(text, pos)
+                operator = pending[-1]
+                operator.append(node)
+                operator[2] -= 1
+                want = "," if operator[2] else ")"
+                sep = match_separator(text, pos)
                 if sep is None or sep[1] != want:
                     raise _syntax_error(text, pos, repr(want))
                 pos = sep.end()
-                if want == ",":
+                if operator[2]:
                     break
                 pending.pop()
-                node = make(*operands)
+                at = operator[1]
+                node = operator[0](*operator[3:])
             else:
                 break
     except ExpressionError as exc:

@@ -20,19 +20,65 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import NormalizationError, ParseError
 
 AtomSet = frozenset[str]
 
 
-@dataclass(frozen=True)
-class Rule:
-    id: str
-    head: AtomSet
-    pos_body: AtomSet
-    neg_body: AtomSet
+class Record:
+    """An immutable record over `__slots__`.  A subclass's `__init__` sets
+    each field once, through the slot's setter from `setters`; after that a
+    field can be neither assigned nor deleted.  Equality, hashing and repr
+    go by the class and the field values, as a frozen dataclass's do, and a
+    record pickles and copies by calling its class on its fields."""
+
+    __slots__ = ()
+
+    @classmethod
+    def setters(cls) -> list[Callable[[object, object], None]]:
+        """The `__set__` of each slot's descriptor, in slot order."""
+        return [cls.__dict__[name].__set__ for name in cls.__slots__]
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}"
+                            for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Rule(Record):
+    __slots__ = ("id", "head", "pos_body", "neg_body")
+
+    def __init__(self, id: str, head: AtomSet, pos_body: AtomSet,
+                 neg_body: AtomSet):
+        _rule_id(self, id)
+        _rule_head(self, head)
+        _rule_pos_body(self, pos_body)
+        _rule_neg_body(self, neg_body)
+
+
+_rule_id, _rule_head, _rule_pos_body, _rule_neg_body = Rule.setters()
 
 
 @dataclass(frozen=True)

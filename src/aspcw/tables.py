@@ -7,7 +7,9 @@ against the reduct.
 
 Inside the fold a triple over labels 1..w is one integer with three w-bit
 fields, T | F << w | U << 2w: unions become bitwise or, and relabels and edge
-runs become shifted mask operations.  Only this module reads those fields.
+runs become shifted mask operations.  Sparse labels are numbered 1..w first,
+so w is the label count, and the trace keeps their names.  Only this module
+reads those fields.
 A solver gives its operators as a TableOps, with one `join` for unions, edge
 runs and forgets; `fold_tables` hands them ready-made bits and masks, and
 `unpack` reads an entry back as a KTriple.  A trace keeps each table packed,
@@ -21,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ExpressionError
 from .expression import (DisjointUnion, EdgeInsert, Expr, Introduce, Relabel,
-                         fold, op_label)
+                         op_label, postorder)
 from .graphs import SIGNS, bits
 
 
@@ -48,9 +50,14 @@ class KPair(NamedTuple):
     gamma: frozenset[KTriple]
 
 
-def unpack(key: int, w: int) -> KTriple:
+def unpack(key: int, w: int, names: tuple[int, ...] | None = None) -> KTriple:
+    """The packed triple `key` as a KTriple.  With `names`, bit b of a field
+    stands for label names[b], not b + 1 (see `fold_tables`)."""
     mask = (1 << w) - 1
-    return KTriple(key & mask, key >> w & mask, key >> 2 * w & mask)
+    if names is None:
+        return KTriple(key & mask, key >> w & mask, key >> 2 * w & mask)
+    return KTriple(*[sum([1 << (names[b] - 1) for b in bits(m)])
+                     for m in (key & mask, key >> w & mask, key >> 2 * w)])
 
 
 def relabel_fn(old: int, new: int, w: int):
@@ -112,14 +119,17 @@ class TableOps(NamedTuple):
     join: Callable[[set, set, list, int, int, int, int], set]
     unit: set                                   # joins as the identity
     relabel: Callable[[set, Callable[[int], int]], set]  # (table, relabel_fn)
-    # (index, op, table, w): the trace node, which keeps the table packed
-    snapshot: Callable[[int, str, set, int], object]
+    # (index, op, table, w, names): the trace node, which keeps the table
+    # packed
+    snapshot: Callable[[int, str, set, int, tuple | None], object]
 
 
 def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
                 on_node: OnNode | None = None,
-                forget: bool = False) -> tuple[set, int]:
-    """Runs a solver bottom-up over `expr`; returns (packed root table, w).
+                forget: bool = False
+                ) -> tuple[set, int, tuple[int, ...] | None]:
+    """Runs a solver bottom-up over `expr`; returns (packed root table, w,
+    names).
 
     `ops` gives the solver's `introduce`, `join`, `unit`, `relabel` and
     `snapshot` (see TableOps).  A union is `ops.join` of its operands with
@@ -149,35 +159,46 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
     no U bits, edge inserts only clear U bits and relabels only move them,
     so an entry with an empty U keeps it up to the root.  There the fold
     passes `ops.join` the floor 1 << 2w, the lowest U bit (elsewhere 0),
-    and "U empty" is `entry < floor`.  One pre-pass lists the nodes in
-    post-order and finds the labels, where each dies and the rule count.
+    and "U empty" is `entry < floor`.
+
+    One pre-pass over the `postorder` list finds the labels, where each
+    dies and the rule count; the fold then reads the same list, dispatching
+    on each node's type.  If the largest label exceeds the label count k,
+    the fold numbers the labels 1..k in increasing order, so w is k, and
+    `names` lists the expression's label at each bit (else it is None and
+    bit b is label b + 1).  Each trace node gets `names`, so traces, like
+    `on_node`, report the expression's labels.
     """
-    nodes: list[Expr] = []
+    nodes = postorder(expr)
     labels: set[int] = set()  # those of introduces, then all
     last: dict[int, int] = {}  # label -> its last edge insert or relabel
     rules = 0
-
-    def visit(node: Expr, *_) -> None:
-        nonlocal rules
-        nodes.append(node)
-        if isinstance(node, Introduce):
+    for index, node in enumerate(nodes, 1):
+        kind = type(node)
+        if kind is EdgeInsert:
+            last[node.i] = last[node.j] = index
+        elif kind is Introduce:
             labels.add(node.label)
             rules += node.kind == "rule"
-        elif isinstance(node, EdgeInsert):
-            last[node.i] = last[node.j] = len(nodes)
-        elif isinstance(node, Relabel):
-            last[node.old] = last[node.new] = len(nodes)
-
-    fold(expr, visit)
+        elif kind is Relabel:
+            last[node.old] = last[node.new] = index
     labels.update(last)
     w = max(labels)
+    # Sparse labels are numbered 1..k in order: `rank` maps each label to
+    # its number (dense labels to themselves) and `names` lists the labels
+    # by bit, for the trace.
+    rank, names = range(w + 1), None
+    if w > len(labels):
+        names = tuple(sorted(labels))
+        rank = {label: k for k, label in enumerate(names, 1)}
+        w = len(names)
     floor = 1 << 2 * w
 
     dies: dict[int, int] = {}  # index -> the labels dead from there on
     if forget:
         for label in labels:
             index = last.get(label, 0)
-            dies[index] = dies.get(index, 0) | 1 << (label - 1)
+            dies[index] = dies.get(index, 0) | 1 << (rank[label] - 1)
     dead = dies.get(0, 0)
 
     # The operands' tables, each with the dead labels forgotten in it, its
@@ -188,35 +209,41 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
     # In post-order an edge insert or a union is followed by its parent, or
     # by an introduce if it is a left operand: so a run goes on above while
     # the next node is an edge insert, and a union is an edge insert's
-    # operand if the next node is one.
-    for index, (node, above) in enumerate(zip(nodes, nodes[1:] + [None]), 1):
-        dead |= dies.get(index, 0)
+    # operand if the next node is one.  Labels die only at edge inserts and
+    # relabels.
+    count = len(nodes)
+    for index, node in enumerate(nodes, 1):
+        kind = type(node)
         right = None  # the second operand of a join, if the node is one
-        if isinstance(node, EdgeInsert):
+        if kind is EdgeInsert:
             if node.sign not in SIGNS:
                 raise ExpressionError(
                     f"solver requires signed edges, got {node.sign!r}")
-            run.append((node.sign, node.i, node.j))
-            if isinstance(above, EdgeInsert):
+            dead |= dies.get(index, 0)
+            run.append((node.sign, rank[node.i], rank[node.j]))
+            if index < count and type(nodes[index]) is EdgeInsert:
                 continue
             if deferred is not None:
                 (left, right, gone, held), deferred = deferred, None
             else:
                 (left, gone, held), right = stack.pop(), ops.unit
-        elif isinstance(node, Introduce):
-            bit = 1 << (node.label - 1)
+        elif kind is Introduce:
+            bit = 1 << (rank[node.label] - 1)
             left = ops.introduce(node.kind, bit, bit << w, bit << 2 * w)
             gone, held = dead & ~bit, node.kind == "rule"
-        elif isinstance(node, DisjointUnion):
+        elif kind is DisjointUnion:
             (right, right_gone, right_held), (left, left_gone, left_held) = \
                 stack.pop(), stack.pop()
             gone, held = left_gone & right_gone, left_held + right_held
-            if forget and isinstance(above, EdgeInsert):
+            if (forget and index < count
+                    and type(nodes[index]) is EdgeInsert):
                 deferred = left, right, gone, held
                 continue
         else:
+            dead |= dies.get(index, 0)
             left, gone, held = stack.pop()
-            left = ops.relabel(left, relabel_fn(node.old, node.new, w))
+            left = ops.relabel(left,
+                               relabel_fn(rank[node.old], rank[node.new], w))
         if dead & ~gone:
             table = ops.join(left, ops.unit if right is None else right, run,
                              w, dead | dead << w, dead << 2 * w,
@@ -233,9 +260,9 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
             if on_node is not None:
                 on_node(index, op, len(table))
             if trace is not None:
-                trace.append(ops.snapshot(index, op, table, w))
+                trace.append(ops.snapshot(index, op, table, w, names))
         stack.append((table, gone, held))
-    return stack[0][0], w
+    return stack[0][0], w, names
 
 
 def decide(expr: Expr, ops: TableOps, on_node: OnNode | None = None,
@@ -246,8 +273,8 @@ def decide(expr: Expr, ops: TableOps, on_node: OnNode | None = None,
     0, or the pair with an empty Q and an empty Gamma (a Gamma member would
     have an empty U and refute its pair).  That entry is the one member of
     `ops.unit`, so the decision is whether the root table includes it."""
-    table, _ = fold_tables(expr, ops, trace=trace, on_node=on_node,
-                           forget=True)
+    table = fold_tables(expr, ops, trace=trace, on_node=on_node,
+                        forget=True)[0]
     return ops.unit <= table
 
 
@@ -257,10 +284,12 @@ def trace_json(trace: list, field: str) -> str:
     sorted keys writes it.  A table lists its entries sorted: triples in
     KTriple order, pairs by Q and then by their sorted Gamma, each Gamma in
     KTriple order; a triple is its three label lists, a pair {"gamma",
-    "q"}.  Every node of a trace has the same field width, so each distinct
-    mask's label list and each distinct packed triple is rendered once per
-    trace."""
-    w = trace[0].w
+    "q"}, in the expression's labels.  Every node of a trace has the same
+    field width and label names, so each distinct mask's label list and
+    each distinct packed triple is rendered once per trace."""
+    w, names = trace[0].w, trace[0].names
+    if names is None:
+        names = range(1, w + 1)
     mask = (1 << w) - 1
     labels: dict[int, str] = {}  # mask -> its label list, lowest first
     # packed triple -> (the KTriple's fields, to sort by; its text)
@@ -272,7 +301,7 @@ def trace_json(trace: list, field: str) -> str:
             for m in fields:
                 if m not in labels:
                     labels[m] = \
-                        "[" + ", ".join([str(b + 1) for b in bits(m)]) + "]"
+                        "[" + ", ".join([str(names[b]) for b in bits(m)]) + "]"
             triples[key] = \
                 fields, "[" + ", ".join([labels[m] for m in fields]) + "]"
         return triples[key]

@@ -8,19 +8,24 @@ written from those public entries; the brute-force triples of an
 interpretation that the oracle and acceptance tests compare the DP tables
 against; whole-graph references for `parse_program`,
 `heuristic_expression` and `validate_against`, which read each program
-edge once or a few times; and the oracle over frozensets, one built per
-subset and each rule checked with set algebra."""
+edge once or a few times; the post-order of a fold that pushes marker
+tuples on one stack, and an expression parser that tries one pattern per
+operator head; and the oracle over frozensets, one built per subset and
+each rule checked with set algebra."""
 
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Mapping
 
 import pytest
 
-from aspcw.errors import BoundExceededError, NormalizationError, ParseError
-from aspcw.expression import (DisjointUnion, EdgeInsert, evaluate, fold,
-                              labeled_expression, op_label, parse_expression)
+from aspcw.errors import (BoundExceededError, ExpressionError,
+                          NormalizationError, ParseError)
+from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
+                              evaluate, fold, labeled_expression, op_label,
+                              parse_expression)
 from aspcw.generators import Literal, QbfEA
 from aspcw.graphs import ALPHA, bits, build_signed_incidence_graph
 from aspcw.oracle import DEFAULT_ENUMERATION_BOUND
@@ -84,7 +89,7 @@ def accepts(table: set, u: int) -> bool:
 def full_root_accepts(expr, ops: TableOps) -> bool:
     """The root check on the root table of the fold that keeps every
     label."""
-    table, w = fold_tables(expr, ops)
+    table, w, _ = fold_tables(expr, ops)
     return accepts(table, ((1 << w) - 1) << 2 * w)
 
 
@@ -105,16 +110,17 @@ def eager_trace(expr, ops: TableOps, forget: bool) -> list[tuple]:
     """The fold's trace as (index, op, table), each table unpacked into
     public entries (KTriples, or KPairs for the answer-set solver) at its
     event."""
-    def public(entry, w):
+    def public(entry, w, names):
         if type(entry) is tuple:
             q, g = entry
-            return KPair(unpack(q, w), frozenset(unpack(s, w) for s in g))
-        return unpack(entry, w)
+            return KPair(unpack(q, w, names),
+                         frozenset(unpack(s, w, names) for s in g))
+        return unpack(entry, w, names)
 
     trace = []
     fold_tables(expr, ops._replace(
-        snapshot=lambda index, op, table, w:
-            (index, op, frozenset(public(e, w) for e in table))),
+        snapshot=lambda index, op, table, w, names:
+            (index, op, frozenset(public(e, w, names) for e in table))),
         trace=trace, forget=forget)
     return trace
 
@@ -287,6 +293,87 @@ def reference_validate(expr, program: Program,
     problems += [f"edge {u}--{v}: sign {s}, expected {want_es[u, v]}"
                  for (u, v), s in changed if (u, v) in want_es]
     return problems
+
+
+def reference_postorder(expr) -> list:
+    """The nodes in the order a post-order fold visits them: one stack of
+    nodes to expand and of (node,) markers for nodes whose operands are
+    done."""
+    out = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            out.append(node[0])
+        elif isinstance(node, Introduce):
+            out.append(node)
+        elif isinstance(node, DisjointUnion):
+            stack += ((node,), node.right, node.left)
+        else:
+            stack += ((node,), node.child)
+    return out
+
+
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_LABEL = r"\s*(\d+)\s*"
+_INTRODUCE = re.compile(rf"([ar])\s*\({_LABEL},\s*({_NAME}|\d+)\s*\)\s*")
+_UNION = re.compile(r"oplus\s*\(\s*")
+_RELABEL = re.compile(rf"rho\s*\({_LABEL},{_LABEL},\s*")
+_EDGE = re.compile(rf"eta\s*\(\s*({_NAME})\s*,{_LABEL},{_LABEL},\s*")
+_SEPARATOR = re.compile(r"([,)])\s*")
+
+
+def _syntax_error(text: str, pos: int, want: str) -> ParseError:
+    found = repr(text[pos:pos + 30]) if pos < len(text) else "end of input"
+    return ParseError(f"expected {want}, found {found}", *_line_col(text, pos))
+
+
+def reference_parse_expression(text: str):
+    """`parse_expression` trying one pattern per operator head in turn, and
+    keeping each open operator as a constructor with its arguments bound."""
+    pending = []  # (constructor, operand count, operands read, start)
+    seen: set[str] = set()
+    pos = re.match(r"\s*", text).end()
+    try:
+        while True:
+            at = pos
+            if m := _INTRODUCE.match(text, pos):
+                if m[3] in seen:
+                    raise ExpressionError(
+                        f"vertex {m[3]!r} introduced more than once")
+                seen.add(m[3])
+                node = Introduce(int(m[2]), m[3], "atom" if m[1] == "a" else "rule")
+            elif m := _UNION.match(text, pos):
+                pending.append((DisjointUnion, 2, [], at))
+            elif m := _RELABEL.match(text, pos):
+                pending.append((partial(Relabel, int(m[1]), int(m[2])), 1, [], at))
+            elif m := _EDGE.match(text, pos):
+                pending.append((partial(EdgeInsert, m[1], int(m[2]), int(m[3])),
+                                1, [], at))
+            else:
+                raise _syntax_error(text, pos, "an expression")
+            pos = m.end()
+            if m.re is not _INTRODUCE:
+                continue
+            while pending:
+                make, arity, operands, at = pending[-1]
+                operands.append(node)
+                want = "," if len(operands) < arity else ")"
+                sep = _SEPARATOR.match(text, pos)
+                if sep is None or sep[1] != want:
+                    raise _syntax_error(text, pos, repr(want))
+                pos = sep.end()
+                if want == ",":
+                    break
+                pending.pop()
+                node = make(*operands)
+            else:
+                break
+    except ExpressionError as exc:
+        raise ParseError(str(exc), *_line_col(text, at)) from exc
+    if pos < len(text):
+        raise _syntax_error(text, pos, "end of expression")
+    return node
 
 
 def _subsets(atoms: tuple[str, ...]) -> Iterator[frozenset[str]]:

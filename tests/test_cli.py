@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -164,13 +165,43 @@ class TestSolve:
         def decide(expr, on_node=None, trace=None):
             raise MemoryError()
 
-        monkeypatch.setattr("aspcw.cli.has_model_dp", decide)
-        trace = tmp_path / "t.json"
-        trace.write_text("old")
-        code, out, _ = run(capsys, "solve", "--mode", "classical",
-                           "--program", example1_file, "--expr", fig2_file,
-                           "--trace", str(trace))
-        assert code == 3 and out == "" and trace.read_text() == ""
+        argv = ["solve", "--mode", "classical", "--program", example1_file,
+                "--expr", fig2_file, "--trace", str(tmp_path / "t.json")]
+        for old in "old", None:
+            if old is None:
+                # A file that holds an older trace, written by a solve.
+                monkeypatch.undo()
+                assert run(capsys, *argv)[0] == 0
+                assert (tmp_path / "t.json").stat().st_size > 0
+            else:
+                (tmp_path / "t.json").write_text(old)
+            monkeypatch.setattr("aspcw.cli.has_model_dp", decide)
+            code, out, _ = run(capsys, *argv)
+            assert code == 3 and out == ""
+            assert (tmp_path / "t.json").read_bytes() == b""
+
+    def test_shorter_trace_over_longer_one(self, capsys, tmp_path,
+                                           example1_file, fig2_file):
+        # A trace written over a longer one, or over a file that holds
+        # more, is byte for byte the trace written to a new file.
+        fresh, trace = tmp_path / "fresh.json", tmp_path / "t.json"
+        argv = ["solve", "--program", example1_file]
+        short = argv + ["--mode", "classical", "--expr", fig2_file]
+        long = argv + ["--mode", "asp", "--auto-expr", "trivial"]
+        assert run(capsys, *short, "--trace", str(fresh))[0] == 0
+        run(capsys, *long, "--trace", str(trace))
+        assert trace.stat().st_size > fresh.stat().st_size
+        assert run(capsys, *short, "--trace", str(trace))[0] == 0
+        assert trace.read_bytes() == fresh.read_bytes()
+        trace.write_bytes(b"x" * 100_000)
+        assert run(capsys, *short, "--trace", str(trace))[0] == 0
+        assert trace.read_bytes() == fresh.read_bytes()
+
+    def test_trace_to_a_device(self, capsys, example1_file, fig2_file):
+        argv = ["solve", "--mode", "classical", "--program", example1_file,
+                "--expr", fig2_file]
+        plain = run(capsys, *argv)
+        assert run(capsys, *argv, "--trace", os.devnull) == plain
 
 
 class TestOracle:
@@ -401,13 +432,31 @@ class TestErrors:
         assert code == 3 and out == ""
         assert err == f"aspcw: out of resources ({error.__name__})\n"
 
-    def test_huge_label_exits_3(self, capsys, tmp_path):
-        # The table ints would need 2 * 4e19 bits.
+    def test_huge_label_solves(self, capsys, tmp_path):
+        # The fold numbers the labels 2 and 4e19 as 1 and 2, so the solve
+        # costs what the expression with those labels costs, and its trace
+        # is that expression's, in the labels written.
         big = 40000000000000000000
-        code, out, err = run(
-            capsys, "solve", "--mode", "asp",
-            "--program", write(tmp_path, "x.lp", "x.\n"),
-            "--expr", write(tmp_path, "big.expr",
-                            f"eta(h,{big},2,oplus(r(2,r1),a({big},x)))"))
-        assert code == 3 and out == ""
-        assert err == "aspcw: out of resources (OverflowError)\n"
+        program = write(tmp_path, "x.lp", "x.\n")
+        outs, traces = [], []
+        for name, (i, j) in ("big", (big, 2)), ("dense", (2, 1)):
+            trace = tmp_path / f"{name}.json"
+            code, out, err = run(
+                capsys, "solve", "--mode", "asp", "--program", program,
+                "--expr", write(tmp_path, f"{name}.expr",
+                                f"eta(h,{i},{j},oplus(r({j},r1),a({i},x)))"),
+                "--trace", str(trace))
+            assert code == 0 and err == ""
+            outs.append(json.loads(out))
+            traces.append(json.loads(trace.read_text())["nodes"])
+        assert outs[0] == outs[1] and outs[0]["width"] == 2
+        name = {1: 2, 2: big}
+        assert traces[0] == [
+            {"index": n["index"], "op": m["op"],
+             "pairs": [{"gamma": [[[name[l] for l in labels] for labels in s]
+                                  for s in pair["gamma"]],
+                        "q": [[name[l] for l in labels]
+                              for labels in pair["q"]]}
+                       for pair in n["pairs"]]}
+            for n, m in zip(traces[1], traces[0])]
+        assert traces[0][-1]["op"] == f"eta(h,{big},2)"

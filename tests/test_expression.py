@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from aspcw.dp_answersets import dp_asp, has_answer_set_dp
@@ -6,14 +9,15 @@ from aspcw.errors import ExpressionError, ParseError, SignConflictError
 from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
                               evaluate, fold, heuristic_expression,
                               join_labels, labeled_expression, node_count,
-                              op_label, parse_expression,
+                              op_label, parse_expression, postorder,
                               serialize_expression, trivial_expression,
                               validate_against, width)
 from aspcw.generators import (gen_pclique, gen_random_program,
                               reduce_pclique_to_asp)
 from aspcw.graphs import ALPHA, build_signed_incidence_graph, edge_key
 from aspcw.program import Program, parse_program
-from conftest import EXAMPLE1_LABELING, EXAMPLE1_TEXT, FIG2_TEXT
+from conftest import (EXAMPLE1_LABELING, EXAMPLE1_TEXT, FIG2_TEXT,
+                      reference_parse_expression)
 
 
 def knn_expression(n, sign="p"):
@@ -76,6 +80,112 @@ class TestParse:
             parse_expression(text)
         assert (info.value.line, info.value.col) == (line, col)
         assert str(info.value).startswith(f"line {line}, col {col}: ")
+
+
+# Valid texts whose prefixes and single-character deletions make up the
+# malformed corpus: every operator, spaces and line breaks between tokens,
+# a numeric vertex name, labels that a deletion turns to 0, an alpha sign
+# and vertex names that a deletion makes equal.
+CORPUS = [
+    FIG2_TEXT,
+    "oplus(a(1,x),\n  rho(10, 1, eta( alpha ,1,10,oplus(r(10,r1),a(1,7)))))",
+    " eta(h,2,1,oplus(oplus(r(1,r1),r(1,r12)),\n\ta(2,x_1)))\n",
+]
+
+
+def parse_outcome(parse, text):
+    """What `parse` makes of `text`: the expression's text, or the
+    ParseError's message, line and column."""
+    try:
+        return serialize_expression(parse(text))
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+def corpus_variants(text):
+    return ([text[:k] for k in range(len(text))]
+            + [text[:k] + text[k + 1:] for k in range(len(text))])
+
+
+class TestParseCorpus:
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_prefixes_and_deletions_fail_alike(self, text):
+        # Each text cut short or missing one character gives what the
+        # parser that tries one pattern per operator head gives: the same
+        # expression, or the same error at the same line and column.
+        variants = corpus_variants(text)
+        assert [parse_outcome(parse_expression, v) for v in variants] == \
+            [parse_outcome(reference_parse_expression, v) for v in variants]
+        assert parse_outcome(parse_expression, text) == \
+            serialize_expression(reference_parse_expression(text))
+
+    def test_corpus_reaches_every_error(self):
+        errors = {outcome[0].split(": ", 1)[1].split(", found")[0]
+                  for text in CORPUS for v in corpus_variants(text)
+                  if type(outcome := parse_outcome(parse_expression, v))
+                  is tuple}
+        assert {"expected an expression", "expected ','", "expected ')'",
+                "labels are positive integers", "bad edge sign 'lpha'",
+                "vertex 'r1' introduced more than once"} <= errors
+
+
+NODES = [
+    Introduce(1, "x", "atom"),
+    DisjointUnion(Introduce(1, "x", "atom"), Introduce(2, "r1", "rule")),
+    Relabel(2, 1, Introduce(2, "r1", "rule")),
+    EdgeInsert("h", 1, 2, DisjointUnion(Introduce(1, "x", "atom"),
+                                        Introduce(2, "r1", "rule"))),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_fields_cannot_change(self, node):
+        for name in type(node).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(node, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        with pytest.raises(AttributeError):
+            node.other = 1
+        assert not hasattr(node, "__dict__")
+
+    def test_repr(self):
+        assert [repr(node) for node in NODES] == [
+            "Introduce(label=1, vertex='x', kind='atom')",
+            "parse_expression('oplus(a(1,x),r(2,r1))')",
+            "parse_expression('rho(2,1,r(2,r1))')",
+            "parse_expression('eta(h,1,2,oplus(a(1,x),r(2,r1)))')"]
+
+    def test_equality_and_hash(self):
+        x = Introduce(1, "x", "atom")
+        assert x == Introduce(1, "x", "atom") and x != Introduce(2, "x", "atom")
+        assert hash(x) == hash((1, "x", "atom"))
+        for node in NODES[1:]:
+            again = parse_expression(serialize_expression(node))
+            assert again == node and again is not node
+            assert hash(node) == hash(tuple(map(op_label, postorder(node))))
+            assert node != x and x != node
+        assert NODES[1] != DisjointUnion(Introduce(2, "r1", "rule"),
+                                         Introduce(1, "x", "atom"))
+        assert NODES[2] != Relabel(2, 3, Introduce(2, "r1", "rule"))
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_pickle_and_copy(self, node):
+        for twin in (pickle.loads(pickle.dumps(node)), copy.copy(node),
+                     copy.deepcopy(node)):
+            assert type(twin) is type(node) and twin == node
+            assert hash(twin) == hash(node) and repr(twin) == repr(node)
+
+    def test_constructors_validate(self):
+        for make in (lambda: Introduce(0, "x", "atom"),
+                     lambda: Introduce(1, "x", "clause"),
+                     lambda: Relabel(0, 1, NODES[0]),
+                     lambda: EdgeInsert("q", 1, 2, NODES[0]),
+                     lambda: EdgeInsert("h", 2, 2, NODES[0]),
+                     lambda: EdgeInsert("h", 0, 2, NODES[0])):
+            with pytest.raises(ExpressionError):
+                make()
 
 
 class TestEvaluate:

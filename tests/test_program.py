@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from aspcw.errors import NormalizationError, ParseError
@@ -240,6 +243,40 @@ class TestValidate:
     def test_unknown_atom_flagged(self):
         p = Program(("a",), (make_rule("r1", head=["b"]),))
         assert any("unknown atoms" in msg for msg in validate_program(p))
+
+
+class TestRule:
+    def test_fields_cannot_change(self):
+        r = make_rule("r1", ["a"], ["b"], ["c"])
+        for name in ("id", "head", "pos_body", "neg_body"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, frozenset())
+            with pytest.raises(AttributeError):
+                delattr(r, name)
+        assert not hasattr(r, "__dict__")
+
+    def test_equality_hash_and_repr(self):
+        r = make_rule("r1", ["a"], ["b"], ["c"])
+        fields = ("r1", frozenset({"a"}), frozenset({"b"}), frozenset({"c"}))
+        assert r == Rule(*fields) and hash(r) == hash(fields)
+        assert r != make_rule("r2", ["a"], ["b"], ["c"])
+        assert r != make_rule("r1", ["a"], ["c"], ["b"])
+        assert r != fields
+        assert repr(r) == ("Rule(id='r1', head=frozenset({'a'}), "
+                           "pos_body=frozenset({'b'}), "
+                           "neg_body=frozenset({'c'}))")
+        assert repr(Rule(id="r2", head=frozenset(), pos_body=frozenset(),
+                         neg_body=frozenset())) == \
+            ("Rule(id='r2', head=frozenset(), pos_body=frozenset(), "
+             "neg_body=frozenset())")
+
+    def test_pickle_and_copy(self, example1):
+        for r in example1.rules:
+            for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r),
+                         copy.deepcopy(r)):
+                assert type(twin) is Rule and twin == r and twin is not r
+                assert hash(twin) == hash(r) and repr(twin) == repr(r)
+        assert pickle.loads(pickle.dumps(example1)) == example1
 
 
 class TestSerialize:

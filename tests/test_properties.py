@@ -3,7 +3,9 @@ that define the program's signed incidence graph, and both solvers decide
 on them what the brute-force oracle decides and what the root check decides
 on their full root tables; that both still decide like the oracle when the
 labels are permuted and edge inserts name their labels either way round;
-and the program text format round-trips."""
+that `postorder` and `fold` visit the nodes of random expressions in the
+order of a fold over one stack of nodes and markers; and the program text
+format round-trips."""
 
 import random
 
@@ -14,13 +16,14 @@ from aspcw.dp_answersets import _TABLES as _ASP_TABLES
 from aspcw.dp_answersets import has_answer_set_dp
 from aspcw.dp_classical import _TABLES as _MODEL_TABLES
 from aspcw.dp_classical import has_model_dp
-from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
-                              fold, heuristic_expression, labels_used,
+from aspcw.expression import (EDGE_SIGNS, DisjointUnion, EdgeInsert,
+                              Introduce, Relabel, fold, heuristic_expression,
+                              labels_used, node_count, postorder,
                               trivial_expression, validate_against)
 from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_answer_sets, enumerate_models
 from aspcw.program import parse_program, serialize_program
-from conftest import full_root_accepts
+from conftest import full_root_accepts, reference_postorder
 
 programs = st.builds(
     gen_random_program,
@@ -89,6 +92,50 @@ def test_edge_inserts_decide_either_way_round():
             assert validate_against(expr, program) == []
             assert has_model_dp(expr) == has_model
             assert has_answer_set_dp(expr) == has_answer_set
+
+
+def _operators(operands):
+    return st.one_of(
+        st.builds(DisjointUnion, operands, operands),
+        st.builds(Relabel, st.integers(1, 4), st.integers(1, 4), operands),
+        st.builds(lambda sign, i, step, child:
+                  EdgeInsert(sign, i, i + step, child),
+                  st.sampled_from(EDGE_SIGNS), st.integers(1, 3),
+                  st.integers(1, 2), operands))
+
+
+# Random trees of every operator, relabels included; vertex names may
+# repeat, which no traversal checks.
+expressions = st.recursive(
+    st.builds(Introduce, st.integers(1, 4), st.sampled_from("xyz"),
+              st.sampled_from(["atom", "rule"])),
+    _operators, max_leaves=30)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(expressions)
+def test_postorder_is_the_fold_order(expr):
+    order = list(map(id, reference_postorder(expr)))
+    assert list(map(id, postorder(expr))) == order
+    visited = []
+    fold(expr, lambda node, *_: visited.append(id(node)))
+    assert visited == order
+    assert node_count(expr) == len(order)
+    # Each result is built from the operands' results, left before right.
+    assert fold(expr, lambda node, *kids: (id(node), kids)) == \
+        fold_nested(expr)
+
+
+def fold_nested(expr):
+    """(id(node), (operand results...)) built from reference_postorder."""
+    results = []
+    for node in reference_postorder(expr):
+        arity = (0 if isinstance(node, Introduce)
+                 else 2 if isinstance(node, DisjointUnion) else 1)
+        kids = tuple(results[len(results) - arity:])
+        del results[len(results) - arity:]
+        results.append((id(node), kids))
+    return results[0]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -7,7 +7,8 @@ reductions without an answer set and a 4-atom, 400-rule program), in both
 modes, through both builders and through an expression file, the file
 must be byte for byte what `conftest.reference_trace_json` writes from the
 eagerly unpacked tables, and `.pairs` / `.triples` of decision and full
-traces must equal those tables."""
+traces must equal those tables.  A builder expression with its labels spread
+far apart must decide alike and trace the same tables, in its own labels."""
 
 import pytest
 
@@ -15,11 +16,15 @@ from aspcw.cli import main
 from aspcw.dp_answersets import _TABLES, dp_asp, has_answer_set_dp
 from aspcw.dp_classical import _TABLES as _MODEL_TABLES
 from aspcw.dp_classical import dp_classical, has_model_dp
-from aspcw.expression import (heuristic_expression, parse_expression,
+from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
+                              fold, heuristic_expression, labels_used,
+                              op_label, parse_expression, postorder,
                               serialize_expression, trivial_expression)
 from aspcw.generators import (gen_random_program, gen_random_qbf,
                               reduce_qbf_to_asp)
+from aspcw.graphs import bits
 from aspcw.program import parse_program, serialize_program
+from aspcw.tables import KPair, KTriple, trace_json
 from conftest import eager_trace, reference_trace_json
 
 PARTS = (0.2, 0.2, 0.2)
@@ -93,3 +98,52 @@ def test_trace_nodes_unpack_eager_tables(mode, build, forget):
         (decide if forget else full)(expr, trace=trace)
         assert [(n.index, n.op, getattr(n, field)) for n in trace] == \
             eager_trace(expr, ops, forget=forget)
+
+
+def spread(expr, name):
+    """`expr` with each label l renamed name[l]."""
+    def rebuild(node, *kids):
+        if isinstance(node, Introduce):
+            return Introduce(name[node.label], node.vertex, node.kind)
+        if isinstance(node, DisjointUnion):
+            return DisjointUnion(*kids)
+        if isinstance(node, Relabel):
+            return Relabel(name[node.old], name[node.new], *kids)
+        return EdgeInsert(node.sign, name[node.i], name[node.j], *kids)
+
+    return fold(expr, rebuild)
+
+
+def renamed(table, name):
+    """Public entries with each label l renamed name[l]."""
+    def triple(t):
+        return KTriple(*[sum(1 << (name[b + 1] - 1) for b in bits(m))
+                         for m in t])
+
+    return frozenset(
+        KPair(triple(e.q), frozenset(map(triple, e.gamma)))
+        if type(e) is KPair else triple(e) for e in table)
+
+
+@pytest.mark.parametrize("build", ["trivial", "heuristic"])
+@pytest.mark.parametrize("mode", list(MODES))
+def test_spread_labels_trace_in_their_labels(mode, build):
+    # The fold numbers sparse labels 1..k in order, so label l, spread to
+    # 997 * l + 3, traces as l did: the same decision and tables, and the
+    # trace file written in the spread labels.
+    field, decide, full, _ = MODES[mode]
+    for text in SWEEP[:24]:
+        expr, _ = built(text, build)
+        name = {l: 997 * l + 3 for l in labels_used(expr)}
+        far = spread(expr, name)
+        trace, far_trace = [], []
+        assert decide(far, trace=far_trace) == decide(expr, trace=trace)
+        ops = [op_label(node) for node in postorder(far)]
+        spread_trace = [(n.index, ops[n.index - 1],
+                         renamed(getattr(n, field), name)) for n in trace]
+        assert [(n.index, n.op, getattr(n, field))
+                for n in far_trace] == spread_trace
+        assert trace_json(far_trace, field) == \
+            reference_trace_json(spread_trace, field)
+        if len(name) <= 8:
+            assert full(far) == renamed(full(expr), name)

@@ -43,11 +43,18 @@ class Introduce(Record):
 
 
 class _Compound(Record):
-    """Equality, hashing and repr for the nodes with operands.  Field-wise
-    ones would recurse, which fails on deep expressions; these run on
-    `postorder`.  The post-order sequence of operators fixes the tree."""
+    """Equality, hashing, repr and pickling for the nodes with operands.
+    Field-wise ones would recurse, which fails on deep expressions; these
+    run on `postorder`.  The post-order sequence of operators fixes the
+    tree."""
 
     __slots__ = ()
+
+    def __reduce__(self):
+        # Each node's class and its fields but the operands, which come
+        # last, in post-order: flat, so pickle and copy do not recurse.
+        return _rebuild, (tuple([(type(node), node._fields()[_OWN[type(node)]])
+                                 for node in postorder(self)]),)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (Introduce, _Compound)):
@@ -102,6 +109,27 @@ _relabel_old, _relabel_new, _relabel_child = Relabel.setters()
 _edge_sign, _edge_i, _edge_j, _edge_child = EdgeInsert.setters()
 
 Expr = Union[Introduce, DisjointUnion, Relabel, EdgeInsert]
+
+# Each node class's own fields, all but the operands its slots end with, as
+# a slice of its field tuple.
+_OWN = {Introduce: slice(None), DisjointUnion: slice(0), Relabel: slice(-1),
+        EdgeInsert: slice(-1)}
+
+
+def _rebuild(nodes: tuple[tuple[type, tuple], ...]) -> Expr:
+    """The expression whose post-order is `nodes`, each node as its class
+    and its fields but the operands (see `_Compound.__reduce__`), built on
+    a stack of finished operands."""
+    stack: list[Expr] = []
+    for kind, fields in nodes:
+        if kind is Introduce:
+            stack.append(Introduce(*fields))
+        elif kind is DisjointUnion:
+            right = stack.pop()
+            stack[-1] = DisjointUnion(stack[-1], right)
+        else:
+            stack[-1] = kind(*fields, stack[-1])
+    return stack[0]
 
 
 T = TypeVar("T")
@@ -209,8 +237,8 @@ def _sign_at(row: list[int], p: int) -> str | None:
 def _graph_masks(expr: Expr) -> tuple[dict[str, str], dict[int, Mask],
                                      list[tuple[str, Mask, Mask]],
                                      list[list[int] | None]]:
-    """The fold under `evaluate` and `validate_against`: the evaluated graph
-    as vertex sets kept from their lowest vertex (see Mask).
+    """The one post-order loop under `evaluate` and `validate_against`: the
+    evaluated graph as vertex sets kept from their lowest vertex (see Mask).
 
     Returns the kinds (vertex -> 'atom' or 'rule', in introduce order), the
     root's label sets, each edge insert that adds edges as a biclique
@@ -223,9 +251,10 @@ def _graph_masks(expr: Expr) -> tuple[dict[str, str], dict[int, Mask],
     rows: list[list[int] | None] = []
     inserts: list[tuple[str, Mask, Mask]] = []
 
-    # Each node's result maps a label to the set of its subexpression's
-    # vertices that carry it.
-    def visit(node: Expr, *parts: dict[int, Mask]) -> dict[int, Mask]:
+    # The operands' results, innermost last: each maps a label to the set
+    # of its subexpression's vertices that carry it.
+    stack: list[dict[int, Mask]] = []
+    for node in postorder(expr):
         kind = type(node)
         if kind is Introduce:
             if node.vertex in kinds:
@@ -233,21 +262,25 @@ def _graph_masks(expr: Expr) -> tuple[dict[str, str], dict[int, Mask],
                     f"vertex {node.vertex!r} introduced more than once")
             rows.append(None)
             kinds[node.vertex] = node.kind
-            return {node.label: (len(rows) - 1, 1)}
+            stack.append({node.label: (len(rows) - 1, 1)})
+            continue
         if kind is DisjointUnion:
-            small, big = parts
-            if len(small) > len(big):
-                small, big = big, small
+            # The smaller side merges into the larger, the left into the
+            # right on a tie.
+            right, left = stack.pop(), stack[-1]
+            small, big = ((right, left) if len(left) > len(right)
+                          else (left, right))
             for label, x in small.items():
                 big[label] = _union(big[label], x) if label in big else x
-            return big
-        (members,) = parts
+            stack[-1] = big
+            continue
+        members = stack[-1]
         if kind is Relabel:
             if node.old != node.new and node.old in members:
                 x = members.pop(node.old)
                 members[node.new] = (_union(members[node.new], x)
                                      if node.new in members else x)
-            return members
+            continue
         a, b = members.get(node.i), members.get(node.j)
         if a and b:
             k = EDGE_SIGNS.index(node.sign) + 1
@@ -277,10 +310,7 @@ def _graph_masks(expr: Expr) -> tuple[dict[str, str], dict[int, Mask],
                     row[k] |= m
                     row[5] |= m
             inserts.append((node.sign, a, b))
-        return members
-
-    root = fold(expr, visit)
-    return kinds, root, inserts, rows
+    return kinds, stack[0], inserts, rows
 
 
 def _edges(names: tuple[str, ...],

@@ -166,16 +166,31 @@ def validate_program(program: Program) -> list[str]:
 #   atom    := an id other than "not"
 # ---------------------------------------------------------------------------
 
-_ID = r"[a-z][A-Za-z0-9_]*"
+# The identifiers, the whitespace runs and the head and body repetitions
+# are possessive (`*+`, `++`): they never give back what they matched, so a
+# match keeps no backtracking state for them.  Giving back would never help:
+# an identifier is followed by '|', ',', ':-', '.' or whitespace, a
+# whitespace run by a non-space, and a repetition by ':-' or '.', none of
+# which an earlier token can give back.  So the matches and their ends are
+# those of the greedy pattern.  Python 3.10's `re` rejects the marks
+# ("multiple repeat"); there `_P` is empty and the pattern is greedy.
+try:
+    re.compile(r"\s*+")
+except re.error:
+    _P = ""
+else:
+    _P = "+"
+_ID = rf"[a-z][A-Za-z0-9_]*{_P}"
 _ATOM = rf"(?!not\b){_ID}"
-_LITERAL = rf"(?:not\s+)?{_ATOM}"
+_S = rf"\s*{_P}"
+_LITERAL = rf"(?:not\s+{_P})?{_ATOM}"
 # One rule and the whitespace after it; the head is split on '|' and the
 # body on ',' once the rule has matched.  Each run of whitespace is matched
 # by the one \s* after the token before it, so a failed match backtracks in
 # linear time.
-_RULE = re.compile(rf"""(?:@\s*(?P<id>{_ID})\s*:(?!-)\s*)?
-    (?P<head>{_ATOM}\s*(?:\|\s*{_ATOM}\s*)*)?
-    (?::-\s*(?P<body>{_LITERAL}\s*(?:,\s*{_LITERAL}\s*)*))?\.\s*""",
+_RULE = re.compile(rf"""(?:@{_S}(?P<id>{_ID}){_S}:(?!-){_S})?
+    (?P<head>{_ATOM}{_S}(?:\|{_S}{_ATOM}{_S})*{_P})?
+    (?::-{_S}(?P<body>{_LITERAL}{_S}(?:,{_S}{_LITERAL}{_S})*{_P}))?\.{_S}""",
                    re.VERBOSE)
 _COMMENT = re.compile(r"%[^\n]*")
 

@@ -161,6 +161,12 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
     passes `ops.join` the floor 1 << 2w, the lowest U bit (elsewhere 0),
     and "U empty" is `entry < floor`.
 
+    A join with an empty operand, or an empty table to forget in, builds
+    an empty table without calling `ops.join`: no entry pairs with an
+    empty operand.  Every operator keeps a table empty, so once a table is
+    empty so is each table above it, up to the root; the fold still walks
+    the rest of the expression and sends every event.
+
     One pre-pass over the `postorder` list finds the labels, where each
     dies and the rule count; the fold then reads the same list, dispatching
     on each node's type.  If the largest label exceeds the label count k,
@@ -244,7 +250,10 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
             left, gone, held = stack.pop()
             left = ops.relabel(left,
                                relabel_fn(rank[node.old], rank[node.new], w))
-        if dead & ~gone:
+        if not left or right is not None and not right:
+            # No entry pairs with an empty operand.
+            table = set()
+        elif dead & ~gone:
             table = ops.join(left, ops.unit if right is None else right, run,
                              w, dead | dead << w, dead << 2 * w,
                              floor if held == rules else 0)

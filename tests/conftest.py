@@ -6,12 +6,13 @@ packed root table of either solver and the nodes the fold reports; traces
 with each table unpacked at its event, and the trace file as it was
 written from those public entries; the brute-force triples of an
 interpretation that the oracle and acceptance tests compare the DP tables
-against; whole-graph references for `parse_program`,
-`heuristic_expression` and `validate_against`, which read each program
-edge once or a few times; the post-order of a fold that pushes marker
-tuples on one stack, and an expression parser that tries one pattern per
-operator head; and the oracle over frozensets, one built per subset and
-each rule checked with set algebra."""
+against; whole-graph references for `parse_program` (on a greedy copy
+of its rule pattern), `heuristic_expression` and `validate_against`,
+which read each program edge once or a few times; the post-order of a
+fold that pushes marker tuples on one stack, and an expression parser
+that tries one pattern per operator head; and the oracle over
+frozensets, one built per subset and each rule checked with set
+algebra."""
 
 import json
 import re
@@ -29,7 +30,7 @@ from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
 from aspcw.generators import Literal, QbfEA
 from aspcw.graphs import ALPHA, bits, build_signed_incidence_graph
 from aspcw.oracle import DEFAULT_ENUMERATION_BOUND
-from aspcw.program import (_COMMENT, _RULE, Program, Rule, _line_col, is_model,
+from aspcw.program import (_COMMENT, Program, Rule, _line_col, is_model,
                            is_model_of_rule, parse_program, reduct)
 from aspcw.tables import KPair, KTriple, TableOps, fold_tables, unpack
 
@@ -210,15 +211,28 @@ def reduct_interpretation_triple(program: Program, labeling: Mapping[str, int],
         raise KeyError(f"unlabeled vertex {exc.args[0]!r}") from None
 
 
+# The rule grammar with greedy quantifiers only, written out here rather
+# than imported, so that the parser's pattern is checked against it and not
+# against itself.
+_REF_ID = r"[a-z][A-Za-z0-9_]*"
+_REF_ATOM = rf"(?!not\b){_REF_ID}"
+_REF_LITERAL = rf"(?:not\s+)?{_REF_ATOM}"
+_REF_RULE = re.compile(rf"""(?:@\s*(?P<id>{_REF_ID})\s*:(?!-)\s*)?
+    (?P<head>{_REF_ATOM}\s*(?:\|\s*{_REF_ATOM}\s*)*)?
+    (?::-\s*(?P<body>{_REF_LITERAL}\s*(?:,\s*{_REF_LITERAL}\s*)*))?\.\s*""",
+                       re.VERBOSE)
+
+
 def reference_parse(text: str) -> Program:
-    """`parse_program` splitting each body literal into its words, and
-    naming the unnamed rules in a second pass over the rules read."""
+    """`parse_program` with the greedy rule pattern above, splitting each
+    body literal into its words, and naming the unnamed rules in a second
+    pass over the rules read."""
     text = _COMMENT.sub("", text)
     atoms: dict[str, None] = {}
     rules: list[tuple] = []
     pos = re.match(r"\s*", text).end()
     while pos < len(text):
-        m = _RULE.match(text, pos)
+        m = _REF_RULE.match(text, pos)
         if m is None:
             end = text.find(".", pos)
             rule = text[pos:] if end < 0 else text[pos:end + 1]

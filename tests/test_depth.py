@@ -7,8 +7,10 @@ both solvers must work without recursion.  Its width grows with the
 program, but a decision forgets each label after its last edge insert, so
 on a cycle its tables stay small however long the cycle is."""
 
+import copy
 import gc
 import json
+import pickle
 import sys
 import time
 import tracemalloc
@@ -18,10 +20,10 @@ import pytest
 from aspcw.cli import main
 from aspcw.dp_answersets import has_answer_set_dp
 from aspcw.dp_classical import has_model_dp
-from aspcw.expression import (evaluate, fold, heuristic_expression,
-                              join_labels, node_count, parse_expression,
-                              serialize_expression, trivial_expression,
-                              validate_against)
+from aspcw.expression import (Introduce, Relabel, evaluate, fold,
+                              heuristic_expression, join_labels, node_count,
+                              parse_expression, serialize_expression,
+                              trivial_expression, validate_against)
 from aspcw.generators import (gen_random_program, gen_random_qbf,
                               qbf_is_valid, reduce_qbf_to_asp)
 from aspcw.oracle import enumerate_answer_sets, enumerate_models
@@ -59,6 +61,28 @@ def test_equality_hash_repr(deep):
     assert hash(again) == hash(expr)
     assert repr(again) == repr(expr)
     assert join_labels(expr, {"h", "p", "n"}) != expr
+
+
+def relabel_chain(n):
+    expr = Introduce(1, "x", "atom")
+    for k in range(n):
+        expr = Relabel(1 + k % 2, 2 - k % 2, expr)
+    return expr
+
+
+@pytest.mark.parametrize("make", [
+    lambda: relabel_chain(5000),
+    # 4 atoms and 2,996 rules: 3,000 vertices.
+    lambda: trivial_expression(gen_random_program(4, 2996, (0.2,) * 3, 0)),
+], ids=["relabels", "trivial"])
+def test_pickle_and_copy(make):
+    expr = make()
+    assert depth(expr) > 3000 > sys.getrecursionlimit()
+    for twin in (pickle.loads(pickle.dumps(expr)), copy.copy(expr),
+                 copy.deepcopy(expr)):
+        assert type(twin) is type(expr) and twin is not expr
+        assert twin == expr and hash(twin) == hash(expr)
+        assert serialize_expression(twin) == serialize_expression(expr)
 
 
 def test_evaluate_and_validate(deep):

@@ -203,16 +203,32 @@ def parsed(parse, text):
             getattr(exc, "col", None)
 
 
-@pytest.mark.parametrize("text", [
+PARSE_TEXTS = [
     "knot :- nota, not not_a, notnot.\n",
     "a :- not\tknot,\n  not\n\tnota, % not b, c\n not_a.",
     "x :- b, not b.",
     "x :- not a, a.",
     "knot :- not knot.",
     "@s: a | knot :- not\n%c\nnota, b.\nnota.",
-])
+]
+
+
+@pytest.mark.parametrize("text", PARSE_TEXTS)
 def test_parse_matches_the_reference_on(text):
     assert parsed(parse_program, text) == parsed(reference_parse, text)
+
+
+@pytest.mark.parametrize("text", PARSE_TEXTS + [
+    "@q_1 :\n x :- y, not z.\n@r2:w.",
+    "a1\n | b_2 |\n\tnotc\n  :- not d,\n e.\n",
+])
+def test_parse_matches_the_reference_on_prefixes_and_deletions(text):
+    # Each text cut short or missing one character gives the program, or
+    # the error at its line and column, that the greedy pattern gives.
+    variants = ([text[:k] for k in range(len(text))]
+                + [text[:k] + text[k + 1:] for k in range(len(text))])
+    assert [parsed(parse_program, v) for v in variants] == \
+        [parsed(reference_parse, v) for v in variants]
 
 
 def test_parse_matches_the_reference():

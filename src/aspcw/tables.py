@@ -1,24 +1,30 @@
-"""Table entries and the one table fold shared by the two solvers.
+"""Table entries, the one table engine and the one trace node of the two
+solvers.
 
 A KTriple (T, F, U) holds three label sets as bitmasks (label l -> bit l-1):
 labels of true atoms, false atoms, and not-yet-satisfied rules.  A KPair
-extends a triple with the table of its candidate's proper subsets evaluated
-against the reduct.
+(Q, Gamma) extends a candidate triple Q with Gamma, the triples of the
+candidate's proper subsets evaluated against the reduct.
 
-Inside the fold a triple over labels 1..w is one integer with three w-bit
-fields, T | F << w | U << 2w: unions become bitwise or, and relabels and edge
-runs become shifted mask operations.  Sparse labels are numbered 1..w first,
-so w is the label count, and the trace keeps their names.  Only this module
-reads those fields.
-A solver gives its operators as a TableOps, with one `join` for unions, edge
-runs and forgets; `fold_tables` hands them ready-made bits and masks, and
-`unpack` reads an entry back as a KTriple.  A trace keeps each table packed,
-and `trace_json` writes the trace file straight from the packed entries.
+Every table is a set of packed pairs (Q, Gamma).  Inside the fold a triple
+over labels 1..w is one integer with three w-bit fields, T | F << w | U << 2w:
+unions become bitwise or, and relabels and edge runs become shifted mask
+operations; a Gamma is a frozenset of such integers.  The classical
+solver's atoms bring no Gamma, so each of its pairs has an empty one and
+the same fold decides whether a model exists.  Sparse labels are numbered
+1..w first, so w is the label count, and the trace keeps their names.  Only
+this module reads those fields.
+A solver gives its introduce as a TableOps; `fold_tables` hands it
+ready-made bits, and runs the one `_join` for unions, edge runs and
+forgets.  `public` reads a table back as KPairs, or as the KTriples of
+their Qs.  A trace keeps each table packed in a `TraceNode`, and
+`trace_json` writes the trace file straight from the packed entries.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ExpressionError
@@ -28,6 +34,11 @@ from .graphs import SIGNS, bits
 
 
 OnNode = Callable[[int, str, int], None]
+PackedPair = tuple[int, frozenset[int]]
+
+NO_GAMMA: frozenset[int] = frozenset()
+# The table that joins as the identity: one pair with every field cleared.
+UNIT: frozenset[PackedPair] = frozenset({(0, NO_GAMMA)})
 
 
 def mask_labels(mask: int) -> frozenset[int]:
@@ -60,6 +71,39 @@ def unpack(key: int, w: int, names: tuple[int, ...] | None = None) -> KTriple:
                      for m in (key & mask, key >> w & mask, key >> 2 * w)])
 
 
+def public(table: set[PackedPair], w: int, names: tuple[int, ...] | None,
+           field: str) -> frozenset:
+    """A packed table's public entries: its KPairs for `field` "pairs",
+    the KTriples of their Qs for "triples"."""
+    if field == "triples":
+        return frozenset([unpack(q, w, names) for q, _ in table])
+    return frozenset([KPair(unpack(q, w, names),
+                            frozenset([unpack(s, w, names) for s in g]))
+                      for q, g in table])
+
+
+@dataclass(frozen=True)
+class TraceNode:
+    """One table the fold built: its post-order index and op, and the
+    table itself, packed with field width w and, for sparse labels, the
+    label of each bit (see `fold_tables`).  The fold never changes a table
+    after its event, so the node keeps it as it is; `pairs` and `triples`
+    unpack it on each access."""
+    index: int
+    op: str
+    table: set[PackedPair]
+    w: int
+    names: tuple[int, ...] | None = None
+
+    @property
+    def pairs(self) -> frozenset[KPair]:
+        return public(self.table, self.w, self.names, "pairs")
+
+    @property
+    def triples(self) -> frozenset[KTriple]:
+        return public(self.table, self.w, self.names, "triples")
+
+
 def relabel_fn(old: int, new: int, w: int):
     bit = 1 << (old - 1)
     mask3 = bit | bit << w | bit << 2 * w
@@ -67,12 +111,20 @@ def relabel_fn(old: int, new: int, w: int):
     return lambda key: key & keep | (key & mask3) >> (old - 1) << (new - 1)
 
 
+def _relabel(table: set[PackedPair],
+             move: Callable[[int], int]) -> set[PackedPair]:
+    return {(move(q), frozenset(map(move, g))) for q, g in table}
+
+
 class _RunClear(dict):
-    """Gate projection -> the U bits the run's edges clear there, filled in
-    on first use."""
+    """Gate projection -> the U bits the edges clear there, filled in on
+    first use; `gates` holds every edge's gate bit."""
 
     def __init__(self, edges: list[tuple[int, int]]):
         self.edges = edges
+        self.gates = 0
+        for gate, _ in edges:
+            self.gates |= gate
 
     def __missing__(self, hit: int) -> int:
         bits = 0
@@ -83,11 +135,13 @@ class _RunClear(dict):
         return bits
 
 
-def run_clear(run: list[tuple[str, int, int]], w: int,
-              signs: str = "hpn") -> tuple[int, dict[int, int]]:
-    """The edges of a run of edge inserts [(sign, i, j), ...] whose sign is
-    in `signs`, as (gates, clear): entry `key` loses the U bits
-    `clear[key & gates]`.
+def run_clear(run: list[tuple[str, int, int]], w: int
+              ) -> tuple[int, _RunClear, int, _RunClear]:
+    """The edges of a run of edge inserts [(sign, i, j), ...] as (gates,
+    own, n_gates, outer), in one pass over the run: a triple `key` loses
+    the U bits `own[key & gates]` through the h and p edges, and a Gamma
+    member of the candidate Q loses `outer[Q & n_gates]` through the n
+    edges.  Q itself loses both.
 
     An edge insert is undirected, so each edge i x j is read both ways
     round: label i's T bit (h, n) or F bit (p) clears label j's U bit, and
@@ -99,29 +153,109 @@ def run_clear(run: list[tuple[str, int, int]], w: int,
     changes a T or F bit, so a run commutes and what it clears in an entry
     depends only on the entry's gate bits.
     """
-    edges = [(1 << (a - 1) << (w if sign == "p" else 0), 1 << (b - 1 + 2 * w))
-             for sign, i, j in run if sign in signs
-             for a, b in ((i, j), (j, i))]
-    gates = 0
-    for gate, _ in edges:
-        gates |= gate
-    return gates, _RunClear(edges)
+    own: list[tuple[int, int]] = []
+    outer: list[tuple[int, int]] = []
+    for sign, i, j in run:
+        edges = outer if sign == "n" else own
+        shift = w if sign == "p" else 0
+        edges.append((1 << (i - 1) << shift, 1 << (j - 1 + 2 * w)))
+        edges.append((1 << (j - 1) << shift, 1 << (i - 1 + 2 * w)))
+    own_clear, outer_clear = _RunClear(own), _RunClear(outer)
+    return own_clear.gates, own_clear, outer_clear.gates, outer_clear
+
+
+def _join(left: set[PackedPair], right: set[PackedPair], run: list, w: int,
+          tf: int, u: int, floor: int) -> set[PackedPair]:
+    # Q first: OR the operands' Qs, apply the run's clears and drop a pair
+    # with a dead U bit before building its Gamma.  Gamma gets each proper
+    # subset of the union: on each side a member of its Gamma or its whole
+    # Q, but not both whole Qs, which come last.  Two pairs with no Gamma
+    # (every classical pair) give a pair with no Gamma and build no subsets.
+    #
+    # Q is gated by its own T and F bits.  A member of Gamma is gated by its
+    # own bits for h and p edges, but by the outer Q's T bits for n edges:
+    # once I hits the negative body, the rule vanishes from the reduct for
+    # all subsets J, whether or not J itself touches label i.  So Q loses
+    # what its bits clear through h and p edges, and n: what its T bits
+    # clear through n edges.
+    #
+    # Drop Gamma members with a dead U bit, clear the dead T and F bits, and
+    # if any label is dead, drop the dominated pairs.
+    #
+    # Under a closed subtree (floor > 0) an empty U stays empty up to the
+    # root, and "U empty" is `key < floor`.  A Gamma member below the floor
+    # refutes its pair: drop it.  A pair below the floor with no Gamma is
+    # accepted for good: keep the lowest such Q (before the dead T and F
+    # bits are cleared) alone.  That keeps the decision, for it reaches the
+    # root as (0, no Gamma): the closed subtree's siblings hold only atoms
+    # and always keep a pair with no Gamma (each atom's false pair), a
+    # union of two pairs with no Gamma has none, edge runs only clear U
+    # bits, and neither forgetting nor domination drops a pair with no
+    # Gamma.
+    gates = n_gates = 0
+    if run:
+        gates, own, n_gates, outer = run_clear(run, w)
+    keep, none = ~tf, NO_GAMMA
+    accepted = floor  # the lowest accepted Q, once there is one
+    table = set()
+    right = [(q2, g2, (*g2, q2)) for q2, g2 in right]
+    for q1, g1 in left:
+        subsets1 = (*g1, q1) if g1 else (q1,)
+        for q2, g2, subsets2 in right:
+            q = q1 | q2
+            if (n := n_gates and outer[q & n_gates]) or gates:
+                q &= ~(own[q & gates] | n)
+            if q & u:
+                continue
+            if g1 or g2:
+                gamma = [s1 | s2 for s1 in subsets1 for s2 in subsets2]
+                gamma.pop()
+                if n or gates:
+                    gamma = [c & keep for s in gamma
+                             if not (c := s & ~(own[s & gates] | n)) & u]
+                elif u:
+                    gamma = [s & keep for s in gamma if not s & u]
+                if gamma:
+                    if not (floor and min(gamma) < floor):
+                        table.add((q & keep, frozenset(gamma)))
+                    continue
+            if q < accepted:
+                accepted = q
+            table.add((q & keep, none))
+    if accepted < floor:
+        return {(accepted & keep, none)}
+    return _undominated(table) if u else table
+
+
+def _undominated(table: set[PackedPair]) -> set[PackedPair]:
+    # Keep, for each Q, only the minimal Gammas: a smaller Gamma is never a
+    # superset, so taking them by size compares each with the kept ones only.
+    if len({q for q, _ in table}) == len(table):
+        return table
+    groups: dict[int, list[frozenset[int]]] = {}
+    for q, g in table:
+        groups.setdefault(q, []).append(g)
+    kept = set()
+    for q, gammas in groups.items():
+        minimal: list[frozenset[int]] = []
+        for g in sorted(gammas, key=len):
+            if not any(m <= g for m in minimal):
+                minimal.append(g)
+                kept.add((q, g))
+    return kept
 
 
 class TableOps(NamedTuple):
-    """One solver's operators on tables of packed entries (field width w)
-    and its unit table.  `join` ORs each pair of operand entries, applies
-    the run's clears (from `run_clear`, each edge read both ways round),
-    drops an entry with a dead U bit and clears the dead T and F bits: it
-    is the one operator for a union, an edge run and a forget."""
+    """One solver's operators on tables of packed pairs (field width w).
+    A solver gives only `introduce`; `join` is the one operator for a
+    union, an edge run and a forget (see `_join`), and `snapshot` makes a
+    trace node, which keeps the table packed."""
     introduce: Callable[[str, int, int, int], set]  # (kind, T, F, U bit)
     # (left, right, run, w, dead T|F, dead U, floor)
-    join: Callable[[set, set, list, int, int, int, int], set]
-    unit: set                                   # joins as the identity
-    relabel: Callable[[set, Callable[[int], int]], set]  # (table, relabel_fn)
-    # (index, op, table, w, names): the trace node, which keeps the table
-    # packed
-    snapshot: Callable[[int, str, set, int, tuple | None], object]
+    join: Callable[[set, set, list, int, int, int, int], set] = _join
+    # (index, op, table, w, names)
+    snapshot: Callable[[int, str, set, int, tuple | None], object] = \
+        TraceNode
 
 
 def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
@@ -131,10 +265,10 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
     """Runs a solver bottom-up over `expr`; returns (packed root table, w,
     names).
 
-    `ops` gives the solver's `introduce`, `join`, `unit`, `relabel` and
-    `snapshot` (see TableOps).  A union is `ops.join` of its operands with
-    an empty run.  A run of consecutive edge inserts is one `ops.join`
-    against `ops.unit` at its top edge insert; the fold hands each edge
+    `ops` gives the solver's `introduce`, `join` and `snapshot` (see
+    TableOps).  A union is `ops.join` of its operands with an empty run.
+    A run of consecutive edge inserts is one `ops.join` against `UNIT` at
+    its top edge insert; the fold hands each edge
     over as the expression names it, and `run_clear` reads it both ways
     round.
 
@@ -144,7 +278,7 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
 
     With `forget`, each table drops its dead labels: the join that builds
     it gets their masks, a relabel table that has dead labels is joined
-    against `ops.unit` with them, and so is an introduce table whose own
+    against `UNIT` with them, and so is an introduce table whose own
     label is dead (it has no other label's bits).  A label is dead after
     the last edge insert or relabel that names it (in post-order, so every
     operator above the table comes later), and dead from the start if none
@@ -232,7 +366,7 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
             if deferred is not None:
                 (left, right, gone, held), deferred = deferred, None
             else:
-                (left, gone, held), right = stack.pop(), ops.unit
+                (left, gone, held), right = stack.pop(), UNIT
         elif kind is Introduce:
             bit = 1 << (rank[node.label] - 1)
             left = ops.introduce(node.kind, bit, bit << w, bit << 2 * w)
@@ -248,13 +382,13 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
         else:
             dead |= dies.get(index, 0)
             left, gone, held = stack.pop()
-            left = ops.relabel(left,
-                               relabel_fn(rank[node.old], rank[node.new], w))
+            left = _relabel(left,
+                            relabel_fn(rank[node.old], rank[node.new], w))
         if not left or right is not None and not right:
             # No entry pairs with an empty operand.
             table = set()
         elif dead & ~gone:
-            table = ops.join(left, ops.unit if right is None else right, run,
+            table = ops.join(left, UNIT if right is None else right, run,
                              w, dead | dead << w, dead << 2 * w,
                              floor if held == rules else 0)
             gone = dead
@@ -278,20 +412,20 @@ def decide(expr: Expr, ops: TableOps, on_node: OnNode | None = None,
            trace: list | None = None) -> bool:
     """The decision: the fold forgets dead labels, so `on_node` and `trace`
     see the smaller tables it builds.  Every label is dead at the root, so
-    the root table holds only entries with every field cleared: the triple
-    0, or the pair with an empty Q and an empty Gamma (a Gamma member would
-    have an empty U and refute its pair).  That entry is the one member of
-    `ops.unit`, so the decision is whether the root table includes it."""
+    the root table holds only pairs with every field cleared: an empty Q
+    and an empty Gamma (a Gamma member would have an empty U and refute its
+    pair).  That pair is the one member of `UNIT`, so the decision is
+    whether the root table includes it."""
     table = fold_tables(expr, ops, trace=trace, on_node=on_node,
                         forget=True)[0]
-    return ops.unit <= table
+    return UNIT <= table
 
 
 def trace_json(trace: list, field: str) -> str:
     """The text of a trace file: {"nodes": [...]} with each node's index, op
     and table under `field` ("triples" or "pairs"), as `json.dumps` with
-    sorted keys writes it.  A table lists its entries sorted: triples in
-    KTriple order, pairs by Q and then by their sorted Gamma, each Gamma in
+    sorted keys writes it.  A table lists its entries sorted: the Qs'
+    distinct triples in KTriple order, pairs by Q and then by their sorted Gamma, each Gamma in
     KTriple order; a triple is its three label lists, a pair {"gamma",
     "q"}, in the expression's labels.  Every node of a trace has the same
     field width and label names, so each distinct mask's label list and
@@ -324,7 +458,8 @@ def trace_json(trace: list, field: str) -> str:
             entries = ['{"gamma": [' + ", ".join([s for _, s in gamma])
                        + '], "q": ' + q + "}" for (_, q), gamma in rows]
         else:
-            entries = [text for _, text in sorted(map(render, node.table))]
+            entries = [text for _, text in
+                       sorted(map(render, {q for q, _ in node.table}))]
         nodes.append(f'{{"index": {node.index}, "op": {json.dumps(node.op)}, '
                      f'"{field}": [{", ".join(entries)}]}}')
     return '{"nodes": [' + ", ".join(nodes) + "]}"

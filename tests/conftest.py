@@ -27,7 +27,7 @@ from aspcw.errors import (BoundExceededError, ExpressionError,
 from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
                               evaluate, fold, labeled_expression, op_label,
                               parse_expression)
-from aspcw.generators import Literal, QbfEA
+from aspcw.generators import Literal, QbfEA, gen_random_program
 from aspcw.graphs import ALPHA, bits, build_signed_incidence_graph
 from aspcw.oracle import DEFAULT_ENUMERATION_BOUND
 from aspcw.program import (_COMMENT, Program, Rule, _line_col, is_model,
@@ -62,6 +62,15 @@ FIG2_MODEL_EVENTS = [
     (9, "a(3,y)", 2), (11, "eta(n,3,2)", 1)]
 
 
+def random_instance(seed: int) -> Program:
+    """Program `seed` of the criterion 3-5 sweeps: 1-5 atoms and 1-5
+    rules."""
+    num_atoms = seed % 5 + 1
+    num_rules = (seed * 7 + 3) % 5 + 1
+    probs = [(0.2, 0.2, 0.2), (0.3, 0.3, 0.3), (0.15, 0.35, 0.25)][seed % 3]
+    return gen_random_program(num_atoms, num_rules, probs, seed)
+
+
 def label_mask(labels: Iterable[int]) -> int:
     mask = 0
     for l in labels:
@@ -80,11 +89,9 @@ def pack(q: KTriple, w: int) -> int:
 
 
 def accepts(table: set, u: int) -> bool:
-    """The root check on a packed table whose U bits are `u`: some entry has
-    an empty U, and for a pair (Q, Gamma) no member of Gamma has one."""
-    return any(not q & u and all(s & u for s in g)
-               for q, g in (entry if type(entry) is tuple else (entry, ())
-                            for entry in table))
+    """The root check on a packed pair table whose U bits are `u`: some
+    pair (Q, Gamma) has an empty U, and no member of Gamma has one."""
+    return any(not q & u and all(s & u for s in g) for q, g in table)
 
 
 def full_root_accepts(expr, ops: TableOps) -> bool:
@@ -107,16 +114,17 @@ def table_nodes(expr, fused: bool) -> list[tuple[int, str]]:
                     and isinstance(nodes[index], EdgeInsert))]
 
 
-def eager_trace(expr, ops: TableOps, forget: bool) -> list[tuple]:
-    """The fold's trace as (index, op, table), each table unpacked into
-    public entries (KTriples, or KPairs for the answer-set solver) at its
-    event."""
+def eager_trace(expr, ops: TableOps, forget: bool,
+                field: str) -> list[tuple]:
+    """The fold's trace as (index, op, table), each table unpacked at its
+    event into the public entries `field` names: KPairs for "pairs", the
+    KTriples of the pairs' Qs for "triples"."""
     def public(entry, w, names):
-        if type(entry) is tuple:
-            q, g = entry
-            return KPair(unpack(q, w, names),
-                         frozenset(unpack(s, w, names) for s in g))
-        return unpack(entry, w, names)
+        q, g = entry
+        if field == "triples":
+            return unpack(q, w, names)
+        return KPair(unpack(q, w, names),
+                     frozenset(unpack(s, w, names) for s in g))
 
     trace = []
     fold_tables(expr, ops._replace(

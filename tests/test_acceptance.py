@@ -16,7 +16,7 @@ from aspcw.expression import (heuristic_expression, join_labels,
                               node_count, parse_expression,
                               trivial_expression, validate_against, width)
 from aspcw.generators import (KPartiteGraph, gen_grid_program, gen_pclique,
-                              gen_random_program, gen_random_qbf,
+                              gen_random_qbf,
                               has_partitioned_clique, qbf_is_valid,
                               reduce_pclique_to_asp, reduce_qbf_to_asp)
 from aspcw.graphs import (build_dependency_graph,
@@ -26,14 +26,7 @@ from aspcw.graphs import (build_dependency_graph,
 from aspcw.oracle import enumerate_answer_sets, enumerate_models
 from aspcw.program import Program, make_rule
 from conftest import (build_incidence_graph, interpretation_triple,
-                      reduct_interpretation_triple, triple)
-
-
-def random_instance(seed):
-    num_atoms = seed % 5 + 1
-    num_rules = (seed * 7 + 3) % 5 + 1
-    probs = [(0.2, 0.2, 0.2), (0.3, 0.3, 0.3), (0.15, 0.35, 0.25)][seed % 3]
-    return gen_random_program(num_atoms, num_rules, probs, seed)
+                      random_instance, reduct_interpretation_triple, triple)
 
 
 @pytest.fixture(scope="module")

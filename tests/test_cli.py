@@ -140,8 +140,9 @@ class TestSolve:
             fields = [rng.sample([1, 2, 3, 63, 64, 65, 200],
                                  rng.randint(0, 4)) for _ in range(3)]
             q = triple(*fields)
-            text = trace_json([TraceNode(1, "a(1,x)", {pack(q, 200)}, 200)],
-                              "triples")
+            text = trace_json(
+                [TraceNode(1, "a(1,x)", {(pack(q, 200), frozenset())}, 200)],
+                "triples")
             assert json.loads(text)["nodes"][0]["triples"] == \
                 [[sorted(labels) for labels in fields]]
             assert text == reference_trace_json([(1, "a(1,x)", {q})],

@@ -3,9 +3,8 @@ import re
 
 import pytest
 
-from aspcw import dp_answersets
-from aspcw.dp_answersets import (_TABLES, _public, _undominated, dp_asp,
-                                 has_answer_set_dp)
+from aspcw import tables
+from aspcw.dp_answersets import _TABLES, dp_asp, has_answer_set_dp
 from aspcw.dp_classical import _TABLES as _MODEL_TABLES
 from aspcw.dp_classical import dp_classical, has_model_dp
 from aspcw.errors import ExpressionError
@@ -15,13 +14,21 @@ from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
 from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_answer_sets, enumerate_models
 from aspcw.program import parse_program
-from aspcw.tables import KPair, decide, fold_tables, run_clear, unpack
-from conftest import (RULE_FIRST, full_root_accepts, pack, table_nodes,
-                      triple)
+from aspcw.tables import (UNIT, KPair, _undominated, decide, fold_tables,
+                          public, run_clear, unpack)
+from conftest import (RULE_FIRST, full_root_accepts, pack, random_instance,
+                      table_nodes, triple)
 
 
 def pair(q, gamma=()):
     return KPair(q, frozenset(gamma))
+
+
+def no_floor(ops):
+    """`ops` with a join that always gets floor 0: no pair is refuted or
+    accepted under a closed subtree."""
+    return ops._replace(join=lambda left, right, run, w, tf, u, floor:
+                        ops.join(left, right, run, w, tf, u, 0))
 
 
 def random_expr(rng, leaves, labels, names):
@@ -145,7 +152,7 @@ class TestDecision:
 
 
 def edge_run(table, run, w):
-    return _TABLES.join(table, _TABLES.unit, run, w, 0, 0, 0)
+    return _TABLES.join(table, UNIT, run, w, 0, 0, 0)
 
 
 def unfused_join(left, right, run, w, tf, u, floor):
@@ -153,7 +160,7 @@ def unfused_join(left, right, run, w, tf, u, floor):
     table = _TABLES.join(left, right, [], w, 0, 0, 0)
     for edge in run:
         table = edge_run(table, [edge], w)
-    return _TABLES.join(table, _TABLES.unit, [], w, tf, u, floor)
+    return _TABLES.join(table, UNIT, [], w, tf, u, floor)
 
 
 # The reference fold: the same skeleton, with each union, each edge insert
@@ -220,8 +227,8 @@ class TestBatchedEdgePath:
                 sizes = {n.index: len(n.pairs) for n in full}
                 assert all(size <= sizes[index] for index, _, size in events)
                 assert full[-1].pairs == root
-                assert trace[-1].pairs == _public(
-                    *fold_tables(expr, _TABLES, forget=True))
+                assert trace[-1].pairs == public(
+                    *fold_tables(expr, _TABLES, forget=True), "pairs")
                 assert decision == full_root_accepts(expr, _TABLES)
 
 
@@ -278,16 +285,13 @@ class TestRefutation:
 
     def test_closed_subtrees_drop_refuted_pairs(self):
         # The decision without the floor keeps every refuted pair.
-        no_floor = _TABLES._replace(
-            join=lambda left, right, run, w, tf, u, floor:
-                _TABLES.join(left, right, run, w, tf, u, 0))
         for seed in range(1, 4):
             expr = trivial_expression(
                 gen_random_program(10, 8, (0.2, 0.2, 0.2), seed))
             sizes, kept = [], []
             decision = decide(expr, _TABLES,
                               on_node=lambda *e: sizes.append(e[2]))
-            assert decision == decide(expr, no_floor,
+            assert decision == decide(expr, no_floor(_TABLES),
                                       on_node=lambda *e: kept.append(e[2]))
             assert all(a <= b for a, b in zip(sizes, kept))
             assert sum(sizes) < sum(kept)
@@ -303,6 +307,46 @@ class TestRefutation:
             has_model_dp(expr, trace=triples)
             assert pairs[-1].pairs <= {pair(empty), pair(empty, {empty})}
             assert triples[-1].triples <= {empty}
+
+
+class TestEarlyAccept:
+    """Under a closed subtree a pair with an empty U and no Gamma is
+    accepted for good, and the join keeps it alone.  It reaches the root as
+    the unit pair, so both solvers decide what the fold whose join never
+    gets a floor decides."""
+
+    def test_fires_on_an_answer_set_decision(self):
+        # The empty set is the answer set of `:- a.` and `:- b, c.`.  In the
+        # trivial expression the join of b's run, above every rule, keeps
+        # the pair with b false (both rules hold, no Gamma) alone; without
+        # the floor it keeps the pair with b true (r2 unmet) too.
+        program = parse_program(":- a.\n:- b, c.\n")
+        assert enumerate_answer_sets(program) == [frozenset()]
+        expr = trivial_expression(program)
+        trace, kept = [], []
+        assert decide(expr, _TABLES, trace=trace) is True
+        assert decide(expr, no_floor(_TABLES), trace=kept) is True
+        assert [(n.index, n.op) for n in trace] == \
+            [(n.index, n.op) for n in kept]
+        assert [(n.op, len(n.pairs), len(m.pairs))
+                for n, m in zip(trace, kept) if n.pairs != m.pairs] == \
+            [("eta(p,2,5)", 1, 2)]
+        (accepted,) = [n for n in trace if n.op == "eta(p,2,5)"]
+        assert accepted.pairs == {pair(triple((), (), ()))}
+
+    def test_decisions_match_the_fold_without_floor(self):
+        # The criterion 3-4 sweep through the trivial builder, and 200
+        # random programs of 2-9 atoms through both builders.
+        exprs = [trivial_expression(random_instance(seed))
+                 for seed in range(500)]
+        for seed in range(200):
+            p = gen_random_program(2 + seed % 8, 1 + seed % 7,
+                                   (0.2, 0.2, 0.2), seed)
+            exprs += [trivial_expression(p), heuristic_expression(p)]
+        for ops in (_TABLES, _MODEL_TABLES):
+            free = no_floor(ops)
+            for expr in exprs:
+                assert decide(expr, ops) == decide(expr, free)
 
 
 class TestDomination:
@@ -330,7 +374,7 @@ class TestDomination:
             calls.append((table, kept))
             return kept
 
-        monkeypatch.setattr(dp_answersets, "_undominated", recorded)
+        monkeypatch.setattr(tables, "_undominated", recorded)
         for seed in range(300):
             rng = random.Random(seed)
             labels = range(1, rng.randint(2, 5) + 1)
@@ -375,7 +419,9 @@ class TestEdgeOrientation:
     @pytest.mark.parametrize("sign", ["h", "p", "n"])
     def test_run_clear_reads_edges_both_ways(self, sign):
         # Label 1 holds only atoms (T or F set) and label 3 only rules (U
-        # set); a p edge is gated on F, h and n edges on T.
+        # set); a p edge is gated on F, h and n edges on T.  A candidate
+        # loses what its own bits clear through h and p edges and what its
+        # T bits clear through n edges; only n edges go to `outer`.
         w = 4
         cleared = pack(triple((), (), {3}), w)
         for q, gated in ((triple({1}, (), {3}), sign != "p"),
@@ -383,9 +429,11 @@ class TestEdgeOrientation:
             key = pack(q, w)
             clears = []
             for run in ([(sign, 1, 3)], [(sign, 3, 1)]):
-                gates, clear = run_clear(run, w)
-                clears.append(clear[key & gates])
-            assert clears == [cleared if gated else 0] * 2
+                gates, own, n_gates, outer = run_clear(run, w)
+                clears.append((own[key & gates], outer[key & n_gates]))
+            expected = cleared if gated else 0
+            assert clears == [(0, expected) if sign == "n"
+                              else (expected, 0)] * 2
 
     def test_no_op_edge_at_a_mixed_label(self):
         # After the relabel label 1 holds both x and r2, and label 4 is

@@ -1,40 +1,49 @@
 from aspcw.dp_classical import _TABLES, dp_classical, has_model_dp
 from aspcw.errors import ExpressionError
-from aspcw.expression import parse_expression, trivial_expression
+from aspcw.expression import (heuristic_expression, parse_expression,
+                              trivial_expression)
 from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_models
 from aspcw.program import parse_program
-from aspcw.tables import relabel_fn, unpack
-from conftest import FIG2_MODEL_EVENTS, label_mask, pack, triple
+from aspcw.tables import UNIT, _relabel, relabel_fn, unpack
+from conftest import FIG2_MODEL_EVENTS, eager_trace, label_mask, pack, triple
 
 import pytest
 
 
 def edge_run(table, run, w):
-    return _TABLES.join(table, _TABLES.unit, run, w, 0, 0, 0)
+    return _TABLES.join(table, UNIT, run, w, 0, 0, 0)
+
+
+def entry(q, w):
+    """The classical table entry of triple `q`: its packed key with no
+    Gamma."""
+    return pack(q, w), frozenset()
 
 
 class TestTripleOps:
     """The packed table operators the classical solver runs, on one-entry
     tables read back through pack/unpack: a union is a join with an empty
-    run, and an edge run a join against the unit table."""
+    run, and an edge run a join against the unit table.  Every entry has
+    an empty Gamma, and keeps it."""
 
     W = 4
 
     def one(self, table):
-        (key,) = table
+        ((key, gamma),) = table
+        assert gamma == frozenset()
         return unpack(key, self.W)
 
     def union(self, a, b):
-        return self.one(_TABLES.join({pack(a, self.W)}, {pack(b, self.W)},
+        return self.one(_TABLES.join({entry(a, self.W)}, {entry(b, self.W)},
                                      [], self.W, 0, 0, 0))
 
     def relabel(self, q, old, new):
-        return self.one(_TABLES.relabel({pack(q, self.W)},
-                                        relabel_fn(old, new, self.W)))
+        return self.one(_relabel({entry(q, self.W)},
+                                 relabel_fn(old, new, self.W)))
 
     def edge(self, q, *run):
-        return self.one(edge_run({pack(q, self.W)}, list(run), self.W))
+        return self.one(edge_run({entry(q, self.W)}, list(run), self.W))
 
     def test_union(self):
         assert self.union(triple({1}, (), ()), triple((), (), {2})) == \
@@ -71,21 +80,21 @@ class TestTripleOps:
         # where 1 is true.  Labels 1 and 3 die, so the triple with 3 unmet
         # goes and label 1's bits are cleared.
         w = self.W
-        left = {pack(triple({1}, (), ()), w), pack(triple((), {1}, ()), w)}
-        right = {pack(triple((), (), {3, 4}), w)}
+        left = {entry(triple({1}, (), ()), w), entry(triple((), {1}, ()), w)}
+        right = {entry(triple((), (), {3, 4}), w)}
         dead = label_mask({1, 3})
         tf, u = dead | dead << w, dead << 2 * w
         joined = _TABLES.join(left, right, [("h", 1, 3)], w, tf, u, 0)
-        assert {unpack(key, w) for key in joined} == {triple((), (), {4})}
+        assert joined == {entry(triple((), (), {4}), w)}
         # Under a closed subtree the triple whose U the run empties is
         # accepted, and kept alone.
         assert _TABLES.join(left, right, [("h", 1, 3), ("h", 1, 4)], w,
-                            tf, u, 1 << 2 * w) == {0}
+                            tf, u, 1 << 2 * w) == UNIT
 
     def test_edge_run_equals_single_edges(self):
         # Every triple with disjoint T and F over labels 1-2, and any U over
         # labels 3-4; entries merge as their U bits clear.
-        table = {pack(triple(t, f, u), self.W)
+        table = {entry(triple(t, f, u), self.W)
                  for t, f in [((), ()), ({1}, ()), ((), {1}), ({2}, {1}),
                               ({1, 2}, ()), ((), {1, 2}), ({1}, {2})]
                  for u in [(), {3}, {4}, {3, 4}]}
@@ -167,3 +176,20 @@ class TestTrace:
         assert trace[2].op == "oplus"
         assert set(trace[2].triples) == {
             triple({1}, (), {2}), triple((), {1}, {2})}
+
+    def test_trace_nodes_hold_pairs_with_no_gamma(self):
+        # A classical table is a pair table whose every Gamma is empty: its
+        # nodes' pairs say so, and their triples are the eager classical
+        # tables, in the decision's trace and in the full fold's.
+        for seed in range(40):
+            p = gen_random_program(2 + seed % 6, 1 + seed % 5,
+                                   (0.2, 0.2, 0.2), seed)
+            for expr in (trivial_expression(p), heuristic_expression(p)):
+                for solve, forget in ((has_model_dp, True),
+                                      (dp_classical, False)):
+                    trace = []
+                    solve(expr, trace=trace)
+                    assert all(not entry.gamma
+                               for node in trace for entry in node.pairs)
+                    assert [(n.index, n.op, n.triples) for n in trace] == \
+                        eager_trace(expr, _TABLES, forget, "triples")

@@ -79,7 +79,7 @@ def test_trace_file_matches_reference(capsys, tmp_path, mode, build):
         assert main(argv + ["--trace", str(trace_file)]) == code
         assert capsys.readouterr() == plain
         assert trace_file.read_text() == reference_trace_json(
-            eager_trace(expr, ops, forget=True), field)
+            eager_trace(expr, ops, True, field), field)
         decisions.add(code)
     assert decisions == {0, 1}
 
@@ -97,7 +97,7 @@ def test_trace_nodes_unpack_eager_tables(mode, build, forget):
         trace = []
         (decide if forget else full)(expr, trace=trace)
         assert [(n.index, n.op, getattr(n, field)) for n in trace] == \
-            eager_trace(expr, ops, forget=forget)
+            eager_trace(expr, ops, forget, field)
 
 
 def spread(expr, name):

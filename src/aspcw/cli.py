@@ -47,6 +47,21 @@ def _load_expression(path: str):
     return expression.parse_expression(Path(path).read_text())
 
 
+class _TableSizes:
+    """The trace sink of `solve`: the node count (the last index) and the
+    largest table, and with `keep` the nodes, for the trace file."""
+
+    def __init__(self, keep: bool):
+        self.node_count = self.max_table = 0
+        self.nodes = [] if keep else None
+
+    def append(self, node) -> None:
+        self.node_count = node.index
+        self.max_table = max(self.max_table, len(node.table))
+        if self.nodes is not None:
+            self.nodes.append(node)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -69,34 +84,31 @@ def _cmd_solve(args) -> int:
         decide, field = has_model_dp, "triples"
     else:
         decide, field = has_answer_set_dp, "pairs"
-    sizes = {"node_count": 0, "max_table": 0}
-
-    def on_node(index, op, size):
-        sizes["node_count"] = index
-        sizes["max_table"] = max(sizes["max_table"], size)
-
-    # A trace records the tables the decision builds; it does not change
-    # the path, so the payload is the same with and without it.  The file
-    # is opened first, so a path that cannot be written fails before the
-    # decision.  It is written over in place and then cut at the new end,
-    # which costs less than cutting it to nothing first, and a decision
-    # that fails leaves it empty.  A device or a pipe has no size to cut.
-    if args.trace:
-        fd = os.open(args.trace, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "wb") as out:
-            old, text = os.fstat(fd).st_size, b""
-            try:
-                trace = []
-                decision = decide(expr, on_node=on_node, trace=trace)
-                text = trace_json(trace, field).encode()
-            finally:
+    sink = _TableSizes(keep=bool(args.trace))
+    # The sink is the decision's one observer: it keeps the sizes, and the
+    # nodes only for a trace, so the path and the payload are the same with
+    # and without one.  The trace file is opened first, so a path that
+    # cannot be written fails before the decision.  It is written over in
+    # place and then cut at the new end, which costs less than cutting it
+    # to nothing first, and a decision that fails leaves it empty.  A
+    # device or a pipe has no size to cut.
+    out = open(os.open(args.trace, os.O_WRONLY | os.O_CREAT, 0o666), "wb") \
+        if args.trace else None
+    text = b""
+    try:
+        decision = decide(expr, trace=sink)
+        if out is not None:
+            text = trace_json(sink.nodes, field).encode()
+    finally:
+        if out is not None:
+            with out:
+                old = os.fstat(out.fileno()).st_size
                 out.write(text)
                 if old > len(text):
                     out.truncate(len(text))
-    else:
-        decision = decide(expr, on_node=on_node)
     _emit({"decision": decision, "width": expression.width(expr),
-           "table_sizes": sizes})
+           "table_sizes": {"node_count": sink.node_count,
+                           "max_table": sink.max_table}})
     return EXIT_OK if decision else EXIT_NEGATIVE
 
 

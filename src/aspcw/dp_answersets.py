@@ -29,8 +29,7 @@ run and the forget drop never gets its Gamma built.
 from __future__ import annotations
 
 from .expression import Expr
-from .tables import (NO_GAMMA, KPair, OnNode, TableOps, TraceNode, decide,
-                     fold_tables, public)
+from .tables import NO_GAMMA, KPair, TableOps, decide, fold_tables
 
 _TABLES = TableOps(
     introduce=lambda kind, t, f, u:
@@ -38,14 +37,14 @@ _TABLES = TableOps(
         if kind == "atom" else {(u, NO_GAMMA)})
 
 
-def dp_asp(expr: Expr, trace: list[TraceNode] | None = None) -> frozenset[KPair]:
-    """The full root table: every label is kept."""
-    return public(*fold_tables(expr, _TABLES, trace=trace), "pairs")
+def dp_asp(expr: Expr, trace=None) -> frozenset[KPair]:
+    """The full root table: every label is kept.  `trace`, a list or any
+    object with `append`, gets a `TraceNode` for each table built."""
+    return fold_tables(expr, _TABLES, trace).pairs
 
 
-def has_answer_set_dp(expr: Expr, on_node: OnNode | None = None,
-                      trace: list[TraceNode] | None = None) -> bool:
+def has_answer_set_dp(expr: Expr, trace=None) -> bool:
     """True iff some root pair has Q_U empty and no Gamma member with empty
     U.  The fold forgets dead labels and drops refuted and dominated pairs,
-    so `on_node` and `trace` see the smaller tables it builds."""
-    return decide(expr, _TABLES, on_node, trace)
+    so `trace` sees the smaller tables it builds."""
+    return decide(expr, _TABLES, trace)

@@ -15,23 +15,21 @@ accepted for good, and the join keeps it alone.
 from __future__ import annotations
 
 from .expression import Expr
-from .tables import (NO_GAMMA, KTriple, OnNode, TableOps, TraceNode, decide,
-                     fold_tables, public)
+from .tables import NO_GAMMA, KTriple, TableOps, decide, fold_tables
 
 _TABLES = TableOps(
     introduce=lambda kind, t, f, u:
         {(t, NO_GAMMA), (f, NO_GAMMA)} if kind == "atom" else {(u, NO_GAMMA)})
 
 
-def dp_classical(expr: Expr,
-                 trace: list[TraceNode] | None = None) -> frozenset[KTriple]:
-    """The full root table: every label is kept."""
-    return public(*fold_tables(expr, _TABLES, trace=trace), "triples")
+def dp_classical(expr: Expr, trace=None) -> frozenset[KTriple]:
+    """The full root table: every label is kept.  `trace`, a list or any
+    object with `append`, gets a `TraceNode` for each table built."""
+    return fold_tables(expr, _TABLES, trace).triples
 
 
-def has_model_dp(expr: Expr, on_node: OnNode | None = None,
-                 trace: list[TraceNode] | None = None) -> bool:
+def has_model_dp(expr: Expr, trace=None) -> bool:
     """True iff some root triple has U = empty.  The fold forgets dead
-    labels and keeps one accepted triple once it has one, so `on_node` and
-    `trace` see the smaller tables it builds."""
-    return decide(expr, _TABLES, on_node, trace)
+    labels and keeps one accepted triple once it has one, so `trace` sees
+    the smaller tables it builds."""
+    return decide(expr, _TABLES, trace)

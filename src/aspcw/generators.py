@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .errors import BoundExceededError, ParseError
 from .expression import Expr, labeled_expression
 from .graphs import edge_key
-from .program import Program, Rule, make_rule
+from .program import ATOM_NAME, Program, Rule, make_rule
 
 
 class Literal(NamedTuple):
@@ -42,6 +42,8 @@ class QbfEA:
 
 def _declare(names: tuple[str, ...] | list[str], declared: set[str]) -> None:
     for name in names:
+        if not ATOM_NAME.fullmatch(name):
+            raise ValueError(f"variable name {name!r} is not an atom name")
         if name in declared:
             raise ValueError("duplicate variable declaration")
         declared.add(name)
@@ -111,18 +113,14 @@ def reduce_qbf_to_asp(phi: QbfEA) -> Program:
     """Program with an answer set iff the formula is valid.
 
     Atoms x_i, v_i for existential variables, y_i, z_i for universal ones,
-    plus w.  Saturation rules force y_i, z_i once w is derived; each term
+    plus w; a variable named like one of the other atoms or a rule id is
+    refused.  Saturation rules force y_i, z_i once w is derived; each term
     contributes a rule deriving w; the constraint `:- not w` closes the loop.
     """
     xs = list(phi.existential)
     ys = list(phi.universal)
     dual_x = {x: f"v{i + 1}" for i, x in enumerate(xs)}
     dual_y = {y: f"z{i + 1}" for i, y in enumerate(ys)}
-    declared = set(xs) | set(ys)
-    clash = declared & (set(dual_x.values()) | set(dual_y.values()) | {"w"})
-    if clash:
-        raise ValueError(
-            f"variable names {sorted(clash)} collide with reduction atoms")
     atoms: list[str] = []
     for x in xs:
         atoms += [x, dual_x[x]]
@@ -154,6 +152,11 @@ def reduce_qbf_to_asp(phi: QbfEA) -> Program:
         add(f"term{j}", head=["w"], pos={image(l) for l in term})
     add("goal", neg=["w"])
 
+    clash = (set(xs) | set(ys)) & ({*dual_x.values(), *dual_y.values(), "w"}
+                                   | {r.id for r in rules})
+    if clash:
+        raise ValueError(f"variable names {sorted(clash)} collide with "
+                         "reduction atoms or rule ids")
     return Program(tuple(atoms), tuple(rules))
 
 

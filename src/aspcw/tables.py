@@ -16,15 +16,16 @@ the same fold decides whether a model exists.  Sparse labels are numbered
 this module reads those fields.
 A solver gives its introduce as a TableOps; `fold_tables` hands it
 ready-made bits, and runs the one `_join` for unions, edge runs and
-forgets.  `public` reads a table back as KPairs, or as the KTriples of
-their Qs.  A trace keeps each table packed in a `TraceNode`, and
-`trace_json` writes the trace file straight from the packed entries.
+forgets.  Each table the fold builds, the root included, is reported as
+one `TraceNode`, which keeps it packed: `trace` gets one per table, the
+fold returns the root's, and `pairs` and `triples` read a node's table
+back as KPairs, or as the KTriples of their Qs.  `trace_json` writes the
+trace file straight from the packed entries.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ExpressionError
@@ -33,7 +34,6 @@ from .expression import (DisjointUnion, EdgeInsert, Expr, Introduce, Relabel,
 from .graphs import SIGNS, bits
 
 
-OnNode = Callable[[int, str, int], None]
 PackedPair = tuple[int, frozenset[int]]
 
 NO_GAMMA: frozenset[int] = frozenset()
@@ -71,37 +71,33 @@ def unpack(key: int, w: int, names: tuple[int, ...] | None = None) -> KTriple:
                      for m in (key & mask, key >> w & mask, key >> 2 * w)])
 
 
-def public(table: set[PackedPair], w: int, names: tuple[int, ...] | None,
-           field: str) -> frozenset:
-    """A packed table's public entries: its KPairs for `field` "pairs",
-    the KTriples of their Qs for "triples"."""
-    if field == "triples":
-        return frozenset([unpack(q, w, names) for q, _ in table])
-    return frozenset([KPair(unpack(q, w, names),
-                            frozenset([unpack(s, w, names) for s in g]))
-                      for q, g in table])
-
-
-@dataclass(frozen=True)
-class TraceNode:
-    """One table the fold built: its post-order index and op, and the
-    table itself, packed with field width w and, for sparse labels, the
-    label of each bit (see `fold_tables`).  The fold never changes a table
-    after its event, so the node keeps it as it is; `pairs` and `triples`
-    unpack it on each access."""
+class TraceNode(NamedTuple):
+    """One table the fold built: its post-order index and expression node,
+    and the table itself, packed with field width w and, for sparse labels,
+    the label of each bit (see `fold_tables`).  The fold never changes a
+    table after its event, so the node keeps it as it is; `op`, `pairs`
+    and `triples` are computed on each access."""
     index: int
-    op: str
+    node: Expr
     table: set[PackedPair]
     w: int
     names: tuple[int, ...] | None = None
 
     @property
+    def op(self) -> str:
+        return op_label(self.node)
+
+    @property
     def pairs(self) -> frozenset[KPair]:
-        return public(self.table, self.w, self.names, "pairs")
+        w, names = self.w, self.names
+        return frozenset([KPair(unpack(q, w, names),
+                                frozenset([unpack(s, w, names) for s in g]))
+                          for q, g in self.table])
 
     @property
     def triples(self) -> frozenset[KTriple]:
-        return public(self.table, self.w, self.names, "triples")
+        return frozenset([unpack(q, self.w, self.names)
+                          for q, _ in self.table])
 
 
 def relabel_fn(old: int, new: int, w: int):
@@ -248,33 +244,29 @@ def _undominated(table: set[PackedPair]) -> set[PackedPair]:
 class TableOps(NamedTuple):
     """One solver's operators on tables of packed pairs (field width w).
     A solver gives only `introduce`; `join` is the one operator for a
-    union, an edge run and a forget (see `_join`), and `snapshot` makes a
-    trace node, which keeps the table packed."""
+    union, an edge run and a forget (see `_join`)."""
     introduce: Callable[[str, int, int, int], set]  # (kind, T, F, U bit)
     # (left, right, run, w, dead T|F, dead U, floor)
     join: Callable[[set, set, list, int, int, int, int], set] = _join
-    # (index, op, table, w, names)
-    snapshot: Callable[[int, str, set, int, tuple | None], object] = \
-        TraceNode
 
 
-def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
-                on_node: OnNode | None = None,
-                forget: bool = False
-                ) -> tuple[set, int, tuple[int, ...] | None]:
-    """Runs a solver bottom-up over `expr`; returns (packed root table, w,
-    names).
+def fold_tables(expr: Expr, ops: TableOps, trace=None,
+                forget: bool = False) -> TraceNode:
+    """Runs a solver bottom-up over `expr`; returns the root's `TraceNode`,
+    whose index is the node count.
 
-    `ops` gives the solver's `introduce`, `join` and `snapshot` (see
-    TableOps).  A union is `ops.join` of its operands with an empty run.
-    A run of consecutive edge inserts is one `ops.join` against `UNIT` at
-    its top edge insert; the fold hands each edge
-    over as the expression names it, and `run_clear` reads it both ways
-    round.
+    `ops` gives the solver's `introduce` and `join` (see TableOps).  A
+    union is `ops.join` of its operands with an empty run.  A run of
+    consecutive edge inserts is one `ops.join` against `UNIT` at its top
+    edge insert; the fold hands each edge over as the expression names it,
+    and `run_clear` reads it both ways round.
 
-    `on_node(index, op, size)` and `trace` see the same events: each table
-    the solver builds, in post-order.  A run's table carries the index and
-    op of its top edge insert, and the root's index is the node count.
+    `trace`, a list or any object with `append`, is the fold's one
+    observer: it gets one `TraceNode` for each table the solver builds, in
+    post-order, so its last node equals the one the fold returns.  A run's
+    table carries the index and node of its top edge insert.  The fold
+    reads nothing back from `trace`, so it takes the same path with and
+    without one.
 
     With `forget`, each table drops its dead labels: the join that builds
     it gets their masks, a relabel table that has dead labels is joined
@@ -287,7 +279,7 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
     check.  Also with `forget`, a union whose next node in post-order is an
     edge insert (its parent) builds no table: its operands go to the run's
     join, which builds only the entries that survive the run and the
-    forget.  Such a union sends no `on_node` or trace event.
+    forget.  Such a union sends no trace node.
 
     A subtree that holds every rule introduce is closed: its siblings carry
     no U bits, edge inserts only clear U bits and relabels only move them,
@@ -299,15 +291,15 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
     an empty table without calling `ops.join`: no entry pairs with an
     empty operand.  Every operator keeps a table empty, so once a table is
     empty so is each table above it, up to the root; the fold still walks
-    the rest of the expression and sends every event.
+    the rest of the expression and sends every trace node.
 
     One pre-pass over the `postorder` list finds the labels, where each
     dies and the rule count; the fold then reads the same list, dispatching
     on each node's type.  If the largest label exceeds the label count k,
     the fold numbers the labels 1..k in increasing order, so w is k, and
     `names` lists the expression's label at each bit (else it is None and
-    bit b is label b + 1).  Each trace node gets `names`, so traces, like
-    `on_node`, report the expression's labels.
+    bit b is label b + 1).  Each trace node gets `names`, so traces
+    report the expression's labels.
     """
     nodes = postorder(expr)
     labels: set[int] = set()  # those of introduces, then all
@@ -398,27 +390,20 @@ def fold_tables(expr: Expr, ops: TableOps, trace: list | None = None,
             table = left
         if run:
             run = []
-        if on_node is not None or trace is not None:
-            op = op_label(node)
-            if on_node is not None:
-                on_node(index, op, len(table))
-            if trace is not None:
-                trace.append(ops.snapshot(index, op, table, w, names))
+        if trace is not None:
+            trace.append(TraceNode(index, node, table, w, names))
         stack.append((table, gone, held))
-    return stack[0][0], w, names
+    return TraceNode(count, expr, stack[0][0], w, names)
 
 
-def decide(expr: Expr, ops: TableOps, on_node: OnNode | None = None,
-           trace: list | None = None) -> bool:
-    """The decision: the fold forgets dead labels, so `on_node` and `trace`
-    see the smaller tables it builds.  Every label is dead at the root, so
-    the root table holds only pairs with every field cleared: an empty Q
-    and an empty Gamma (a Gamma member would have an empty U and refute its
-    pair).  That pair is the one member of `UNIT`, so the decision is
-    whether the root table includes it."""
-    table = fold_tables(expr, ops, trace=trace, on_node=on_node,
-                        forget=True)[0]
-    return UNIT <= table
+def decide(expr: Expr, ops: TableOps, trace=None) -> bool:
+    """The decision: the fold forgets dead labels, so `trace` sees the
+    smaller tables it builds.  Every label is dead at the root, so the root
+    table holds only pairs with every field cleared: an empty Q and an
+    empty Gamma (a Gamma member would have an empty U and refute its pair).
+    That pair is the one member of `UNIT`, so the decision is whether the
+    root table includes it."""
+    return UNIT <= fold_tables(expr, ops, trace, forget=True).table
 
 
 def trace_json(trace: list, field: str) -> str:

@@ -1,18 +1,19 @@
 """Shared fixtures: the two-rule running example, its 3-expression, and the
-small exists-forall formula used by the reduction tests; the unsigned
-incidence graph the graph, generator and acceptance tests compare against;
-triples built from label sets, packed entries, the root check on a full
-packed root table of either solver and the nodes the fold reports; traces
-with each table unpacked at its event, and the trace file as it was
-written from those public entries; the brute-force triples of an
-interpretation that the oracle and acceptance tests compare the DP tables
-against; whole-graph references for `parse_program` (on a greedy copy
-of its rule pattern), `heuristic_expression` and `validate_against`,
-which read each program edge once or a few times; the post-order of a
-fold that pushes marker tuples on one stack, and an expression parser
-that tries one pattern per operator head; and the oracle over
-frozensets, one built per subset and each rule checked with set
-algebra."""
+small exists-forall formula used by the reduction tests; the trace
+tests' sweep of programs and the expression `solve` builds for each; the
+unsigned incidence graph the graph, generator and acceptance tests
+compare against; triples built from label sets, packed entries, the root
+check on a full packed root table of either solver and the nodes the
+fold reports; traces with each table unpacked at its event, a trace sink
+that keeps only each node's size, and the trace file as it was written
+from those public entries; the brute-force triples of an interpretation
+that the oracle and acceptance tests compare the DP tables against;
+whole-graph references for `parse_program` (on a greedy copy of its rule
+pattern), `heuristic_expression` and `validate_against`, which read each
+program edge once or a few times; the post-order of a fold that pushes
+marker tuples on one stack, and an expression parser that tries one
+pattern per operator head; and the oracle over frozensets, one built per
+subset and each rule checked with set algebra."""
 
 import json
 import re
@@ -25,13 +26,16 @@ import pytest
 from aspcw.errors import (BoundExceededError, ExpressionError,
                           NormalizationError, ParseError)
 from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
-                              evaluate, fold, labeled_expression, op_label,
-                              parse_expression)
-from aspcw.generators import Literal, QbfEA, gen_random_program
+                              evaluate, fold, heuristic_expression,
+                              labeled_expression, op_label, parse_expression,
+                              serialize_expression, trivial_expression)
+from aspcw.generators import (Literal, QbfEA, gen_random_program,
+                              gen_random_qbf, reduce_qbf_to_asp)
 from aspcw.graphs import ALPHA, bits, build_signed_incidence_graph
 from aspcw.oracle import DEFAULT_ENUMERATION_BOUND
 from aspcw.program import (_COMMENT, Program, Rule, _line_col, is_model,
-                           is_model_of_rule, parse_program, reduct)
+                           is_model_of_rule, parse_program, reduct,
+                           serialize_program)
 from aspcw.tables import KPair, KTriple, TableOps, fold_tables, unpack
 
 EXAMPLE1_TEXT = "x :- not y.\n:- x, not y.\n"
@@ -60,6 +64,34 @@ FIG2_MODEL_EVENTS = [
     (1, "a(1,x)", 2), (2, "r(2,r1)", 1), (4, "eta(h,1,2)", 2),
     (5, "r(3,r2)", 1), (7, "eta(p,1,3)", 2), (8, "rho(3,2)", 1),
     (9, "a(3,y)", 2), (11, "eta(n,3,2)", 1)]
+
+
+# The trace tests' sweep: random programs of 1-10 atoms, QBF(2,2)
+# reductions, QBF(1,2) reductions without an answer set and a 4-atom,
+# 400-rule program.
+TRACE_SWEEP = (
+    [serialize_program(gen_random_program(atoms, 1 + (atoms + seed) % 6,
+                                          (0.2, 0.2, 0.2), seed))
+     for atoms in range(1, 11) for seed in (0, 1)]
+    + [serialize_program(reduce_qbf_to_asp(gen_random_qbf(2, 2, terms, seed)))
+       for terms in (3, 4, 5) for seed in (1, 2, 3)]
+    # Seeds 1 and 3 give invalid formulas: negative decisions.
+    + [serialize_program(reduce_qbf_to_asp(gen_random_qbf(1, 2, 2, seed)))
+       for seed in (1, 3)]
+    + [serialize_program(gen_random_program(4, 400, (0.2, 0.2, 0.2), 0))])
+
+
+def built(text: str, build: str):
+    """The expression `solve` gets with --auto-expr `build`, or, for
+    "expr", from a file holding the trivial expression, with that text."""
+    program = parse_program(text)
+    if build == "heuristic":
+        return heuristic_expression(program), None
+    expr = trivial_expression(program)
+    if build == "trivial":
+        return expr, None
+    expr_text = serialize_expression(expr) + "\n"
+    return parse_expression(expr_text), expr_text
 
 
 def random_instance(seed: int) -> Program:
@@ -97,8 +129,8 @@ def accepts(table: set, u: int) -> bool:
 def full_root_accepts(expr, ops: TableOps) -> bool:
     """The root check on the root table of the fold that keeps every
     label."""
-    table, w, _ = fold_tables(expr, ops)
-    return accepts(table, ((1 << w) - 1) << 2 * w)
+    root = fold_tables(expr, ops)
+    return accepts(root.table, ((1 << root.w) - 1) << 2 * root.w)
 
 
 def table_nodes(expr, fused: bool) -> list[tuple[int, str]]:
@@ -127,11 +159,22 @@ def eager_trace(expr, ops: TableOps, forget: bool,
                      frozenset(unpack(s, w, names) for s in g))
 
     trace = []
-    fold_tables(expr, ops._replace(
-        snapshot=lambda index, op, table, w, names:
-            (index, op, frozenset(public(e, w, names) for e in table))),
-        trace=trace, forget=forget)
+
+    class Unpacking:
+        def append(self, node):
+            trace.append((node.index, node.op, frozenset(
+                public(e, node.w, node.names) for e in node.table)))
+
+    fold_tables(expr, ops, Unpacking(), forget)
     return trace
+
+
+class NodeEvents(list):
+    """A trace sink that keeps each node's (index, op, table size) and
+    lets its table go."""
+
+    def append(self, node):
+        super().append((node.index, node.op, len(node.table)))
 
 
 def _triple_json(t):

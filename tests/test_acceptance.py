@@ -25,8 +25,9 @@ from aspcw.graphs import (build_dependency_graph,
                           symmetric_closure)
 from aspcw.oracle import enumerate_answer_sets, enumerate_models
 from aspcw.program import Program, make_rule
-from conftest import (build_incidence_graph, interpretation_triple,
-                      random_instance, reduct_interpretation_triple, triple)
+from conftest import (NodeEvents, build_incidence_graph,
+                      interpretation_triple, random_instance,
+                      reduct_interpretation_triple, triple)
 
 
 @pytest.fixture(scope="module")
@@ -220,13 +221,9 @@ def test_criterion_09_fixed_width_scaling():
         expr = heuristic_expression(program)
         assert width(expr) == 2
 
-        max_table = 0
-
-        def on_node(index, op, size):
-            nonlocal max_table
-            max_table = max(max_table, size)
-
-        has_model_dp(expr, on_node=on_node)
+        events = NodeEvents()
+        has_model_dp(expr, trace=events)
+        max_table = max(size for _, _, size in events)
         assert max_table <= 2 ** (3 * 2)
         node_counts[n] = node_count(expr)
     # Linear growth: 2n introductions, 2n - 1 unions, one edge insertion.

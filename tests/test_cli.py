@@ -6,12 +6,12 @@ import pytest
 
 from aspcw.cli import main
 from aspcw.dp_answersets import has_answer_set_dp
-from aspcw.dp_classical import TraceNode
-from aspcw.expression import trivial_expression
-from aspcw.program import parse_program
-from aspcw.tables import trace_json
+from aspcw.dp_classical import has_model_dp
+from aspcw.expression import Introduce
+from aspcw.tables import TraceNode, trace_json
 from conftest import (EXAMPLE1_TEXT, FIG2_MODEL_EVENTS, FIG2_TEXT,
-                      RULE_FIRST, pack, reference_trace_json, triple)
+                      RULE_FIRST, TRACE_SWEEP, NodeEvents, built, pack,
+                      reference_trace_json, triple)
 
 
 def run(capsys, *argv):
@@ -114,23 +114,36 @@ class TestSolve:
 
 
     def test_trace_reports_node_events(self, capsys, tmp_path):
-        # The trivial expression inserts its five edges in two runs, one
-        # above each atom introduce; the trace file lists one table per
-        # on_node event.
-        text = "a :- not b.\nb :- not a.\n:- b.\n"
-        events = []
-        has_answer_set_dp(trivial_expression(parse_program(text)),
-                          on_node=lambda *event: events.append(event))
+        # Over the trace tests' sweep, in both modes and through both
+        # builders and an expression file: the trace file lists one table
+        # per node the decision reports, `table_sizes` is the same with and
+        # without --trace, node_count is the last index and max_table the
+        # largest table.
         trace = tmp_path / "t.json"
-        code, out, _ = run(capsys, "solve", "--mode", "asp", "--program",
-                           write(tmp_path, "p.lp", text),
-                           "--auto-expr", "trivial", "--trace", str(trace))
-        assert code == 0
-        nodes = json.loads(trace.read_text())["nodes"]
-        assert [(n["index"], n["op"], len(n["pairs"])) for n in nodes] == events
-        sizes = json.loads(out)["table_sizes"]
-        assert sizes["max_table"] == max(len(n["pairs"]) for n in nodes)
-        assert sizes["node_count"] == nodes[-1]["index"]
+        for mode, decide, field in (("classical", has_model_dp, "triples"),
+                                    ("asp", has_answer_set_dp, "pairs")):
+            for build in "trivial", "heuristic", "expr":
+                for text in TRACE_SWEEP:
+                    expr, expr_text = built(text, build)
+                    events = NodeEvents()
+                    decide(expr, trace=events)
+                    argv = ["solve", "--mode", mode, "--program",
+                            write(tmp_path, "p.lp", text)]
+                    if expr_text is None:
+                        argv += ["--auto-expr", build]
+                    else:
+                        argv += ["--expr",
+                                 write(tmp_path, "p.expr", expr_text)]
+                    plain = run(capsys, *argv)
+                    code, out, _ = run(capsys, *argv, "--trace", str(trace))
+                    assert (code, out) == plain[:2]
+                    nodes = json.loads(trace.read_text())["nodes"]
+                    assert [(n["index"], n["op"], len(n[field]))
+                            for n in nodes] == events
+                    sizes = json.loads(out)["table_sizes"]
+                    assert sizes["max_table"] == \
+                        max(len(n[field]) for n in nodes)
+                    assert sizes["node_count"] == nodes[-1]["index"]
 
     def test_triple_json_lists_sorted_labels(self):
         # Each field is its labels in increasing order, as sorting the label
@@ -141,7 +154,8 @@ class TestSolve:
                                  rng.randint(0, 4)) for _ in range(3)]
             q = triple(*fields)
             text = trace_json(
-                [TraceNode(1, "a(1,x)", {(pack(q, 200), frozenset())}, 200)],
+                [TraceNode(1, Introduce(1, "x", "atom"),
+                           {(pack(q, 200), frozenset())}, 200)],
                 "triples")
             assert json.loads(text)["nodes"][0]["triples"] == \
                 [[sorted(labels) for labels in fields]]
@@ -163,7 +177,7 @@ class TestSolve:
     def test_failed_decision_leaves_trace_empty(self, capsys, monkeypatch,
                                                 tmp_path, example1_file,
                                                 fig2_file):
-        def decide(expr, on_node=None, trace=None):
+        def decide(expr, trace=None):
             raise MemoryError()
 
         argv = ["solve", "--mode", "classical", "--program", example1_file,
@@ -288,6 +302,25 @@ class TestGen:
                          "--out", str(prog_file))
         assert code == 0
         assert "goal" in prog_file.read_text() or ":- not w." in prog_file.read_text()
+
+    @pytest.mark.parametrize("text,message", [
+        # A variable named like a rule id of the reduction.
+        ("exists goal\nforall y\nterm goal y\n",
+         "variable names ['goal'] collide with reduction atoms or rule ids"),
+        # Names the program grammar cannot write.
+        ("exists X1\nterm X1\n",
+         "line 1, col 1: variable name 'X1' is not an atom name"),
+        ("exists x\nforall not\nterm x not\n",
+         "line 2, col 1: variable name 'not' is not an atom name"),
+    ])
+    def test_qbf2asp_refuses_what_solve_would(self, capsys, tmp_path, text,
+                                              message):
+        out_file = tmp_path / "phi.lp"
+        code, out, err = run(capsys, "gen", "qbf2asp",
+                             "--qbf", write(tmp_path, "phi.qbf", text),
+                             "--out", str(out_file))
+        assert (code, out, err) == (3, "", f"aspcw: {message}\n")
+        assert not out_file.exists()
 
     def test_pclique_outputs(self, capsys, tmp_path):
         graph = tmp_path / "g.json"
@@ -424,7 +457,7 @@ class TestErrors:
                                        RecursionError])
     def test_resource_error(self, capsys, monkeypatch, example1_file,
                             fig2_file, error):
-        def decide(expr, on_node=None, trace=None):
+        def decide(expr, trace=None):
             raise error()
 
         monkeypatch.setattr("aspcw.cli.has_model_dp", decide)

@@ -28,7 +28,7 @@ from aspcw.generators import (gen_random_program, gen_random_qbf,
                               qbf_is_valid, reduce_qbf_to_asp)
 from aspcw.oracle import enumerate_answer_sets, enumerate_models
 from aspcw.program import parse_program, serialize_program
-from conftest import table_nodes
+from conftest import NodeEvents, table_nodes
 
 
 def depth(expr):
@@ -103,10 +103,9 @@ def test_decisions_match_oracle(deep):
     assert has_model_dp(expr) == bool(enumerate_models(program))
     answer_set = bool(enumerate_answer_sets(program))
     assert has_answer_set_dp(expr) == answer_set
-    events = []
-    assert has_answer_set_dp(
-        expr, on_node=lambda index, op, size: events.append((index, op))
-    ) == answer_set
+    events = NodeEvents()
+    assert has_answer_set_dp(expr, trace=events) == answer_set
+    events = [(index, op) for index, op, _ in events]
     # One event per table built: a run of edge inserts reports only its
     # top node, a union directly under an edge insert none, and every
     # other node its own.
@@ -125,11 +124,10 @@ def test_cycles_past_the_oracle(n, negative):
     program = parse_program("".join(f"a{i % n + 1} :- {body}a{i}.\n"
                                     for i in range(1, n + 1)))
     expr = trivial_expression(program)
-    sizes = []
-    decision = has_answer_set_dp(
-        expr, on_node=lambda index, op, size: sizes.append(size))
+    events = NodeEvents()
+    decision = has_answer_set_dp(expr, trace=events)
     assert decision is (not negative or n % 2 == 0)
-    assert max(sizes) <= 16
+    assert max(size for _, _, size in events) <= 16
     assert has_model_dp(expr) is True
 
 
@@ -212,12 +210,11 @@ def test_qbf_reduction_tables_keep_undominated_pairs():
     # its largest table at 5,040 pairs (27,450 without the drop); building
     # no table for a union under an edge insert keeps it at 2,520.
     phi = gen_random_qbf(5, 5, 8, 0)
-    sizes = []
+    events = NodeEvents()
     decision = has_answer_set_dp(
-        heuristic_expression(reduce_qbf_to_asp(phi)),
-        on_node=lambda index, op, size: sizes.append(size))
+        heuristic_expression(reduce_qbf_to_asp(phi)), trace=events)
     assert decision == qbf_is_valid(phi)
-    assert max(sizes) <= 2520
+    assert max(size for _, _, size in events) <= 2520
 
 
 def test_larger_qbf_reduction_joins_unions_into_edge_runs():
@@ -225,12 +222,11 @@ def test_larger_qbf_reduction_joins_unions_into_edge_runs():
     # largest union table held 22,770 pairs; the run above each union
     # builds only the pairs that survive it, at most 11,385.
     phi = gen_random_qbf(6, 6, 8, 0)
-    sizes = []
+    events = NodeEvents()
     decision = has_answer_set_dp(
-        heuristic_expression(reduce_qbf_to_asp(phi)),
-        on_node=lambda index, op, size: sizes.append(size))
+        heuristic_expression(reduce_qbf_to_asp(phi)), trace=events)
     assert decision == qbf_is_valid(phi)
-    assert max(sizes) <= 11385
+    assert max(size for _, _, size in events) <= 11385
 
 
 def run(capsys, *argv):

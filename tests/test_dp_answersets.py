@@ -15,9 +15,9 @@ from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_answer_sets, enumerate_models
 from aspcw.program import parse_program
 from aspcw.tables import (UNIT, KPair, _undominated, decide, fold_tables,
-                          public, run_clear, unpack)
-from conftest import (RULE_FIRST, full_root_accepts, pack, random_instance,
-                      table_nodes, triple)
+                          run_clear, unpack)
+from conftest import (RULE_FIRST, NodeEvents, full_root_accepts, pack,
+                      random_instance, triple)
 
 
 def pair(q, gamma=()):
@@ -203,34 +203,6 @@ class TestBatchedEdgePath:
             self.assert_same_roots(
                 random_expr(rng, rng.randint(2, 7), [1, 70, 200], []))
 
-    def test_node_hook_matches_trace(self):
-        # A trace does not change the path: it sees the events on_node sees,
-        # sizes included, and its last node is the forgetting fold's root.
-        # The full fold reports every node but the edge inserts below the
-        # top of a run; the decision skips the unions directly under an
-        # edge insert too.  No decision table is larger than the full one
-        # at its node, and both decide alike.
-        for seed in range(15):
-            p = gen_random_program(4, 4, (0.25, 0.25, 0.25), seed)
-            for expr in (trivial_expression(p), heuristic_expression(p)):
-                events, trace = [], []
-                decision = has_answer_set_dp(
-                    expr, on_node=lambda *event: events.append(event),
-                    trace=trace)
-                assert [(n.index, n.op, len(n.pairs)) for n in trace] == events
-                full = []
-                root = dp_asp(expr, trace=full)
-                assert [(n.index, n.op) for n in full] == \
-                    table_nodes(expr, fused=False)
-                assert [(index, op) for index, op, _ in events] == \
-                    table_nodes(expr, fused=True)
-                sizes = {n.index: len(n.pairs) for n in full}
-                assert all(size <= sizes[index] for index, _, size in events)
-                assert full[-1].pairs == root
-                assert trace[-1].pairs == public(
-                    *fold_tables(expr, _TABLES, forget=True), "pairs")
-                assert decision == full_root_accepts(expr, _TABLES)
-
 
 class TestForget:
     """The decisions forget dead labels; they must decide what the root
@@ -261,11 +233,11 @@ class TestForget:
         # decision's largest table stays far below the full fold's 2^atoms.
         p = gen_random_program(9, 7, (0.2, 0.2, 0.2), 5)
         expr = trivial_expression(p)
-        pruned, full = [], []
-        has_answer_set_dp(expr, on_node=lambda *e: pruned.append(e[2]))
+        pruned, full = NodeEvents(), []
+        has_answer_set_dp(expr, trace=pruned)
         dp_asp(expr, trace=full)
         assert max(len(n.pairs) for n in full) == 2 ** 9
-        assert max(pruned) < 2 ** 9 // 4
+        assert max(size for _, _, size in pruned) < 2 ** 9 // 4
 
 
 class TestRefutation:
@@ -288,11 +260,11 @@ class TestRefutation:
         for seed in range(1, 4):
             expr = trivial_expression(
                 gen_random_program(10, 8, (0.2, 0.2, 0.2), seed))
-            sizes, kept = [], []
-            decision = decide(expr, _TABLES,
-                              on_node=lambda *e: sizes.append(e[2]))
-            assert decision == decide(expr, no_floor(_TABLES),
-                                      on_node=lambda *e: kept.append(e[2]))
+            events, kept_events = NodeEvents(), NodeEvents()
+            decision = decide(expr, _TABLES, events)
+            assert decision == decide(expr, no_floor(_TABLES), kept_events)
+            sizes = [size for _, _, size in events]
+            kept = [size for _, _, size in kept_events]
             assert all(a <= b for a, b in zip(sizes, kept))
             assert sum(sizes) < sum(kept)
 

@@ -6,7 +6,8 @@ from aspcw.generators import gen_random_program
 from aspcw.oracle import enumerate_models
 from aspcw.program import parse_program
 from aspcw.tables import UNIT, _relabel, relabel_fn, unpack
-from conftest import FIG2_MODEL_EVENTS, eager_trace, label_mask, pack, triple
+from conftest import (FIG2_MODEL_EVENTS, NodeEvents, eager_trace, label_mask,
+                      pack, triple)
 
 import pytest
 
@@ -142,8 +143,8 @@ class TestDecision:
         assert has_model_dp(trivial_expression(p)) is False
 
     def test_node_callback(self, fig2):
-        seen = []
-        has_model_dp(fig2, on_node=lambda i, op, size: seen.append((i, op, size)))
+        seen = NodeEvents()
+        has_model_dp(fig2, trace=seen)
         assert seen == FIG2_MODEL_EVENTS
 
     def test_closed_subtree_keeps_one_accepted_triple(self):

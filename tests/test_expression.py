@@ -16,7 +16,7 @@ from aspcw.generators import (gen_pclique, gen_random_program,
                               reduce_pclique_to_asp)
 from aspcw.graphs import ALPHA, build_signed_incidence_graph, edge_key
 from aspcw.program import Program, parse_program
-from conftest import (EXAMPLE1_LABELING, EXAMPLE1_TEXT, FIG2_TEXT,
+from conftest import (EXAMPLE1_LABELING, EXAMPLE1_TEXT, FIG2_TEXT, NodeEvents,
                       reference_parse_expression)
 
 
@@ -575,7 +575,7 @@ def test_rule_unions_cost_one_pair():
     # are the only unions it reports.
     atoms, rules = 8, 6
     p = gen_random_program(atoms, rules, (0.25, 0.25, 0.25), seed=3)
-    unions = []
-    has_answer_set_dp(trivial_expression(p), on_node=lambda index, op, size:
-                      unions.append((index, size)) if op == "oplus" else None)
+    events = NodeEvents()
+    has_answer_set_dp(trivial_expression(p), trace=events)
+    unions = [(index, size) for index, op, size in events if op == "oplus"]
     assert unions == [(2 * k + 1, 1) for k in range(1, rules)]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -11,7 +12,8 @@ from aspcw.generators import (KPartiteGraph, Literal, QbfEA, gen_grid_program,
                               reduce_pclique_to_asp, reduce_qbf_to_asp,
                               serialize_qbf)
 from aspcw.graphs import edge_key
-from aspcw.program import make_rule, validate_program
+from aspcw.program import (make_rule, parse_program, serialize_program,
+                           validate_program)
 from conftest import build_incidence_graph
 
 
@@ -57,6 +59,27 @@ class TestQbf:
         assert (err.value.line, err.value.col) == (line, 1)
         assert str(err.value) == f"line {line}, col 1: {message}"
 
+    def test_accepted_names_round_trip(self):
+        # Every variable name parse_qbf accepts is an atom name: the
+        # reduction's program, unless it refuses a clash, is written and
+        # read back as it is.
+        rng = random.Random(0)
+        accepted = refused = 0
+        for _ in range(2000):
+            name = "".join(rng.choices("aBgnotwxz_019-", k=rng.randint(1, 5)))
+            try:
+                phi = parse_qbf(f"exists {name}\nforall y1\nterm {name} -y1\n")
+            except ParseError:
+                refused += 1
+                continue
+            try:
+                program = reduce_qbf_to_asp(phi)
+            except ValueError:
+                continue
+            accepted += 1
+            assert parse_program(serialize_program(program)) == program
+        assert accepted > 100 and refused > 100
+
     def test_term_before_its_declaration(self):
         phi = parse_qbf("term x1 -y1\nexists x1\nforall y1\n")
         assert phi.existential == ("x1",) and phi.universal == ("y1",)
@@ -93,6 +116,15 @@ class TestQbfReduction:
     def test_name_collision_rejected(self):
         phi = QbfEA(("v1",), (), ((Literal("v1", False),),))
         with pytest.raises(ValueError):
+            reduce_qbf_to_asp(phi)
+
+    @pytest.mark.parametrize("name", ["goal", "term1", "choice_x1",
+                                      "choice_y1", "sat_y1", "sat_z1",
+                                      "both_y1", "w", "z1"])
+    def test_rule_id_and_atom_collisions_rejected(self, name):
+        phi = QbfEA((name,), ("y1",),
+                    ((Literal(name, False), Literal("y1", True)),))
+        with pytest.raises(ValueError, match=repr([name])):
             reduce_qbf_to_asp(phi)
 
     def test_reduced_programs_validate(self):

@@ -14,7 +14,7 @@ from aspcw.generators import gen_random_program
 from aspcw.graphs import bits
 from aspcw.oracle import enumerate_answer_sets, enumerate_models
 from aspcw.tables import mask_labels
-from conftest import label_mask
+from conftest import NodeEvents, label_mask
 
 PARTS = (0.2, 0.2, 0.2)
 
@@ -65,9 +65,8 @@ def test_no_join_on_an_empty_table_in_refuted_decisions(join_operands):
         assert not enumerate_models(program)
         expr = trivial_expression(program)
         for decide in (has_answer_set_dp, has_model_dp):
-            events = []
-            assert not decide(expr, on_node=lambda *event:
-                              events.append(event))
+            events = NodeEvents()
+            assert not decide(expr, trace=events)
             sizes = [size for _, _, size in events]
             empty = sizes.index(0)
             assert empty < len(sizes) // 2 and sizes[-1] == 0

@@ -7,8 +7,10 @@ reductions without an answer set and a 4-atom, 400-rule program), in both
 modes, through both builders and through an expression file, the file
 must be byte for byte what `conftest.reference_trace_json` writes from the
 eagerly unpacked tables, and `.pairs` / `.triples` of decision and full
-traces must equal those tables.  A builder expression with its labels spread
-far apart must decide alike and trace the same tables, in its own labels."""
+traces must equal those tables.  An object with only `append` must get
+the nodes a list gets, and the last of them must be the root the fold
+returns.  A builder expression with its labels spread far apart must
+decide alike and trace the same tables, in its own labels."""
 
 import pytest
 
@@ -17,46 +19,16 @@ from aspcw.dp_answersets import _TABLES, dp_asp, has_answer_set_dp
 from aspcw.dp_classical import _TABLES as _MODEL_TABLES
 from aspcw.dp_classical import dp_classical, has_model_dp
 from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
-                              fold, heuristic_expression, labels_used,
-                              op_label, parse_expression, postorder,
-                              serialize_expression, trivial_expression)
-from aspcw.generators import (gen_random_program, gen_random_qbf,
-                              reduce_qbf_to_asp)
+                              fold, labels_used, op_label, postorder)
 from aspcw.graphs import bits
-from aspcw.program import parse_program, serialize_program
-from aspcw.tables import KPair, KTriple, trace_json
-from conftest import eager_trace, reference_trace_json
-
-PARTS = (0.2, 0.2, 0.2)
-
-SWEEP = (
-    [serialize_program(gen_random_program(atoms, 1 + (atoms + seed) % 6,
-                                          PARTS, seed))
-     for atoms in range(1, 11) for seed in (0, 1)]
-    + [serialize_program(reduce_qbf_to_asp(gen_random_qbf(2, 2, terms, seed)))
-       for terms in (3, 4, 5) for seed in (1, 2, 3)]
-    # Seeds 1 and 3 give invalid formulas: negative decisions.
-    + [serialize_program(reduce_qbf_to_asp(gen_random_qbf(1, 2, 2, seed)))
-       for seed in (1, 3)]
-    + [serialize_program(gen_random_program(4, 400, PARTS, 0))])
+from aspcw.tables import KPair, KTriple, fold_tables, trace_json
+from conftest import (TRACE_SWEEP, NodeEvents, built, eager_trace,
+                      reference_trace_json, table_nodes)
 
 MODES = {
     "classical": ("triples", has_model_dp, dp_classical, _MODEL_TABLES),
     "asp": ("pairs", has_answer_set_dp, dp_asp, _TABLES),
 }
-
-
-def built(text: str, build: str):
-    """The expression `solve` gets with --auto-expr `build`, or, for
-    "expr", from a file holding the trivial expression, with that text."""
-    program = parse_program(text)
-    if build == "heuristic":
-        return heuristic_expression(program), None
-    expr = trivial_expression(program)
-    if build == "trivial":
-        return expr, None
-    expr_text = serialize_expression(expr) + "\n"
-    return parse_expression(expr_text), expr_text
 
 
 @pytest.mark.parametrize("build", ["trivial", "heuristic", "expr"])
@@ -65,7 +37,7 @@ def test_trace_file_matches_reference(capsys, tmp_path, mode, build):
     field, _, _, ops = MODES[mode]
     program_file, trace_file = tmp_path / "p.lp", tmp_path / "t.json"
     decisions = set()
-    for text in SWEEP:
+    for text in TRACE_SWEEP:
         expr, expr_text = built(text, build)
         program_file.write_text(text)
         argv = ["solve", "--mode", mode, "--program", str(program_file)]
@@ -92,12 +64,49 @@ def test_trace_file_matches_reference(capsys, tmp_path, mode, build):
 @pytest.mark.parametrize("mode", list(MODES))
 def test_trace_nodes_unpack_eager_tables(mode, build, forget):
     field, decide, full, ops = MODES[mode]
-    for text in SWEEP:
+    for text in TRACE_SWEEP:
         expr, _ = built(text, build)
         trace = []
         (decide if forget else full)(expr, trace=trace)
         assert [(n.index, n.op, getattr(n, field)) for n in trace] == \
             eager_trace(expr, ops, forget, field)
+
+
+class Sink:
+    """A trace sink that is no list: it keeps each node's index, op and
+    table."""
+
+    def __init__(self):
+        self.nodes = []
+
+    def append(self, node):
+        self.nodes.append((node.index, node.op, node.table))
+
+
+@pytest.mark.parametrize("forget", [True, False])
+@pytest.mark.parametrize("build", ["trivial", "heuristic"])
+@pytest.mark.parametrize("mode", list(MODES))
+def test_sink_gets_the_nodes_a_list_gets(mode, build, forget):
+    # `trace` is the fold's one observer.  A sink gets what a list gets,
+    # and the last node is the root: the fold reports every node but the
+    # edge inserts below the top of a run, and the decision's fold skips
+    # the unions directly under an edge insert too.  No table the
+    # forgetting fold builds is larger than the full fold's at its node.
+    ops = MODES[mode][3]
+    for text in TRACE_SWEEP:
+        expr, _ = built(text, build)
+        listed, sink = [], Sink()
+        root = fold_tables(expr, ops, listed, forget)
+        assert fold_tables(expr, ops, sink, forget) == root
+        assert sink.nodes == [(n.index, n.op, n.table) for n in listed]
+        assert listed[-1] == root
+        assert [(n.index, n.op) for n in listed] == \
+            table_nodes(expr, fused=forget)
+        if forget:
+            full = NodeEvents()
+            fold_tables(expr, ops, full)
+            sizes = {index: size for index, _, size in full}
+            assert all(len(n.table) <= sizes[n.index] for n in listed)
 
 
 def spread(expr, name):
@@ -132,7 +141,7 @@ def test_spread_labels_trace_in_their_labels(mode, build):
     # 997 * l + 3, traces as l did: the same decision and tables, and the
     # trace file written in the spread labels.
     field, decide, full, _ = MODES[mode]
-    for text in SWEEP[:24]:
+    for text in TRACE_SWEEP[:24]:
         expr, _ = built(text, build)
         name = {l: 997 * l + 3 for l in labels_used(expr)}
         far = spread(expr, name)

@@ -2,17 +2,23 @@
 
 Everything here is deliberately brute force; it exists to cross-check the
 decomposition-based solvers on small instances.  Every interpretation is
-checked for a model, and every proper subset of a model for a model of its
-reduct, until one is found.
+decided for a model, and every proper subset of a model is checked for a
+model of its reduct, until one is found.
 
 An interpretation is an int: atom i of `program.atoms` is bit i.  An atom
 that a rule names but the program does not list gets the bit one past the
 last atom, which no interpretation sets, so it is false in all of them.
-Each rule becomes its (head, pos, neg) masks once, and a frozenset is built
-only for an interpretation that is returned.
+Each rule becomes its (head, pos, neg) masks once.  The models come from a
+truth table, a 2^n-bit int whose bit m says whether interpretation m is a
+model: a rule rules out the interpretations in its violating cube, where
+its positive body is true and its other atoms false.  They are listed from
+that int lowest first, one at a time, and a frozenset is built only for an
+interpretation that is returned.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
 
 from .errors import BoundExceededError
 from .program import Program
@@ -77,11 +83,48 @@ def _is_minimal(m: int, rules: list[Masks]) -> bool:
     return True
 
 
-def _model_masks(n: int, rules: list[Masks]) -> list[int]:
+def _indicators(n: int) -> list[int]:
+    """Entry i is the 2^n-bit set of the interpretations that hold atom i:
+    bit m of it is bit i of m.  Each atom added doubles the interpretations,
+    and every set so far is repeated over the new upper half."""
+    holds: list[int] = []
+    width = 1
+    for _ in range(n):
+        holds = [h | h << width for h in holds]
+        holds.append(((1 << width) - 1) << width)
+        width <<= 1
+    return holds
+
+
+def _truth_table(n: int, rules: list[Masks]) -> int:
+    """The 2^n-bit set of the models: every interpretation but those in
+    some rule's violating cube, the AND of the indicators of its atoms, each
+    complemented unless the atom is in the positive body."""
+    everything = (1 << (1 << n)) - 1
+    holds = _indicators(n)
+    violated = 0
+    for h, p, neg in rules:
+        if p >> n:
+            continue  # the positive body names an unlisted atom
+        cube = everything
+        care = h | p | neg
+        for i in range(n):
+            if care >> i & 1:
+                cube &= holds[i] if p >> i & 1 else ~holds[i]
+        violated |= cube
+    return everything ^ violated
+
+
+def _model_masks(n: int, rules: list[Masks]) -> Iterator[int]:
     # Binary counting with the first atom as the least significant bit;
-    # fixed so outputs are deterministic and diffable.
-    checks = _model_checks(rules)
-    return [m for m in range(1 << n) if not _violated(m, checks)]
+    # fixed so outputs are deterministic and diffable.  Character m of the
+    # reversed binary text is bit m of the table, so str.find steps from
+    # one model to the next.
+    text = bin(_truth_table(n, rules))[:1:-1]
+    m = text.find("1")
+    while m >= 0:
+        yield m
+        m = text.find("1", m + 1)
 
 
 def _subset_table(atoms: tuple[str, ...]) -> list[frozenset[str]]:
@@ -92,7 +135,8 @@ def _subset_table(atoms: tuple[str, ...]) -> list[frozenset[str]]:
     return table
 
 
-def _as_sets(atoms: tuple[str, ...], masks: list[int]) -> list[frozenset[str]]:
+def _as_sets(atoms: tuple[str, ...],
+             masks: Iterable[int]) -> list[frozenset[str]]:
     # Two tables of 2^(n/2) entries each, one per half of the bits.
     half = len(atoms) // 2
     low = (1 << half) - 1
@@ -130,5 +174,5 @@ def enumerate_answer_sets(program: Program,
     _check_bound(program, bound)
     rules = _rule_masks(program, _atom_bits(program.atoms))
     return _as_sets(program.atoms,
-                    [m for m in _model_masks(len(program.atoms), rules)
-                     if _is_minimal(m, rules)])
+                    (m for m in _model_masks(len(program.atoms), rules)
+                     if _is_minimal(m, rules)))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -37,6 +38,28 @@ class TestModels:
             # The bound is checked before anything else, repeated atoms too.
             with pytest.raises(BoundExceededError):
                 enumerate_(Program(("a",) * 25, ()))
+
+    def test_at_the_bound(self):
+        # `:- a1.` ... `:- a19.` over a1..a20: the models are the empty set
+        # and {a20}, the top interpretation bit, listed in that order.
+        atoms = tuple(f"a{i}" for i in range(1, 21))
+        p = Program(atoms, tuple(make_rule(f"r{i}", [], [f"a{i}"])
+                                 for i in range(1, 20)))
+        assert enumerate_models(p) == [frozenset(), frozenset({"a20"})]
+        assert enumerate_answer_sets(p) == [frozenset()]
+
+    def test_holds_no_mask_list(self):
+        # 32,528 models of 15 atoms: listing them costs little beyond the
+        # frozensets returned, so no list of model masks is kept beside them.
+        p = gen_random_program(15, 4, (0.2, 0.2, 0.2), 1)
+        tracemalloc.start()
+        try:
+            models = enumerate_models(p)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(models) == 32528
+        assert peak <= 1.02 * held, (held, peak)
 
     @pytest.mark.parametrize("call", [
         enumerate_models, enumerate_answer_sets,

@@ -272,12 +272,16 @@ def test_parse_matches_the_reference_on_random_repeats():
 
 MIXES = [(0.2, 0.2, 0.2), (0.3, 0.3, 0.3), (0.15, 0.35, 0.25),
          (0.4, 0.1, 0.1), (0.1, 0.4, 0.4), (0.0, 0.5, 0.0)]
+SPARSE = (0.1, 0.1, 0.1)
 
 
 def random_oracle_programs():
     """Seeded random programs with 0-10 atoms and 0-10 rules over the part
-    mixes above; every fourth lists all atoms but its last, which its rules
-    may still name."""
+    mixes above, and four of 11-14 atoms with twice as many rules, whose
+    truth tables span many machine words (all but the 12-atom one have
+    sparse parts, so short rules keep the models few).  Every fourth of the
+    small ones and the 12-atom one list all atoms but their last, which
+    their rules may still name."""
     rng = random.Random(3)
     out = [Program((), ()), Program((), (make_rule("r1"),)),
            Program((), (make_rule("r1", ["z"]),))]
@@ -285,6 +289,9 @@ def random_oracle_programs():
         p = gen_random_program(rng.randint(1, 10), rng.randint(0, 10),
                                MIXES[k % len(MIXES)], rng.randrange(1 << 32))
         out.append(Program(p.atoms[:-1], p.rules) if k % 4 == 3 else p)
+    for n, mix in ((11, SPARSE), (12, MIXES[3]), (13, SPARSE), (14, SPARSE)):
+        p = gen_random_program(n, 2 * n, mix, rng.randrange(1 << 32))
+        out.append(Program(p.atoms[:-1], p.rules) if n == 12 else p)
     return out
 
 

@@ -48,15 +48,16 @@ def _load_expression(path: str):
 
 
 class _TableSizes:
-    """The trace sink of `solve`: the node count (the last index) and the
-    largest table, and with `keep` the nodes, for the trace file."""
+    """The trace sink of `solve`: the node count (the last index), the
+    width (each node's field width w, the label count) and the largest
+    table, and with `keep` the nodes, for the trace file."""
 
     def __init__(self, keep: bool):
-        self.node_count = self.max_table = 0
+        self.node_count = self.width = self.max_table = 0
         self.nodes = [] if keep else None
 
     def append(self, node) -> None:
-        self.node_count = node.index
+        self.node_count, self.width = node.index, node.w
         self.max_table = max(self.max_table, len(node.table))
         if self.nodes is not None:
             self.nodes.append(node)
@@ -85,13 +86,13 @@ def _cmd_solve(args) -> int:
     else:
         decide, field = has_answer_set_dp, "pairs"
     sink = _TableSizes(keep=bool(args.trace))
-    # The sink is the decision's one observer: it keeps the sizes, and the
-    # nodes only for a trace, so the path and the payload are the same with
-    # and without one.  The trace file is opened first, so a path that
-    # cannot be written fails before the decision.  It is written over in
-    # place and then cut at the new end, which costs less than cutting it
-    # to nothing first, and a decision that fails leaves it empty.  A
-    # device or a pipe has no size to cut.
+    # The sink is the decision's one observer: it keeps the sizes and the
+    # width, and the nodes only for a trace, so the path and the payload
+    # are the same with and without one.  The trace file is opened first,
+    # so a path that cannot be written fails before the decision.  It is
+    # written over in place and then cut at the new end, which costs less
+    # than cutting it to nothing first, and a decision that fails leaves it
+    # empty.  A device or a pipe has no size to cut.
     out = open(os.open(args.trace, os.O_WRONLY | os.O_CREAT, 0o666), "wb") \
         if args.trace else None
     text = b""
@@ -106,7 +107,7 @@ def _cmd_solve(args) -> int:
                 out.write(text)
                 if old > len(text):
                     out.truncate(len(text))
-    _emit({"decision": decision, "width": expression.width(expr),
+    _emit({"decision": decision, "width": sink.width,
            "table_sizes": {"node_count": sink.node_count,
                            "max_table": sink.max_table}})
     return EXIT_OK if decision else EXIT_NEGATIVE

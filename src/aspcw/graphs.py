@@ -186,21 +186,13 @@ def _reach(adj: tuple[int, ...], start: int, mask: int) -> int:
     return seen
 
 
-def _cyclic_components(d: Digraph, mask: int,
-                       queue: int | None = None) -> list[int]:
-    """Strongly connected components of two or more vertices in the
-    sub-digraph induced by mask, as vertex bitmasks, by lowest vertex.
-
-    A vertex with no successor or no predecessor left lies on no cycle, so
-    such vertices are trimmed until none is left. The trim starts from the
-    vertices of queue, all of mask by default; a caller may pass fewer when
-    every other vertex of mask keeps a successor and a predecessor in it.
-    What remains is split by reachability: the component of a vertex is
-    what it reaches that also reaches it.
-    """
+def _trim(d: Digraph, mask: int, queue: int) -> int:
+    """What is left of mask once every vertex with no successor or no
+    predecessor left is deleted, again until none is: such a vertex lies
+    on no cycle. The trim starts from the vertices of queue; a caller may
+    pass fewer than mask when every other vertex of mask keeps a successor
+    and a predecessor in it."""
     succ, pred = d.succ, d.pred
-    if queue is None:
-        queue = mask
     while queue:
         low = queue & -queue
         queue ^= low
@@ -208,6 +200,20 @@ def _cyclic_components(d: Digraph, mask: int,
         if mask & low and not (succ[v] & mask and pred[v] & mask):
             mask ^= low
             queue |= (succ[v] | pred[v]) & mask
+    return mask
+
+
+def _cyclic_components(d: Digraph, mask: int,
+                       queue: int | None = None) -> list[int]:
+    """Strongly connected components of two or more vertices in the
+    sub-digraph induced by mask, as vertex bitmasks, by lowest vertex.
+
+    Mask is trimmed first (see `_trim`), from queue, all of mask by
+    default. What remains is split by reachability: the component of a
+    vertex is what it reaches that also reaches it.
+    """
+    mask = _trim(d, mask, mask if queue is None else queue)
+    succ, pred = d.succ, d.pred
     components = []
     while mask:
         low = mask & -mask
@@ -250,66 +256,85 @@ def undirected_cycle_rank(d: Digraph, max_vertices: int = 16) -> int:
     return cycle_rank(symmetric_closure(d), max_vertices)
 
 
+def _one_cut(d: Digraph, s: int) -> bool:
+    """Whether deleting one vertex leaves s acyclic, where every vertex of
+    s keeps a successor and a predecessor in s (a trimmed core, or one of
+    its components).
+
+    Such a vertex lies on every cycle of s, so it lies in every cyclic
+    component left after any other deletion: only the intersection of
+    those components stays a candidate. After a deletion only the deleted
+    vertex's neighbours need the trim's first check."""
+    succ, pred = d.succ, d.pred
+    candidates = s
+    while candidates:
+        low = candidates & -candidates
+        v = low.bit_length() - 1
+        rest = _cyclic_components(d, s ^ low, (succ[v] | pred[v]) & s)
+        if not rest:
+            return True
+        for comp in rest:
+            candidates &= comp
+    return False
+
+
 def is_cycle_rank_at_most(d: Digraph, width: int) -> bool:
     """Branch-and-bound variant of cycle_rank with no vertex-count bound.
 
-    With two or more deletions left, a component tries its vertices by
-    descending (successors in it) x (predecessors in it), ties lowest
-    first: a vertex on many cycles is likelier to cut them. With one
-    deletion left, a component is tried only at vertices that may lie on
-    all of its cycles (see one_cut). The search starts from the vertices
-    with both a successor and a predecessor: no other vertex lies on a
-    cycle."""
+    The vertices with both a successor and a predecessor are trimmed to
+    the core, the part that may lie on a cycle (see `_trim`); an empty
+    core has cycle rank 0. At width 1 the whole core is first tried for
+    one vertex on all of its cycles (see `_one_cut`), which needs no
+    split into components; only if there is none is the core split, and
+    each component, if there are two or more, is tried on its own. This
+    path keeps no search state.
+
+    From width 2 the search is memoised over (vertex set, width) and runs
+    on each component of the core. With two or more deletions left, a
+    component tries its vertices by descending (successors in it) x
+    (predecessors in it), ties lowest first: a vertex on many cycles is
+    likelier to cut them. With one deletion left, a component is tried as
+    at width 1."""
+    if width < 0:
+        return False
     succ, pred = d.succ, d.pred
+    live = 0
+    for v, out in enumerate(succ):
+        if out and pred[v]:
+            live |= 1 << v
+    core = _trim(d, live, live)
+    if not core:
+        return True
+    if width == 0:
+        # Only a Digraph built directly can have a self-loop, which counts
+        # as no cycle here, as in cycle_rank: a core of those alone is
+        # split to nothing.
+        return not _cyclic_components(d, core, 0)
+    if width == 1:
+        if _one_cut(d, core):
+            return True
+        # A core of one component has just been tried whole.
+        cyclic = _cyclic_components(d, core, 0)
+        return cyclic != [core] and all(_one_cut(d, s) for s in cyclic)
     memo: dict[tuple[int, int], bool] = {}
 
     def by_degree(s: int) -> list[int]:
         return sorted(bits(s), key=lambda v: -(succ[v] & s).bit_count()
                       * (pred[v] & s).bit_count())
 
-    def one_cut(s: int) -> bool:
-        """Whether deleting one vertex leaves the component s acyclic.
-        Such a vertex lies on every cycle of s, so it lies in every cyclic
-        component left after any other deletion: only the intersection of
-        those components stays a candidate. Every vertex of s keeps a
-        successor and a predecessor in s, so after a deletion only the
-        deleted vertex's neighbours need the trim's first check."""
-        candidates = s
-        while candidates:
-            low = candidates & -candidates
-            v = low.bit_length() - 1
-            rest = _cyclic_components(d, s ^ low, (succ[v] | pred[v]) & s)
-            if not rest:
-                return True
-            for comp in rest:
-                candidates &= comp
-        return False
+    def fits(s: int, w: int) -> bool:
+        """Whether the component s has cycle rank at most w >= 2."""
+        return any(at_most(s & ~(1 << v), w - 1) for v in by_degree(s))
 
     def at_most(mask: int, w: int) -> bool:
         key = (mask, w)
-        if key in memo:
-            return memo[key]
-        cyclic = _cyclic_components(d, mask)
-        if not cyclic:
-            result = True
-        elif w <= 0:
-            result = False
-        elif w == 1:
-            result = all(map(one_cut, cyclic))
-        else:
-            result = all(
-                any(at_most(s & ~(1 << v), w - 1) for v in by_degree(s))
-                for s in cyclic)
-        memo[key] = result
-        return result
+        if key not in memo:
+            cyclic = _cyclic_components(d, mask)
+            memo[key] = (all(_one_cut(d, s) for s in cyclic) if w == 1
+                         else all(fits(s, w) for s in cyclic))
+        return memo[key]
 
-    if width < 0:
-        return False
-    live = 0
-    for v, out in enumerate(succ):
-        if out and pred[v]:
-            live |= 1 << v
-    return at_most(live, width)
+    return all(fits(s, width) for s in _cyclic_components(d, core, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +356,10 @@ def homogeneous_orientations(program: Program,
     rule like an atom, names an atom it does not list, or names one atom in
     two parts of a rule.
 
-    Each orientation's successor masks are OR-ed from per-group masks
-    built once. Every incidence edge is in one group and points one way,
+    The per-group masks are built once, in one pass over the rules sorted
+    by id. Each orientation's successor masks are OR-ed from them in one
+    pass over the groups, zipped with the assignment's bits read from its
+    binary text. Every incidence edge is in one group and points one way,
     so a vertex's predecessors are its neighbours less its successors.
     """
     if samples < 1 or max_groups < 0:
@@ -340,28 +367,36 @@ def homogeneous_orientations(program: Program,
     vertices, _ = _incidence_vertices(program)
     index = {v: i for i, v in enumerate(vertices)}
     # Per group, in (rule, sign) order: its rule's index and bit, and its
-    # atoms' mask and indices; per vertex, its incidence neighbours.
+    # atoms' mask and indices; per vertex, its incidence neighbours. Rule
+    # ids are distinct, so the rules sorted by id with each rule's parts in
+    # h, n, p order are that order.
     per_group = []
     nbr = [0] * len(vertices)
-    for rule_id, _, part in sorted(edge_groups(program), key=lambda g: g[:2]):
-        rule = index[rule_id]
-        atoms = [index[atom] for atom in part]
-        atom_mask = sum(1 << a for a in atoms)
-        per_group.append((rule, 1 << rule, atom_mask, atoms))
-        nbr[rule] |= atom_mask
-        for a in atoms:
-            nbr[a] |= 1 << rule
+    for r in sorted(program.rules, key=lambda r: r.id):
+        rule = index[r.id]
+        rule_bit = 1 << rule
+        for part in (r.head, r.neg_body, r.pos_body):
+            if not part:
+                continue
+            atoms = [index[atom] for atom in part]
+            atom_mask = 0
+            for a in atoms:
+                atom_mask |= 1 << a
+                nbr[a] |= rule_bit
+            per_group.append((rule, rule_bit, atom_mask, atoms))
+            nbr[rule] |= atom_mask
     g = len(per_group)
 
     def orient(assignment: int) -> Digraph:
         succ = [0] * len(vertices)
-        for rule, rule_bit, atom_mask, atoms in per_group:
-            if assignment & 1:
+        # The assignment's bits, lowest first, one per group.
+        for bit, (rule, rule_bit, atom_mask, atoms) in zip(
+                f"{assignment:0{g}b}"[::-1], per_group):
+            if bit == "1":
                 succ[rule] |= atom_mask
             else:
                 for a in atoms:
                     succ[a] |= rule_bit
-            assignment >>= 1
         return Digraph(vertices, tuple(succ), tuple(map(xor, nbr, succ)))
 
     if g <= max_groups:

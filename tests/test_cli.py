@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from aspcw import expression
 from aspcw.cli import main
 from aspcw.dp_answersets import has_answer_set_dp
 from aspcw.dp_classical import has_model_dp
@@ -494,3 +495,25 @@ class TestErrors:
                        for pair in n["pairs"]]}
             for n, m in zip(traces[1], traces[0])]
         assert traces[0][-1]["op"] == f"eta(h,{big},2)"
+
+    @pytest.mark.parametrize("expr_text,width", [
+        ("eta(h,100000000,2,oplus(r(2,r1),a(100000000,x)))", 2),
+        ("rho(5,9,oplus(a(5,x),r(7,r1)))", 3),
+        ("oplus(a(1,x),rho(3,1,r(3,r1)))", 2),
+    ])
+    @pytest.mark.parametrize("mode", ["asp", "classical"])
+    def test_width_counts_the_labels(self, capsys, monkeypatch, tmp_path,
+                                     mode, expr_text, width):
+        # The payload's width is the expression's label count, read off
+        # the decision's trace nodes: sparse labels count once each, and
+        # so does a label that only a relabel names. No parsed program has
+        # the graph of an expression with no edge insert, so validation is
+        # passed over; the decision does not read the program.
+        monkeypatch.setattr("aspcw.expression.validate_against",
+                            lambda expr, program: [])
+        code, out, err = run(capsys, "solve", "--mode", mode,
+                             "--program", write(tmp_path, "x.lp", "x.\n"),
+                             "--expr", write(tmp_path, "w.expr", expr_text))
+        assert code in (0, 1) and err == ""
+        assert json.loads(out)["width"] == width == expression.width(
+            expression.parse_expression(expr_text))

@@ -250,6 +250,19 @@ class TestCycleRank:
             for w in range(-1, 4):
                 assert is_cycle_rank_at_most(d, w) == (exact <= w), (d, w)
 
+    def test_bounded_variant_matches_exact_with_self_loops(self):
+        # Only a Digraph built directly has self-loops; both checks count
+        # a looped vertex as acyclic, also when the loops, and paths
+        # between them, survive the trim.
+        vertices = ("a", "b", "c")
+        for succ in itertools.product(range(8), repeat=3):
+            pred = tuple(sum(1 << i for i in range(3) if succ[i] >> j & 1)
+                         for j in range(3))
+            d = Digraph(vertices, succ, pred)
+            exact = cycle_rank(d)
+            for w in range(-1, 3):
+                assert is_cycle_rank_at_most(d, w) == (exact <= w), (d, w)
+
     def test_figure_eight_cut_at_highest_vertex(self):
         d = figure_eight(3)
         assert cycle_rank(d) == 1
@@ -280,18 +293,21 @@ def count_calls(monkeypatch, name, limit=100):
 
 class TestOneDeletionPruning:
     # With one deletion left, only vertices that stay in every cyclic
-    # component after the deletions tried so far remain candidates.
+    # component after the deletions tried so far remain candidates. At
+    # width 1 the whole trimmed core is cut before it is split.
     def test_figure_eight_tries_three_deletions(self, monkeypatch):
         calls = count_calls(monkeypatch, "_cyclic_components")
         assert is_cycle_rank_at_most(figure_eight(6), 1) is True
-        # The whole digraph, then a0, b0 and x deleted.
-        assert len(calls) == 4
+        # a0, b0 and x deleted from the whole trimmed digraph, which is
+        # never split.
+        assert len(calls) == 3
 
     def test_disjoint_cycles_decided_by_one_deletion(self, monkeypatch):
         calls = count_calls(monkeypatch, "_cyclic_components")
         assert is_cycle_rank_at_most(JOINED_CYCLES, 1) is False
         # Deleting h leaves two disjoint cyclic components, so no
-        # candidate is left.
+        # candidate is left; the split then gives back the core whole,
+        # which is not tried again.
         assert len(calls) == 2
 
     @pytest.mark.parametrize("k", [3, 10])
@@ -300,10 +316,10 @@ class TestOneDeletionPruning:
         # neighbours and still removes every loop the deletion opened.
         reaches = count_calls(monkeypatch, "_reach")
         assert is_cycle_rank_at_most(figure_eight(k), 1) is True
-        # One forward and one backward search each for the whole digraph,
-        # the b loop left by deleting a0 and the a loop left by deleting
-        # b0; deleting x leaves nothing to search.
-        assert len(reaches) == 6
+        # One forward and one backward search each for the b loop left by
+        # deleting a0 and the a loop left by deleting b0; deleting x
+        # leaves nothing to search, and the whole digraph is not split.
+        assert len(reaches) == 4
 
 
 class TestDeletionOrder:
@@ -418,6 +434,35 @@ class TestHomogeneousOrientations:
         # random.Random(3).getrandbits(4), five times.
         assert [d.arcs for d in sampled] == [
             self.expected_arcs(a) for a in (3, 9, 8, 2, 5)]
+
+    # Rule ids that sort unlike program order ("r10" before "r9"), and a
+    # rule with all three parts.
+    ID_ORDER = parse_program("@zeta: a :- b.\n"
+                             "@r10: b | c :- a, not d.\n"
+                             "@alpha: d :- not c.\n"
+                             "@r9: c :- d.\n")
+
+    def id_order_arcs(self, assignment):
+        parts = {(r.id, sign): part for r in self.ID_ORDER.rules
+                 for sign, part in zip("hpn", (r.head, r.pos_body, r.neg_body))
+                 if part}
+        return frozenset(
+            (rule, atom) if assignment >> bit & 1 else (atom, rule)
+            for bit, (rule, sign) in enumerate(sorted(parts))
+            for atom in parts[rule, sign])
+
+    def test_group_order_by_rule_id_and_sign(self):
+        # Nine groups: (alpha, h), (alpha, n), (r10, h), (r10, n),
+        # (r10, p), (r9, h), (r9, p), (zeta, h), (zeta, p).
+        enumerated = list(homogeneous_orientations(self.ID_ORDER))
+        assert len(enumerated) == 512
+        assert [d.arcs for d in enumerated] == [
+            self.id_order_arcs(a) for a in range(512)]
+        sampled = homogeneous_orientations(self.ID_ORDER, max_groups=8,
+                                           samples=40, seed=5)
+        rng = random.Random(5)
+        assert [d.arcs for d in sampled] == [
+            self.id_order_arcs(rng.getrandbits(9)) for _ in range(40)]
 
     @pytest.mark.parametrize("samples,max_groups", [(0, 14), (-5, 0), (1, -1)])
     def test_vacuous_arguments_rejected(self, example1, samples, max_groups):
@@ -546,6 +591,96 @@ class TestCarriedMasks:
     def test_still_a_generator_function(self):
         # Callers that count orientations one next() at a time rely on it.
         assert inspect.isgeneratorfunction(homogeneous_orientations)
+
+
+def strong_components(vertices, arcs):
+    """Strong components by a plain search from each vertex: two vertices
+    share one when each reaches the other."""
+    succ = {v: [] for v in vertices}
+    for u, v in arcs:
+        succ[u].append(v)
+    reached = {}
+    for v in vertices:
+        seen, stack = {v}, [v]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reached[v] = seen
+    components, done = [], set()
+    for v in vertices:
+        if v not in done:
+            component = {w for w in reached[v] if v in reached[w]}
+            done |= component
+            components.append(component)
+    return components
+
+
+def kahn_acyclic(vertices, arcs):
+    """Kahn's algorithm: the digraph is acyclic iff repeatedly deleting a
+    vertex with no arc into it deletes every vertex."""
+    succ = {v: [] for v in vertices}
+    indegree = dict.fromkeys(vertices, 0)
+    for u, v in arcs:
+        succ[u].append(v)
+        indegree[v] += 1
+    ready = [v for v in vertices if not indegree[v]]
+    deleted = 0
+    while ready:
+        deleted += 1
+        for w in succ[ready.pop()]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    return deleted == len(vertices)
+
+
+def reference_width_one(d):
+    """(cyclic components, cycle rank at most 1) of a digraph with no
+    self-loops: rank <= 1 iff every strong component of two or more
+    vertices has a vertex whose deletion leaves it acyclic."""
+    arcs = d.arcs
+    cyclic = [c for c in strong_components(d.vertices, arcs) if len(c) > 1]
+    return len(cyclic), all(
+        any(kahn_acyclic(c - {v}, [(a, b) for a, b in arcs
+                                   if a in c and b in c and v not in (a, b)])
+            for v in c)
+        for c in cyclic)
+
+
+class TestWidthOneReference:
+    # The width-0 and width-1 verdicts against an independent reference on
+    # the orientations the QBF graph checks decide; QBF cores reach 27
+    # vertices, past cycle_rank's bound.
+    def check(self, orientations):
+        counts = {"orientations": 0, "rank two": 0, "two components": 0}
+        for o in orientations:
+            components, at_most_one = reference_width_one(o)
+            assert is_cycle_rank_at_most(o, 0) == (components == 0), o
+            assert is_cycle_rank_at_most(o, 1) == at_most_one, o
+            counts["orientations"] += 1
+            counts["rank two"] += not at_most_one
+            counts["two components"] += components > 1
+        return counts
+
+    def test_sampled_qbf_reductions(self):
+        shapes = itertools.product((6, 7, 8), (6, 7, 8), (4, 6, 8))
+        counts = self.check(itertools.chain.from_iterable(
+            homogeneous_orientations(reduce_qbf_to_asp(
+                gen_random_qbf(n, m, t, seed)))
+            for seed, (n, m, t) in enumerate(shapes)))
+        assert counts["orientations"] == 27 * 64
+
+    def test_every_orientation_of_small_programs(self):
+        # Among them, orientations of cycle rank 2, and cores of two
+        # cyclic components, each cut on its own.
+        counts = self.check(itertools.chain.from_iterable(
+            homogeneous_orientations(
+                gen_random_program(4, 4, (0.2, 0.2, 0.2), seed))
+            for seed in range(40)))
+        assert counts == {"orientations": 7584, "rank two": 90,
+                          "two components": 10}
 
 
 class TestOrientationErrors:

@@ -13,11 +13,15 @@ truth table, a 2^n-bit int whose bit m says whether interpretation m is a
 model: a rule rules out the interpretations in its violating cube, where
 its positive body is true and its other atoms false.  They are listed from
 that int lowest first, one at a time, and a frozenset is built only for an
-interpretation that is returned.
+interpretation that is returned.  The result sets are built with the cyclic
+collector paused: frozensets of atom names hold no reference cycle, so no
+pass could free one.  The pause is process-wide, which is sound as aspcw
+runs no threads, and the caller's collector state is restored.
 """
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Iterable, Iterator
 
 from .errors import BoundExceededError
@@ -137,11 +141,17 @@ def _subset_table(atoms: tuple[str, ...]) -> list[frozenset[str]]:
 
 def _as_sets(atoms: tuple[str, ...],
              masks: Iterable[int]) -> list[frozenset[str]]:
-    # Two tables of 2^(n/2) entries each, one per half of the bits.
-    half = len(atoms) // 2
-    low = (1 << half) - 1
-    lo, hi = _subset_table(atoms[:half]), _subset_table(atoms[half:])
-    return [lo[m & low] | hi[m >> half] for m in masks]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # Two tables of 2^(n/2) entries each, one per half of the bits.
+        half = len(atoms) // 2
+        low = (1 << half) - 1
+        lo, hi = _subset_table(atoms[:half]), _subset_table(atoms[half:])
+        return [lo[m & low] | hi[m >> half] for m in masks]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def enumerate_models(program: Program,

@@ -1,8 +1,10 @@
+import gc
 import itertools
 import tracemalloc
 
 import pytest
 
+from aspcw import oracle
 from aspcw.errors import BoundExceededError
 from aspcw.generators import gen_random_program
 from aspcw.oracle import (enumerate_answer_sets, enumerate_models,
@@ -128,6 +130,70 @@ class TestAnswerSets:
                        if not any(n < m for n in models)]
             assert sorted(enumerate_answer_sets(p), key=sorted) == \
                 sorted(minimal, key=sorted)
+
+
+class TestCollectorPause:
+    """The result sets are built with the cyclic collector paused, and the
+    caller's collector state is restored after every call."""
+
+    def test_no_collection_while_listing(self):
+        # 32,528 frozensets of 15 atoms: with the collector on, building
+        # them runs dozens of generation-0 passes.
+        p = gen_random_program(15, 4, (0.2, 0.2, 0.2), 1)
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.collect()  # no pass is due when the call starts
+        gc.callbacks.append(hook)
+        try:
+            models = enumerate_models(p)
+            assert gc.isenabled()
+        finally:
+            gc.callbacks.remove(hook)
+            (gc.enable if was_enabled else gc.disable)()
+        assert len(models) == 32528
+        assert starts == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("enumerate_", [
+        enumerate_models, enumerate_answer_sets],
+        ids=["enumerate_models", "enumerate_answer_sets"])
+    def test_caller_state_is_kept(self, enumerate_, enabled):
+        p = gen_random_program(10, 4, (0.2, 0.2, 0.2), 1)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert enumerate_(p)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_collector_back_on_after_raise(self, monkeypatch):
+        # The minimality filter runs inside the stream of `_as_sets`; it
+        # raises on its third call, part-way through the listing.
+        calls = []
+
+        def failing(m, rules):
+            calls.append(m)
+            if len(calls) == 3:
+                raise RuntimeError("stop")
+            return True
+
+        monkeypatch.setattr(oracle, "_is_minimal", failing)
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            with pytest.raises(RuntimeError, match="stop"):
+                enumerate_answer_sets(Program(("a", "b", "c"), ()))
+            assert len(calls) == 3
+            assert gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestInterpretationTriples:

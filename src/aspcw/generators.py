@@ -1,9 +1,12 @@
 """Instance generators and hardness-reduction constructions.
 
-Covers: exists-forall QBF formulas with a brute-force validity check and the
-reduction to disjunctive programs; partitioned-clique instances with their
-ASP reduction and an explicit low-width expression; the grid-program family;
-and seeded random programs / formulas for fuzz harnesses.
+Covers: exists-forall QBF formulas with a validity check that folds the
+universal variables out of one truth table, and the reduction to
+disjunctive programs; partitioned-clique instances with a depth-first
+search over adjacency masks, their ASP reduction and an explicit low-width
+expression; the grid-program family; and seeded random programs / formulas
+for fuzz harnesses.  The two deciders are the independent references for
+programs past the oracle, so they use nothing of the oracle or the solvers.
 """
 
 from __future__ import annotations
@@ -87,26 +90,54 @@ class KPartiteGraph:
 # QBF validity and reduction
 # ---------------------------------------------------------------------------
 
+def _indicators(count: int) -> list[int]:
+    """Entry i is the 2^count-bit set of the assignments that make variable
+    i true: bit a of it is bit i of a.  Each variable added doubles the
+    assignments, and every set so far is repeated over the new upper half."""
+    holds: list[int] = []
+    width = 1
+    for _ in range(count):
+        holds = [h | h << width for h in holds]
+        holds.append(((1 << width) - 1) << width)
+        width <<= 1
+    return holds
+
+
 def qbf_is_valid(phi: QbfEA, bound: int = 20) -> bool:
-    """Brute force: some x-assignment makes the disjunction true under all
-    y-assignments."""
+    """Whether some x-assignment makes the disjunction true under all
+    y-assignments.
+
+    An assignment is an int: universal y_j is bit j and existential x_i is
+    bit m + i.  The formula's truth table is a 2^(n+m)-bit int whose bit a
+    says whether assignment a satisfies some term: the OR of the terms'
+    cubes, each the AND of its literals' indicators.  Folding universal bit
+    j away with `table &= table >> 2^j` leaves, at every assignment with
+    y_j false, whether both values of y_j satisfy the formula.  With every
+    universal bit folded, the bits of the assignments with every y false
+    (the multiples of 2^m, read off the y indicators, which is cheaper than
+    dividing out the repeating pattern) say whether an x-assignment
+    satisfies the formula under all y-assignments.  The indicators take
+    (n + m) * 2^(n+m) bits, 2.5 MiB at the default bound.
+    """
     n, m = len(phi.existential), len(phi.universal)
     if n + m > bound:
         raise BoundExceededError(
             f"{n + m} variables exceeds enumeration bound {bound}")
-
-    def term_true(term, assignment) -> bool:
-        return all(assignment[l.var] != l.negated for l in term)
-
-    for xs in itertools.product((False, True), repeat=n):
-        assignment = dict(zip(phi.existential, xs))
-        for ys in itertools.product((False, True), repeat=m):
-            assignment.update(zip(phi.universal, ys))
-            if not any(term_true(t, assignment) for t in phi.terms):
-                break
-        else:
-            return True
-    return False
+    holds = dict(zip(phi.universal + phi.existential, _indicators(n + m)))
+    everything = (1 << (1 << (n + m))) - 1
+    table = 0
+    for term in phi.terms:
+        cube = everything
+        for lit in term:
+            h = holds[lit.var]
+            cube &= everything ^ h if lit.negated else h
+        table |= cube
+    for j in range(m):
+        table &= table >> (1 << j)
+    some_y = 0
+    for y in phi.universal:
+        some_y |= holds[y]
+    return table & (everything ^ some_y) != 0
 
 
 def reduce_qbf_to_asp(phi: QbfEA) -> Program:
@@ -237,12 +268,40 @@ def gen_pclique(k: int, part_size: int, edge_density: float,
 
 
 def has_partitioned_clique(g: KPartiteGraph, bound: int = 10 ** 6) -> bool:
-    """Try all one-vertex-per-part selections for pairwise adjacency."""
+    """Whether one vertex per part can be picked, pairwise adjacent.
+
+    Vertex i, counted in part order, is bit i, and each vertex has the mask
+    of its neighbours.  The parts are searched depth first, in order: a pick
+    is made from its part's vertices that are adjacent to every pick above
+    it, and that candidate mask, ANDed with the pick's neighbours, is passed
+    down.  The search keeps its own stack, so thousands of parts need no
+    recursion.
+    """
     if g.parts and len(g.parts[0]) ** len(g.parts) > bound:
         raise BoundExceededError("selection space exceeds brute-force bound")
-    for pick in itertools.product(*g.parts):
-        if all(g.has_edge(u, v) for u, v in itertools.combinations(pick, 2)):
+    bit: dict[str, int] = {}
+    part_masks = []
+    for part in g.parts:
+        first = len(bit)
+        for v in part:
+            bit[v] = len(bit)
+        part_masks.append(((1 << len(part)) - 1) << first)
+    adj = [0] * len(bit)
+    for u, v in g.edges:
+        adj[bit[u]] |= 1 << bit[v]
+        adj[bit[v]] |= 1 << bit[u]
+    # Each entry: the next part to pick from, and the vertices adjacent to
+    # every pick so far.
+    stack = [(0, (1 << len(bit)) - 1)]
+    while stack:
+        d, cand = stack.pop()
+        if d == len(part_masks):
             return True
+        options = cand & part_masks[d]
+        while options:
+            pick = options & -options
+            options ^= pick
+            stack.append((d + 1, cand & adj[pick.bit_length() - 1]))
     return False
 
 
@@ -353,6 +412,8 @@ def gen_random_program(num_atoms: int, num_rules: int,
 
 
 def gen_random_qbf(n: int, m: int, num_terms: int, seed: int) -> QbfEA:
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be at least 0")
     rng = random.Random(seed)
     existential = tuple(f"x{i}" for i in range(1, n + 1))
     universal = tuple(f"y{i}" for i in range(1, m + 1))

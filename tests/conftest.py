@@ -12,9 +12,13 @@ whole-graph references for `parse_program` (on a greedy copy of its rule
 pattern), `heuristic_expression` and `validate_against`, which read each
 program edge once or a few times; the post-order of a fold that pushes
 marker tuples on one stack, and an expression parser that tries one
-pattern per operator head; and the oracle over frozensets, one built per
-subset and each rule checked with set algebra."""
+pattern per operator head; the oracle over frozensets, one built per
+subset and each rule checked with set algebra; and the brute-force QBF
+validity and partitioned-clique checks, over dict assignments and vertex
+tuples, that the bitmask deciders in `aspcw.generators` are swept
+against."""
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -29,8 +33,9 @@ from aspcw.expression import (DisjointUnion, EdgeInsert, Introduce, Relabel,
                               evaluate, fold, heuristic_expression,
                               labeled_expression, op_label, parse_expression,
                               serialize_expression, trivial_expression)
-from aspcw.generators import (Literal, QbfEA, gen_random_program,
-                              gen_random_qbf, reduce_qbf_to_asp)
+from aspcw.generators import (KPartiteGraph, Literal, QbfEA,
+                              gen_random_program, gen_random_qbf,
+                              reduce_qbf_to_asp)
 from aspcw.graphs import ALPHA, bits, build_signed_incidence_graph
 from aspcw.oracle import DEFAULT_ENUMERATION_BOUND
 from aspcw.program import (_COMMENT, Program, Rule, _line_col, is_model,
@@ -485,6 +490,39 @@ def reference_enumerate_answer_sets(
     _check_bound(program, bound)
     return [m for m in reference_enumerate_models(program, bound)
             if reference_is_answer_set(program, m)]
+
+
+def reference_qbf_is_valid(phi: QbfEA, bound: int = 20) -> bool:
+    """Brute force: some x-assignment makes the disjunction true under all
+    y-assignments."""
+    n, m = len(phi.existential), len(phi.universal)
+    if n + m > bound:
+        raise BoundExceededError(
+            f"{n + m} variables exceeds enumeration bound {bound}")
+
+    def term_true(term, assignment) -> bool:
+        return all(assignment[l.var] != l.negated for l in term)
+
+    for xs in itertools.product((False, True), repeat=n):
+        assignment = dict(zip(phi.existential, xs))
+        for ys in itertools.product((False, True), repeat=m):
+            assignment.update(zip(phi.universal, ys))
+            if not any(term_true(t, assignment) for t in phi.terms):
+                break
+        else:
+            return True
+    return False
+
+
+def reference_has_partitioned_clique(g: KPartiteGraph,
+                                     bound: int = 10 ** 6) -> bool:
+    """Try all one-vertex-per-part selections for pairwise adjacency."""
+    if g.parts and len(g.parts[0]) ** len(g.parts) > bound:
+        raise BoundExceededError("selection space exceeds brute-force bound")
+    for pick in itertools.product(*g.parts):
+        if all(g.has_edge(u, v) for u, v in itertools.combinations(pick, 2)):
+            return True
+    return False
 
 
 @pytest.fixture

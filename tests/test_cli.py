@@ -345,6 +345,8 @@ class TestGen:
         ["pclique", "--k", "2", "--part-size", "0"],
         ["grid", "--n", "0"],
         ["random-qbf", "--n", "1", "--m", "1", "--terms", "-1"],
+        ["random-qbf", "--n", "-2", "--m", "2", "--terms", "2"],
+        ["random-qbf", "--n", "2", "--m", "-1", "--terms", "2"],
     ])
     def test_bad_sizes_exit_3(self, capsys, argv):
         code, out, err = run(capsys, "gen", *argv)

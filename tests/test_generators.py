@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -14,7 +15,8 @@ from aspcw.generators import (KPartiteGraph, Literal, QbfEA, gen_grid_program,
 from aspcw.graphs import edge_key
 from aspcw.program import (make_rule, parse_program, serialize_program,
                            validate_program)
-from conftest import build_incidence_graph
+from conftest import (build_incidence_graph, reference_has_partitioned_clique,
+                      reference_qbf_is_valid)
 
 
 class TestQbf:
@@ -262,6 +264,17 @@ class TestRandomInstances:
         g = gen_pclique(1, 1, 0.5, 0)
         assert g.parts == (("v1_1",),) and not g.edges
 
+    @pytest.mark.parametrize("n,m", [(-2, 2), (2, -1), (-1, -1), (-1, 0)])
+    def test_qbf_negative_blocks_refused(self, n, m):
+        with pytest.raises(ValueError, match="n and m must be at least 0"):
+            gen_random_qbf(n, m, 2, 0)
+
+    def test_qbf_empty_blocks(self):
+        assert gen_random_qbf(0, 2, 3, 0).existential == ()
+        assert gen_random_qbf(2, 0, 3, 0).universal == ()
+        with pytest.raises(ValueError, match="need at least one variable"):
+            gen_random_qbf(0, 0, 1, 0)
+
     def test_qbf_deterministic_and_valid_shape(self):
         a = gen_random_qbf(3, 2, 4, 9)
         assert a == gen_random_qbf(3, 2, 4, 9)
@@ -269,3 +282,119 @@ class TestRandomInstances:
         for term in a.terms:
             assert 1 <= len(term) <= 3
             assert len({l.var for l in term}) == len(term)
+
+
+def _random_formula(rng: random.Random, n: int, m: int,
+                    num_terms: int) -> QbfEA:
+    """Literals drawn with replacement, so a term may repeat a literal or
+    hold a variable and its negation."""
+    xs = tuple(f"x{i}" for i in range(1, n + 1))
+    ys = tuple(f"y{i}" for i in range(1, m + 1))
+    variables = xs + ys
+    terms = tuple(
+        tuple(Literal(rng.choice(variables), rng.random() < 0.5)
+              for _ in range(rng.randint(1, 3)))
+        for _ in range(num_terms if variables else 0))
+    return QbfEA(xs, ys, terms)
+
+
+def _random_k_partite(rng: random.Random, k: int, part_size: int,
+                      density: float) -> KPartiteGraph:
+    parts = tuple(tuple(f"v{i}_{j}" for i in range(1, part_size + 1))
+                  for j in range(1, k + 1))
+    edges = frozenset(
+        edge_key(u, v)
+        for p1, p2 in itertools.combinations(parts, 2)
+        for u in p1 for v in p2 if rng.random() < density)
+    return KPartiteGraph(parts, edges)
+
+
+class TestDecidersAgainstReferences:
+    """The bitmask deciders against the brute-force ones in conftest."""
+
+    def test_qbf_sweep(self):
+        rng = random.Random(34)
+        seen = {True: 0, False: 0}
+        for n, m in itertools.product(range(6), repeat=2):
+            for num_terms in range(9):
+                for _ in range(2):
+                    phi = _random_formula(rng, n, m, num_terms)
+                    valid = qbf_is_valid(phi)
+                    assert valid == reference_qbf_is_valid(phi), phi
+                    seen[valid] += 1
+        assert min(seen.values()) > 100
+
+    @pytest.mark.parametrize("phi,valid", [
+        (QbfEA((), (), ()), False),
+        (QbfEA(("x1",), ("y1",), ()), False),
+        (QbfEA(("x1",), (), ((Literal("x1", False), Literal("x1", True)),)),
+         False),
+        (QbfEA((), ("y1",), ((Literal("y1", False), Literal("y1", True)),
+                             (Literal("y1", True),))), False),
+        (QbfEA((), ("y1",), ((Literal("y1", False), Literal("y1", False)),
+                             (Literal("y1", True),))), True),
+        (QbfEA(("x1",), (), ((Literal("x1", True),) * 3,)), True),
+        # After the fold, y1 = 1, x1 = 0 is still set (ANDed with y1 = 0,
+        # x1 = 1, and both satisfy the formula): only y1 = 0 bits count.
+        (QbfEA(("x1",), ("y1",),
+               ((Literal("y1", False), Literal("x1", True)),
+                (Literal("y1", True), Literal("x1", False)))), False),
+        # Only the last universal variable decides.
+        (QbfEA(("x1",), ("y1", "y2", "y3"),
+               ((Literal("x1", False), Literal("y3", False)),
+                (Literal("x1", False), Literal("y3", True)))), True),
+        (QbfEA(("x1",), ("y1", "y2", "y3"),
+               ((Literal("x1", False), Literal("y3", True)),)), False),
+    ])
+    def test_qbf_edge_cases(self, phi, valid):
+        assert qbf_is_valid(phi) is valid
+        assert reference_qbf_is_valid(phi) is valid
+
+    def test_generated_qbf_sweep(self):
+        seen = {True: 0, False: 0}
+        for n, m in itertools.product(range(1, 9), repeat=2):
+            for num_terms in (2, 5, 9):
+                phi = gen_random_qbf(n, m, num_terms, 9 * n + m + num_terms)
+                valid = qbf_is_valid(phi)
+                assert valid == reference_qbf_is_valid(phi), (n, m, num_terms)
+                seen[valid] += 1
+        assert min(seen.values()) > 20
+
+    def test_partitioned_clique_sweep(self):
+        rng = random.Random(34)
+        seen = {True: 0, False: 0}
+        for k in range(7):
+            for part_size in range(4):
+                for density in (0, 0.3, 0.6, 0.8, 0.9, 1, rng.random()):
+                    g = _random_k_partite(rng, k, part_size, density)
+                    clique = has_partitioned_clique(g)
+                    assert clique == reference_has_partitioned_clique(g), g
+                    seen[clique] += 1
+        assert min(seen.values()) > 40
+
+    def test_one_vertex_parts_past_the_recursion_limit(self):
+        # 1,200 parts of one vertex: the search goes 1,200 picks deep.  The
+        # complete graph on them has 719,400 edges.
+        names = [f"v1_{j}" for j in range(1, 1201)]
+        parts = tuple((v,) for v in names)
+        edges = [edge_key(u, v) for u, v in itertools.combinations(names, 2)]
+        assert has_partitioned_clique(KPartiteGraph(parts, frozenset(edges)))
+        edges.remove(edge_key(names[0], names[-1]))
+        assert not has_partitioned_clique(
+            KPartiteGraph(parts, frozenset(edges)))
+
+    def test_bound_messages(self):
+        phi = gen_random_qbf(11, 10, 3, 0)
+        g = gen_pclique(7, 8, 0.5, seed=0)
+        for decide in (qbf_is_valid, reference_qbf_is_valid):
+            with pytest.raises(BoundExceededError) as err:
+                decide(phi)
+            assert str(err.value) == "21 variables exceeds enumeration bound 20"
+            with pytest.raises(BoundExceededError) as err:
+                decide(gen_random_qbf(2, 2, 3, 0), bound=3)
+            assert str(err.value) == "4 variables exceeds enumeration bound 3"
+        for decide in (has_partitioned_clique,
+                       reference_has_partitioned_clique):
+            with pytest.raises(BoundExceededError) as err:
+                decide(g)
+            assert str(err.value) == "selection space exceeds brute-force bound"
